@@ -115,33 +115,26 @@ def _fail_with_diagnostic(exc: NhviError, out_dir: Path) -> int:
     return 2
 
 
-def _sweep_entry(args_tuple):
-    cfg_path, out_dir = args_tuple
-    cfg = parse_config(cfg_path)
-    _run_single(cfg, Path(out_dir))
-    return cfg_path
+def _run_config(path, args, out_dir: Path) -> int:
+    """Parse, override and run one configuration; 2 after writing error.json."""
+    try:
+        _run_single(_apply_overrides(parse_config(path), args), out_dir)
+    except NhviError as exc:
+        return _fail_with_diagnostic(exc, out_dir)
+    return 0
 
 
 def cmd_run(args) -> int:
     if args.sweep:
+        paths = args.sweep
         out_root = Path(args.out or "nhvi_out")
-        jobs = [
-            (path, out_root / Path(path).stem) for path in args.sweep
-        ]
-        workers = min(len(jobs), os.cpu_count() or 1)
+        out_dirs = [out_root / Path(path).stem for path in paths]
+        workers = min(len(paths), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for done in pool.map(_sweep_entry, jobs):
-                log.info("sweep member finished: %s", done)
-        return 0
+            return max(pool.map(_run_config, paths, [args] * len(paths), out_dirs))
     if not args.config:
         raise SystemExit("run requires --config (or --sweep)")
-    out_dir = Path(args.out or "nhvi_out")
-    cfg = _apply_overrides(parse_config(args.config), args)
-    try:
-        _run_single(cfg, out_dir)
-    except NhviError as exc:
-        return _fail_with_diagnostic(exc, out_dir)
-    return 0
+    return _run_config(args.config, args, Path(args.out or "nhvi_out"))
 
 
 def bundled_config_path(name: str):
@@ -152,12 +145,7 @@ def bundled_config_path(name: str):
 def cmd_demo(args) -> int:
     out_dir = Path(args.out or f"nhvi_out_{args.name}")
     with resources.as_file(bundled_config_path(args.name)) as path:
-        cfg = _apply_overrides(parse_config(path), args)
-    try:
-        _run_single(cfg, out_dir)
-    except NhviError as exc:
-        return _fail_with_diagnostic(exc, out_dir)
-    return 0
+        return _run_config(path, args, out_dir)
 
 
 def cmd_validate(args) -> int:

@@ -155,7 +155,7 @@ def omega_dplus(model: MechanicalModel, q: np.ndarray, v: np.ndarray, h: float) 
     """
     if model.m_con == 0:
         return np.empty(0)
-    return model.omega(q) @ model.retract_inverse(q, v, h)
+    return model.omega(q) @ ((v - q) / h)
 
 
 def omega_dminus(model: MechanicalModel, v: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:

@@ -3,8 +3,8 @@
 A model bundles everything the integrator needs about one system: the
 Lagrangian and its velocity/position partials, the constraint one-forms, a
 scalar gap function describing the admissible set (positive inside, zero on
-the collision surface, negative outside), the tangent-basis/projection pair
-on the boundary, and the retraction realizing discrete velocities.
+the collision surface, negative outside) and the tangent-basis/projection
+pair on the boundary.
 
 The boundary tangent basis E (n x (n-1)) and the projection P ((n-1) x n) are
 model data, not derived quantities: the impact map depends on which left
@@ -22,17 +22,11 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateFrame, NotOnBoundary
-from .numerics import fd_jacobian
 
 # |c(q)| below this counts as "on the boundary" for frame assembly
 FRAME_GAP_TOL = 1e-8
 # P.E must equal the identity to this tolerance, else the frame is degenerate
 FRAME_IDENTITY_TOL = 1e-10
-
-
-def default_retract_inverse(q: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-    """Difference-quotient discrete velocity (v - q) / h."""
-    return (v - q) / h
 
 
 @dataclass(frozen=True)
@@ -42,9 +36,7 @@ class MechanicalModel:
     Callable fields take/return plain float64 arrays.  `d2L`, when present,
     returns the Hessian blocks (Lqq, Lqv, Lvv) of the Lagrangian, where
     Lqv[i, j] = d(dL/dq_i)/dv_j; the integrator uses them to assemble
-    analytic Newton Jacobians for the smooth steps.  `uses_default_retraction`
-    tells the integrator the discrete velocity is the plain difference
-    quotient, which that Jacobian assembly relies on.
+    analytic Newton Jacobians for the smooth steps.
     """
 
     name: str
@@ -59,14 +51,10 @@ class MechanicalModel:
     boundary_gap_grad: Callable[[np.ndarray], np.ndarray]
     tangent_basis: Callable[[np.ndarray], np.ndarray]
     projection: Callable[[np.ndarray], np.ndarray]
-    retract_inverse: Callable[[np.ndarray, np.ndarray, float], np.ndarray] = (
-        default_retract_inverse
-    )
     params: Dict[str, float] = field(default_factory=dict)
     d2L: Optional[
         Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     ] = None
-    uses_default_retraction: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -75,20 +63,6 @@ class MechanicalModel:
             raise ValueError("number of constraint one-forms must be non-negative")
         if len(self.coordinate_names) != self.n:
             raise ValueError("coordinate_names must have length n")
-
-
-def fd_partials(
-    lagrangian: Callable[[np.ndarray, np.ndarray], float], eps: float = 1e-7
-):
-    """Finite-difference dL/dq and dL/dv for models without analytic partials."""
-
-    def dL_dq(q, v):
-        return fd_jacobian(lambda qq: np.array([lagrangian(qq, v)]), q, eps)[0]
-
-    def dL_dv(q, v):
-        return fd_jacobian(lambda vv: np.array([lagrangian(q, vv)]), v, eps)[0]
-
-    return dL_dq, dL_dv
 
 
 @dataclass(frozen=True)

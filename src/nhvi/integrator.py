@@ -10,15 +10,18 @@ The smooth forward step maps (q_k, v_k, p_k) to the next triple:
 
 When the candidate q_{k+1} leaves the admissible set, the offending
 configuration is deleted and the collision is resolved in four phases, each a
-square Newton system:
+square Newton system.  Phases A and B solve for discrete velocities rather
+than configurations, so the sub-step difference quotients are never formed:
 
-    A: find the impact fraction alpha, the boundary point q~ (replacing v_k)
-       and multipliers, from d1(q_k, ., alpha h) + p_k in the constraint span,
-       the discrete constraint at sub-step alpha h, and c(q~) = 0.
+    A: find the impact fraction alpha, the incoming discrete velocity w_in
+       and multipliers, from d1(q_k, q~, alpha h) + p_k in the constraint
+       span, omega(q_k) w_in = 0, and c(q~) = 0, where
+       q~ = q_k + alpha h w_in is the boundary point (replacing v_k).
     B: transfer the momentum to the boundary, p~ = E^T d2(q_k, q~, alpha h),
-       then find the post-impact configuration v~ and multipliers from energy
-       matching d3 = d3, the boundary-projected momentum balance, and the
-       discrete constraint at sub-step (1 - alpha) h.
+       then find the outgoing discrete velocity w_out and multipliers from
+       energy matching d3 = d3, the boundary-projected momentum balance, and
+       omega(q~) w_out = 0, where v~ = q~ + (1 - alpha) h w_out is the
+       post-impact configuration.
     C: p_{k+1} = d2(q~, v~, (1-alpha) h), q_{k+1} = v~.
     D: the usual constrained solve for (v_{k+1}, lambda) at the full step.
 
@@ -39,11 +42,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 
-from .discretization import DiscreteLagrangian, initial_discretize
+from .discretization import DiscreteLagrangian, initial_discretize, omega_dplus
 from .errors import (
     AlphaOutOfRange,
     NewtonFailure,
@@ -121,12 +124,6 @@ class Trajectory:
     h: float
     solver_stats: SolverStats
 
-    def impact_for_step(self, k: int) -> Optional[ImpactEvent]:
-        for ev in self.impacts:
-            if ev.k == k:
-                return ev
-        return None
-
 
 class MinusStepResult(NamedTuple):
     q_prev: np.ndarray
@@ -162,12 +159,11 @@ def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base,
     if m:
         om = model.omega(q_base)
         omT = om.T
-        ri = model.retract_inverse
 
         def residual(z):
             v = z[:n]
             r1 = d1(q_base, v, h) + p_base - omT @ z[n:]
-            return np.concatenate([r1, om @ ri(q_base, v, h)])
+            return np.concatenate([r1, om @ ((v - q_base) / h)])
 
     else:
 
@@ -175,7 +171,7 @@ def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base,
             return d1(q_base, z, h) + p_base
 
     jac = None
-    if Ld.d1_dv is not None and model.uses_default_retraction:
+    if Ld.d1_dv is not None:
         d1_dv = Ld.d1_dv
         if m:
             om_h = om / h
@@ -246,12 +242,11 @@ def step_minus(
     if m:
         om = model.omega(q_next)
         omT = om.T
-        ri = model.retract_inverse
 
         def residual(z):
             u = z[:n]
             r1 = p_next - Ld.d2(u, q_next, h) - omT @ z[n:]
-            return np.concatenate([r1, -(om @ ri(q_next, u, h))])
+            return np.concatenate([r1, -(om @ ((u - q_next) / h))])
 
     else:
 
@@ -273,7 +268,7 @@ def _impact_a_residual(Ld, model, q_k, p_k, event, h) -> float:
     r1 = Ld.d1(q_k, event.q_tilde, s1) + p_k - model.omega(q_k).T @ event.lambda_A
     parts = [float(np.max(np.abs(r1))), abs(model.boundary_gap(event.q_tilde))]
     if model.m_con:
-        r2 = model.omega(q_k) @ model.retract_inverse(q_k, event.q_tilde, s1)
+        r2 = omega_dplus(model, q_k, event.q_tilde, s1)
         parts.append(float(np.max(np.abs(r2))))
     return max(parts)
 
@@ -291,9 +286,7 @@ def _impact_b_residual(Ld, model, q_k, event, h) -> float:
     if model.n > 1:
         parts.append(float(np.max(np.abs(E.T @ force + event.p_tilde))))
     if model.m_con:
-        r3 = model.omega(event.q_tilde) @ model.retract_inverse(
-            event.q_tilde, event.v_tilde, s2
-        )
+        r3 = omega_dplus(model, event.q_tilde, event.v_tilde, s2)
         parts.append(float(np.max(np.abs(r3))))
     return max(parts)
 
@@ -301,49 +294,28 @@ def _impact_b_residual(Ld, model, q_k, event, h) -> float:
 def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     n = model.n
     m = model.m_con
-    ri = model.retract_inverse
     om_k = model.omega(q_k)
     omT_k = om_k.T
     gap = model.boundary_gap
-    # With the default retraction the phases are solved over discrete
-    # velocities w (configurations reconstructed as q + s w): forming
-    # (v - q)/s from a solved v costs five digits at impact sub-steps.
-    wform = model.uses_default_retraction
+    # The phases are solved over discrete velocities w (configurations
+    # reconstructed as q + s w): forming (v - q)/s from a solved v costs five
+    # digits at impact sub-steps.
 
     # PHASE A: impact fraction, boundary point and multipliers.
-    if wform:
-
-        def residual_a(z):
-            alpha = z[0]
-            w = z[1 : 1 + n]
-            s = alpha * h
-            r1 = Ld.d1_w(q_k, w, s) + p_k - omT_k @ z[1 + n :]
-            parts = [r1]
-            if m:
-                parts.append(om_k @ w)
-            parts.append(np.array([gap(q_k + s * w)]))
-            return np.concatenate(parts)
-
-        first_guess = (rejected_q - q_k) / h
-
-    else:
-
-        def residual_a(z):
-            alpha = z[0]
-            v = z[1 : 1 + n]
-            s = alpha * h
-            r1 = Ld.d1(q_k, v, s) + p_k - omT_k @ z[1 + n :]
-            parts = [r1]
-            if m:
-                parts.append(om_k @ ri(q_k, v, s))
-            parts.append(np.array([gap(v)]))
-            return np.concatenate(parts)
+    def residual_a(z):
+        alpha = z[0]
+        w = z[1 : 1 + n]
+        s = alpha * h
+        r1 = Ld.d1_w(q_k, w, s) + p_k - omT_k @ z[1 + n :]
+        parts = [r1]
+        if m:
+            parts.append(om_k @ w)
+        parts.append(np.array([gap(q_k + s * w)]))
+        return np.concatenate(parts)
 
     c_k = gap(q_k)
     alpha0 = c_k / (c_k - gap(rejected_q))
-    if not wform:
-        first_guess = q_k + alpha0 * (rejected_q - q_k)
-    z0 = np.concatenate([[alpha0], first_guess, np.zeros(m)])
+    z0 = np.concatenate([[alpha0], (rejected_q - q_k) / h, np.zeros(m)])
     res_a = newton_solve(residual_a, z0, opts)
     _require_converged(res_a, "impact-A", k, t_k)
     alpha = float(res_a.x[0])
@@ -353,59 +325,32 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
         )
     s1 = alpha * h
     lambda_a = res_a.x[1 + n :]
-    if wform:
-        w_in = res_a.x[1 : 1 + n]
-        q_tilde = q_k + s1 * w_in
-    else:
-        q_tilde = res_a.x[1 : 1 + n]
-        w_in = ri(q_k, q_tilde, s1)
+    w_in = res_a.x[1 : 1 + n]
+    q_tilde = q_k + s1 * w_in
 
-    # PHASE B: momentum transfer and post-impact configuration.
+    # PHASE B: momentum transfer and post-impact discrete velocity.
     frame = boundary_frame(model, q_tilde)
-    d2_pre = Ld.d2_w(q_k, w_in, s1) if wform else Ld.d2(q_k, q_tilde, s1)
+    d2_pre = Ld.d2_w(q_k, w_in, s1)
     p_tilde = pullback_cotangent(frame, d2_pre)
     compat_residual = float(np.max(np.abs(push_cotangent(frame, p_tilde) - d2_pre)))
-    d3_pre = Ld.d3_w(q_k, w_in, s1) if wform else Ld.d3(q_k, q_tilde, s1)
+    d3_pre = Ld.d3_w(q_k, w_in, s1)
     s2 = (1.0 - alpha) * h
     ET = frame.E.T
     om_t = model.omega(q_tilde)
     omT_t = om_t.T
 
-    if wform:
-
-        def residual_b(z):
-            u = z[:n]
-            force = Ld.d1_w(q_tilde, u, s2)
-            if m:
-                force = force - omT_t @ z[n:]
-            parts = [
-                np.array([d3_pre - Ld.d3_w(q_tilde, u, s2)]),
-                ET @ force + p_tilde,
-            ]
-            if m:
-                parts.append(om_t @ u)
-            return np.concatenate(parts)
-
-        def unknown_from_velocity(u):
-            return u
-
-    else:
-
-        def residual_b(z):
-            vt = z[:n]
-            force = Ld.d1(q_tilde, vt, s2)
-            if m:
-                force = force - omT_t @ z[n:]
-            parts = [
-                np.array([d3_pre - Ld.d3(q_tilde, vt, s2)]),
-                ET @ force + p_tilde,
-            ]
-            if m:
-                parts.append(om_t @ ri(q_tilde, vt, s2))
-            return np.concatenate(parts)
-
-        def unknown_from_velocity(u):
-            return q_tilde + s2 * u
+    def residual_b(z):
+        u = z[:n]
+        force = Ld.d1_w(q_tilde, u, s2)
+        if m:
+            force = force - omT_t @ z[n:]
+        parts = [
+            np.array([d3_pre - Ld.d3_w(q_tilde, u, s2)]),
+            ET @ force + p_tilde,
+        ]
+        if m:
+            parts.append(om_t @ u)
+        return np.concatenate(parts)
 
     nhat = frame.normal / np.linalg.norm(frame.normal)
     w_refl = w_in - 2.0 * float(nhat @ w_in) * nhat
@@ -417,11 +362,11 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     w_out = None
     outgoing = -np.inf
     for w_guess in (w_refl, -w_in):
-        z0 = np.concatenate([unknown_from_velocity(w_guess), np.zeros(m)])
+        z0 = np.concatenate([w_guess, np.zeros(m)])
         candidate = newton_solve(residual_b, z0, opts)
         if not candidate.converged:
             continue
-        u = candidate.x[:n] if wform else ri(q_tilde, candidate.x[:n], s2)
+        u = candidate.x[:n]
         rate = float(frame.normal @ u)
         if rate > 0.0:
             res_b = candidate
@@ -446,15 +391,11 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
             f"(normal rate {outgoing:.3e}) at step {k}, t={t_k:.6g}"
         )
     lambda_b = res_b.x[n:]
-    v_tilde = q_tilde + s2 * w_out if wform else res_b.x[:n]
-    energy_jump = (
-        abs(d3_pre - Ld.d3_w(q_tilde, w_out, s2))
-        if wform
-        else abs(d3_pre - Ld.d3(q_tilde, v_tilde, s2))
-    )
+    v_tilde = q_tilde + s2 * w_out
+    energy_jump = abs(d3_pre - Ld.d3_w(q_tilde, w_out, s2))
 
     # PHASE C: momentum and configuration after the second sub-step.
-    p_next = Ld.d2_w(q_tilde, w_out, s2) if wform else Ld.d2(q_tilde, v_tilde, s2)
+    p_next = Ld.d2_w(q_tilde, w_out, s2)
     q_next = v_tilde
 
     # PHASE D: full-step constrained solve from the post-impact node.

@@ -1,0 +1,23 @@
+"""The traced benchmark wraps nhvi functions by name: every hook must still
+exist and fire on a short bouncing-particle run."""
+
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_traced_hooks_exist_and_fire(tmp_path):
+    kind, doc = workloads.bounce_config(1, 0)  # bouncing particle, 100 steps
+    path = tmp_path / "bounce.json"
+    path.write_text(json.dumps(doc))
+    tracer = spans.Tracer()
+    with spans.installed(tracer), tracer.operation(0):
+        res = workloads.run_direct(kind, path, workloads._bounce_checks, perf_counter)
+    assert res.solved, (res.solver_error, res.problems)
+    spans.check_spans_fired(tracer, cli=False)

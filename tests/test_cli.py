@@ -13,6 +13,19 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
+def write_bad_config(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({
+        "model": {"type": "particle"},
+        "rule": "midpoint",
+        "q0": [0.0, -1.0],  # starts below the floor
+        "v0": [0.0, 0.0],
+        "t_final": 1.0,
+        "h": 0.01,
+    }))
+    return cfg
+
+
 @pytest.fixture(scope="module")
 def particle_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo_particle")
@@ -75,19 +88,13 @@ class TestRun:
             outs.append((out / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_missing_config_fails(self):
-        assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
+    def test_missing_config_fails(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", "/nonexistent/cfg.json", "--out", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
 
     def test_failed_run_writes_diagnostic_json(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({
-            "model": {"type": "particle"},
-            "rule": "midpoint",
-            "q0": [0.0, -1.0],  # starts below the floor
-            "v0": [0.0, 0.0],
-            "t_final": 1.0,
-            "h": 0.01,
-        }))
+        cfg = write_bad_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         diagnostic = json.loads((out / "error.json").read_text())
@@ -102,6 +109,20 @@ class TestRun:
         assert main(["run", "--sweep", str(local), "--out", str(out)]) == 0
         assert (out / "particle" / "summary.json").exists()
 
+    def test_sweep_applies_overrides_and_reports_each_failure(self, tmp_path):
+        bad = write_bad_config(tmp_path)
+        local = tmp_path / "particle.json"
+        local.write_text(bundled_config_path("particle").read_text())
+        out = tmp_path / "sweep"
+        code = main(["run", "--sweep", str(bad), str(local), "--h", "0.002",
+                     "--t-final", "0.1", "--out", str(out)])
+        assert code == 2
+        diagnostic = json.loads((out / "bad" / "error.json").read_text())
+        assert diagnostic["error"] == "InvalidInitialState"
+        summary = json.loads((out / "particle" / "summary.json").read_text())
+        assert summary["config"]["h"] == 0.002
+        assert summary["config"]["t_final"] == 0.1
+
 
 class TestValidate:
     def test_all_bundled_configs_validate(self, capsys):
@@ -112,10 +133,10 @@ class TestValidate:
             assert "PASS" in out
 
 
-def test_console_script_installed():
+def test_console_script_installed(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nhvi.cli", "demo", "particle", "--t-final", "0.1",
-         "--out", "/tmp/nhvi_script_smoke"],
+         "--out", str(tmp_path / "smoke")],
         capture_output=True,
         text=True,
     )
