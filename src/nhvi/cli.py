@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SimConfig, build_model, parse_config
+from .config import SimConfig, build_model, check_time_span, parse_config
 from .diagnostics import build_report
 from .discretization import make_discrete_lagrangian
-from .errors import NewtonFailure, NhviError
+from .errors import NewtonFailure, NhviError, SchemaError
 from .integrator import simulate
 from .output import (
     write_impacts_csv,
@@ -52,16 +52,22 @@ def _setup_logging() -> None:
 
 
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
+    """Apply --h / --t-final, checked like the same keys of a config file."""
     updates = {}
     if getattr(args, "h", None) is not None:
         if args.h <= 0:
-            raise SystemExit("--h must be positive")
+            raise SchemaError(f"--h must be positive, got {args.h}", key_path="h")
         updates["h"] = args.h
     if getattr(args, "t_final", None) is not None:
         if args.t_final <= cfg.t0:
-            raise SystemExit("--t-final must exceed the configured t0")
+            raise SchemaError(
+                f"--t-final={args.t_final} must exceed t0={cfg.t0}", key_path="t_final"
+            )
         updates["t_final"] = args.t_final
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    if updates:
+        cfg = dataclasses.replace(cfg, **updates)
+        check_time_span(cfg.t0, cfg.t_final, cfg.h)
+    return cfg
 
 
 def _run_single(cfg: SimConfig, out_dir: Path) -> dict:

@@ -18,7 +18,7 @@ Schema (all keys shown; unknown keys are rejected with their path):
       "q0": [..], "v0": [..],         # continuous initial conditions
       "t0": number,                   # default 0
       "t_final": number,
-      "h": number,
+      "h": number,                    # at least one step: round((t_final - t0) / h) >= 1
       "solver": {"tol": .., "max_iter": .., "max_backtracks": .., "fd_eps": ..},
       "outputs": {"csv": bool, "summary": bool,
                   "plots": ["energy" | "coordinates" | "plane_trajectory", ..]}
@@ -180,6 +180,19 @@ def _parse_model(d, path="model") -> Tuple[str, dict]:
     return mtype, params
 
 
+def check_time_span(t0: float, t_final: float, h: float) -> None:
+    """Reject a step h that the span [t0, t_final] cannot hold once.
+
+    `simulate` runs round((t_final - t0) / h) steps and needs at least one.
+    """
+    if round((t_final - t0) / h) < 1:
+        raise SchemaError(
+            f"h={h} is too long for the time span [{t0}, {t_final}]; "
+            f"at least one step is required",
+            key_path="h",
+        )
+
+
 def config_from_dict(d: dict) -> SimConfig:
     if not isinstance(d, dict):
         raise SchemaError("top-level configuration must be an object")
@@ -208,6 +221,7 @@ def config_from_dict(d: dict) -> SimConfig:
     h = _get(d, "h", float, "", positive=True)
     if t_final <= t0:
         raise SchemaError(f"t_final={t_final} must exceed t0={t0}", key_path="t_final")
+    check_time_span(t0, t_final, h)
 
     solver_raw = d.get("solver", {})
     if not isinstance(solver_raw, dict):

@@ -162,8 +162,10 @@ def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base,
 
         def residual(z):
             v = z[:n]
-            r1 = d1(q_base, v, h) + p_base - omT @ z[n:]
-            return np.concatenate([r1, om @ ((v - q_base) / h)])
+            r = np.empty(n + m)
+            r[:n] = d1(q_base, v, h) + p_base - omT @ z[n:]
+            r[n:] = om @ ((v - q_base) / h)
+            return r
 
     else:
 
@@ -174,13 +176,14 @@ def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base,
     if Ld.d1_dv is not None:
         d1_dv = Ld.d1_dv
         if m:
-            om_h = om / h
+            # the constraint blocks do not depend on z
+            template = np.zeros((n + m, n + m))
+            template[:n, n:] = -omT
+            template[n:, :n] = om / h
 
             def jac(z):
-                J = np.zeros((n + m, n + m))
+                J = template.copy()
                 J[:n, :n] = d1_dv(q_base, z[:n], h)
-                J[:n, n:] = -omT
-                J[n:, :n] = om_h
                 return J
 
         else:
@@ -195,10 +198,12 @@ def _step_plus_impl(Ld, model, state: State, h, opts):
     p_next = Ld.d2(state.q, state.v, h)
     q_next = state.v
     residual, jac = _step_system(Ld, model, q_next, p_next, h)
-    z0 = np.concatenate([2.0 * state.v - state.q, state.lam])
+    n = model.n
+    z0 = np.empty(n + model.m_con)
+    z0[:n] = 2.0 * state.v - state.q
+    z0[n:] = state.lam
     res = newton_solve(residual, z0, opts, jac)
     _require_converged(res, "step", state.k, state.t)
-    n = model.n
     new_state = State(
         k=state.k + 1,
         t=state.t + h,
@@ -306,12 +311,12 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
         alpha = z[0]
         w = z[1 : 1 + n]
         s = alpha * h
-        r1 = Ld.d1_w(q_k, w, s) + p_k - omT_k @ z[1 + n :]
-        parts = [r1]
+        r = np.empty(n + m + 1)
+        r[:n] = Ld.d1_w(q_k, w, s) + p_k - omT_k @ z[1 + n :]
         if m:
-            parts.append(om_k @ w)
-        parts.append(np.array([gap(q_k + s * w)]))
-        return np.concatenate(parts)
+            r[n : n + m] = om_k @ w
+        r[n + m] = gap(q_k + s * w)
+        return r
 
     c_k = gap(q_k)
     alpha0 = c_k / (c_k - gap(rejected_q))
@@ -344,13 +349,12 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
         force = Ld.d1_w(q_tilde, u, s2)
         if m:
             force = force - omT_t @ z[n:]
-        parts = [
-            np.array([d3_pre - Ld.d3_w(q_tilde, u, s2)]),
-            ET @ force + p_tilde,
-        ]
+        r = np.empty(n + m)
+        r[0] = d3_pre - Ld.d3_w(q_tilde, u, s2)
+        r[1:n] = ET @ force + p_tilde
         if m:
-            parts.append(om_t @ u)
-        return np.concatenate(parts)
+            r[n:] = om_t @ u
+        return r
 
     nhat = frame.normal / np.linalg.norm(frame.normal)
     w_refl = w_in - 2.0 * float(nhat @ w_in) * nhat

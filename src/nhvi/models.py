@@ -266,34 +266,37 @@ def make_pendulum(params: PendulumParams = PendulumParams()) -> MechanicalModel:
     ml2 = m * length * length
     mgl = m * g * length
 
-    def _sin_guarded(theta: float) -> float:
+    def _sin_cos(q):
+        """sin and cos of the polar angle, refusing states at a pole."""
+        theta = float(q[0])
         s = math.sin(theta)
         if abs(s) < POLE_SIN_TOL:
             raise PoleSingularity(
                 f"state at theta={theta} too close to a pole (|sin| < {POLE_SIN_TOL})"
             )
-        return s
+        return s, math.cos(theta)
 
     def lagrangian(q, v):
-        s = _sin_guarded(q[0])
-        return 0.5 * ml2 * (v[0] * v[0] + v[1] * v[1] * s * s) - mgl * math.cos(q[0])
+        s, c = _sin_cos(q)
+        v0, v1 = float(v[0]), float(v[1])
+        return 0.5 * ml2 * (v0 * v0 + v1 * v1 * s * s) - mgl * c
 
     def dL_dq(q, v):
-        s = _sin_guarded(q[0])
-        c = math.cos(q[0])
-        return np.array([ml2 * v[1] * v[1] * s * c + mgl * s, 0.0])
+        s, c = _sin_cos(q)
+        v1 = float(v[1])
+        return np.array([ml2 * v1 * v1 * s * c + mgl * s, 0.0])
 
     def dL_dv(q, v):
-        s = _sin_guarded(q[0])
-        return np.array([ml2 * v[0], ml2 * s * s * v[1]])
+        s, _ = _sin_cos(q)
+        return np.array([ml2 * float(v[0]), ml2 * s * s * float(v[1])])
 
     def d2L(q, v):
-        s = _sin_guarded(q[0])
-        c = math.cos(q[0])
+        s, c = _sin_cos(q)
+        v1 = float(v[1])
         lqq = np.array(
-            [[ml2 * v[1] * v[1] * (c * c - s * s) + mgl * c, 0.0], [0.0, 0.0]]
+            [[ml2 * v1 * v1 * (c * c - s * s) + mgl * c, 0.0], [0.0, 0.0]]
         )
-        lqv = np.array([[0.0, 2.0 * ml2 * v[1] * s * c], [0.0, 0.0]])
+        lqv = np.array([[0.0, 2.0 * ml2 * v1 * s * c], [0.0, 0.0]])
         lvv = np.array([[ml2, 0.0], [0.0, ml2 * s * s]])
         return lqq, lqv, lvv
 

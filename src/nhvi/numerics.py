@@ -8,6 +8,7 @@ API boundaries but stay out of the hot loops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,6 +60,9 @@ class NewtonResult:
     residual_norm: float
     iterations: int
     converged: bool
+    # damped trial steps taken over the whole solve (halvings of a step
+    # that did not reduce the residual)
+    backtracks: int = 0
 
 
 def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x, eps: float = 1e-7) -> np.ndarray:
@@ -70,35 +74,35 @@ def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x, eps: float = 1e-7) -> 
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=float)
-    n = x.size
     cols = []
-    for j in range(n):
-        e = eps * max(1.0, abs(x[j]))
+    for j, xj in enumerate(x.tolist()):
+        e = eps * max(1.0, abs(xj))
         xp = x.copy()
         xm = x.copy()
-        xp[j] += e
-        xm[j] -= e
-        fp = np.atleast_1d(np.asarray(F(xp), dtype=float))
-        fm = np.atleast_1d(np.asarray(F(xm), dtype=float))
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        xp[j] = xj + e
+        xm[j] = xj - e
+        fp = F(xp)
+        fm = F(xm)
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise EvaluationFailure(
                 f"non-finite function value while differencing coordinate {j}"
             )
         cols.append((fp - fm) / (2.0 * e))
-    return np.column_stack(cols) if cols else np.empty((0, 0))
+    return np.array(cols).T if cols else np.empty((0, 0))
 
 
 def _solve_linear(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Solve J dx = F, falling back to a Tikhonov-shifted system if singular."""
     try:
         dx = np.linalg.solve(J, F)
-        if np.all(np.isfinite(dx)):
+        if np.isfinite(dx).all():
             return dx
     except np.linalg.LinAlgError:
         pass
     # Near-grazing impact systems can be close to singular; one regularized
     # step often escapes the bad region.
-    norm_inf = np.max(np.abs(J)) if J.size else 0.0
+    J = np.asarray(J, dtype=float)
+    norm_inf = np.abs(J).max() if J.size else 0.0
     shift = 1e-12 * max(norm_inf, 1e-300)
     try:
         dx = np.linalg.solve(J + shift * np.eye(J.shape[0]), F)
@@ -106,9 +110,16 @@ def _solve_linear(J: np.ndarray, F: np.ndarray) -> np.ndarray:
         raise SingularJacobian(
             f"linear solve failed after Tikhonov fallback (shift={shift:.3e})"
         ) from exc
-    if not np.all(np.isfinite(dx)):
+    if not np.isfinite(dx).all():
         raise SingularJacobian("regularized solve produced non-finite step")
     return dx
+
+
+def _norm(Fx) -> float:
+    """Residual infinity norm; inf when any entry is NaN or infinite (both
+    propagate through max, so one reduction is also the finiteness check)."""
+    norm = float(np.abs(Fx).max(initial=0.0))
+    return norm if math.isfinite(norm) else math.inf
 
 
 def newton_solve(
@@ -119,50 +130,62 @@ def newton_solve(
 ) -> NewtonResult:
     """Damped Newton iteration for F(x) = 0 with backtracking line search.
 
-    The Jacobian comes from `jac` when supplied, otherwise from
-    :func:`fd_jacobian`.  Steps that increase the residual infinity norm are
-    halved up to `opts.max_backtracks` times; if no damping helps, the
-    smallest step is taken anyway and the iteration continues.  Returns the
-    first iterate with residual norm <= opts.tol, or the best iterate seen
-    with converged=False after max_iter iterations.
+    F maps a 1-D float array to a 1-D float array; `jac`, when supplied,
+    returns its Jacobian, otherwise :func:`fd_jacobian` differences F.
+    Steps that increase the residual infinity norm are halved up to
+    `opts.max_backtracks` times; if no damping helps, the smallest step is
+    taken anyway and the iteration continues.  Returns the first iterate
+    with residual norm <= opts.tol, or the best iterate seen with
+    converged=False after max_iter iterations.  Each iterate is a new array
+    that is never written to, so the best one is kept without a copy.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    Fx = np.atleast_1d(np.asarray(F(x), dtype=float))
-    if not np.all(np.isfinite(Fx)):
+    tol = opts.tol
+    max_iter = opts.max_iter
+    max_backtracks = opts.max_backtracks
+    x = np.array(x0, dtype=float, ndmin=1)
+    Fx = F(x)
+    norm = _norm(Fx)
+    if norm == math.inf:
         raise EvaluationFailure("residual non-finite at the initial guess")
-    norm = float(np.max(np.abs(Fx))) if Fx.size else 0.0
 
-    best_x = x.copy()
+    best_x = x
     best_norm = norm
     iterations = 0
+    backtracks = 0
 
-    while norm > opts.tol and iterations < opts.max_iter:
+    while norm > tol and iterations < max_iter:
         J = jac(x) if jac is not None else fd_jacobian(F, x, opts.fd_eps)
-        J = np.asarray(J, dtype=float)
         dx = _solve_linear(J, Fx)
 
         step = 1.0
         x_new = x - dx
-        F_new = np.atleast_1d(np.asarray(F(x_new), dtype=float))
-        norm_new = float(np.max(np.abs(F_new))) if np.all(np.isfinite(F_new)) else np.inf
-        backtracks = 0
-        while norm_new >= norm and backtracks < opts.max_backtracks:
+        F_new = F(x_new)
+        norm_new = _norm(F_new)
+        tries = 0
+        while norm_new >= norm and tries < max_backtracks:
             step *= 0.5
             x_new = x - step * dx
-            F_new = np.atleast_1d(np.asarray(F(x_new), dtype=float))
-            norm_new = float(np.max(np.abs(F_new))) if np.all(np.isfinite(F_new)) else np.inf
-            backtracks += 1
-        if not np.isfinite(norm_new):
+            F_new = F(x_new)
+            norm_new = _norm(F_new)
+            tries += 1
+        if norm_new == math.inf:
             raise EvaluationFailure("residual non-finite after exhausting backtracking")
 
         x = x_new
         Fx = F_new
         norm = norm_new
         iterations += 1
+        backtracks += tries
         if norm < best_norm:
             best_norm = norm
-            best_x = x.copy()
+            best_x = x
 
-    if norm <= opts.tol:
-        return NewtonResult(x=x, residual_norm=norm, iterations=iterations, converged=True)
-    return NewtonResult(x=best_x, residual_norm=best_norm, iterations=iterations, converged=False)
+    if norm <= tol:
+        return NewtonResult(
+            x=x, residual_norm=norm, iterations=iterations, converged=True,
+            backtracks=backtracks,
+        )
+    return NewtonResult(
+        x=best_x, residual_norm=best_norm, iterations=iterations, converged=False,
+        backtracks=backtracks,
+    )

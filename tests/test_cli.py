@@ -101,6 +101,19 @@ class TestRun:
         assert diagnostic["error"] == "InvalidInitialState"
         assert "admissible" in diagnostic["message"]
 
+    @pytest.mark.parametrize("override, key", [
+        (["--h", "1000"], "h"),  # longer than the 2 s span
+        (["--h", "-1"], "h"),
+        (["--t-final", "1e-5"], "h"),  # shorter than one 1e-3 step
+        (["--t-final", "-1"], "t_final"),
+    ])
+    def test_bad_override_writes_error_json(self, tmp_path, override, key):
+        out = tmp_path / "out"
+        assert main(["demo", "particle", *override, "--out", str(out)]) == 2
+        diagnostic = json.loads((out / "error.json").read_text())
+        assert diagnostic["error"] == "SchemaError"
+        assert diagnostic["message"].startswith(f"{key}:")
+
     def test_sweep_runs_isolated_outputs(self, tmp_path):
         cfg = bundled_config_path("particle")
         local = tmp_path / "particle.json"

@@ -82,6 +82,15 @@ class TestValidation:
         with pytest.raises(SchemaError, match="t_final"):
             config_from_dict(minimal_config(t_final=-1.0))
 
+    def test_step_longer_than_time_span_rejected(self):
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(minimal_config(t_final=1.0, h=2.5))
+        assert info.value.key_path == "h"
+
+    def test_step_rounding_to_one_step_accepted(self):
+        # simulate runs round((t_final - t0) / h) steps: 1 / 1.6 rounds to 1
+        assert config_from_dict(minimal_config(t_final=1.0, h=1.6)).h == 1.6
+
     def test_bad_rule_rejected(self):
         with pytest.raises(SchemaError, match="rule"):
             config_from_dict(minimal_config(rule="leapfrog"))

@@ -2,7 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nhvi import EvaluationFailure, NewtonOptions, SingularJacobian, fd_jacobian, newton_solve
+from nhvi import (
+    EvaluationFailure,
+    NewtonOptions,
+    NewtonResult,
+    SingularJacobian,
+    fd_jacobian,
+    newton_solve,
+)
 
 
 class TestFdJacobian:
@@ -35,6 +42,17 @@ class TestFdJacobian:
 
         with pytest.raises(EvaluationFailure, match="coordinate 1"):
             fd_jacobian(F, np.array([1.0, 0.0]), 1e-7)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_one_sided_nonfinite_identifies_coordinate(self, side):
+        x = np.array([0.5, 2.0])
+
+        def F(z):
+            # infinite only on one side of coordinate 1
+            return np.array([z[0], np.inf if side * (z[1] - x[1]) > 0 else z[1]])
+
+        with pytest.raises(EvaluationFailure, match="coordinate 1"):
+            fd_jacobian(F, x, 1e-7)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
@@ -103,6 +121,54 @@ class TestNewtonSolve:
         assert np.isfinite(res.residual_norm)
         # best iterate cannot have a worse residual than the start
         assert res.residual_norm <= 0.7**2 + 1.0
+
+    def test_nonfinite_initial_residual_raises(self):
+        with pytest.raises(EvaluationFailure, match="initial guess"):
+            newton_solve(lambda x: np.array([np.nan, 0.0]), np.zeros(2))
+
+    def test_nonfinite_through_all_backtracks_raises(self):
+        x0 = np.array([3.0])
+
+        def F(x):
+            # finite only at the starting point, so every damped trial fails
+            return x * x - 4.0 if x[0] == x0[0] else np.array([np.inf])
+
+        with pytest.raises(EvaluationFailure, match="after exhausting backtracking"):
+            newton_solve(F, x0, NewtonOptions(max_backtracks=4),
+                         jac=lambda x: np.array([[2.0 * x[0]]]))
+
+    def test_exactly_singular_first_jacobian_recovered_by_shift(self):
+        def F(z):
+            x, y = z
+            return np.array([x * x - 4.0 + y, y * (x - 1.0)])
+
+        def J(z):
+            x, y = z
+            return np.array([[2.0 * x, 1.0], [y, x - 1.0]])
+
+        z0 = np.array([1.0, 0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(J(z0), F(z0))
+        res = newton_solve(F, z0, NewtonOptions(tol=1e-12), jac=J)
+        assert res.converged
+        npt.assert_allclose(res.x, [2.0, 0.0], atol=1e-12)
+
+    def test_backtracks_counted(self):
+        calls = {"n": 0}
+
+        def F(x):
+            calls["n"] += 1
+            return np.arctan(x)
+
+        # the full Newton step from 3 overshoots to about -9.5
+        res = newton_solve(F, np.array([3.0]), jac=lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]))
+        assert res.converged
+        assert res.backtracks > 0
+        # one evaluation at the start, one per iteration, one per backtrack
+        assert calls["n"] == 1 + res.iterations + res.backtracks
+
+    def test_result_backtracks_default_zero(self):
+        assert NewtonResult(np.zeros(1), 0.0, 0, True).backtracks == 0
 
     def test_singular_jacobian_raises_after_fallback(self):
         with pytest.raises(SingularJacobian):

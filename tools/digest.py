@@ -1,0 +1,133 @@
+"""Bit-identity digests of nhvi's numerical results.
+
+Prints two SHA-256 digests, one per line:
+
+    bounce    the bounce corpus: bench/workloads.py `bounce_config` seeds 1-2,
+              every member (768 runs of particle, ellipse and star bodies);
+    pendulum  the pendulum_long benchmark configuration (criterion-4
+              pendulum, h = 1e-4, 20 000 steps).
+
+Each run contributes its stored states, impact events, solver statistics,
+`build_report`, `recompute_solve_residuals`, or, when `simulate` raises a
+typed error, that error's type and message.  Floats enter as their IEEE-754
+bytes, so equal digests mean bitwise-equal results.
+
+Run it from a checkout, and once more against another checkout to compare:
+
+    python3 tools/digest.py
+    python3 tools/digest.py --root ../other-checkout
+
+The workload definitions are imported, unchanged, from `<root>/bench`, and
+nhvi from `<root>/src`.  A run takes well under a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEEDS = (1, 2)
+
+
+def import_checkout(root: Path):
+    """nhvi and the benchmark workloads of the checkout at `root`."""
+    for sub in ("src", "bench"):
+        if not (root / sub).is_dir():
+            raise SystemExit(f"digest: {root / sub} is not a directory")
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import nhvi
+    import workloads
+
+    if Path(nhvi.__file__).resolve().parent != (root / "src" / "nhvi").resolve():
+        raise SystemExit(f"digest: imported nhvi from {nhvi.__file__}, not from {root}")
+    return nhvi, workloads
+
+
+class Digest:
+    """SHA-256 over a stream of tagged values."""
+
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def text(self, s: str) -> None:
+        b = s.encode()
+        self.h.update(struct.pack("<q", len(b)) + b)
+
+    def floats(self, values) -> None:
+        a = np.ascontiguousarray(values, dtype=np.float64)
+        self.h.update(struct.pack("<q", a.size) + a.tobytes())
+
+    def ints(self, values) -> None:
+        a = np.ascontiguousarray(values, dtype=np.int64)
+        self.h.update(struct.pack("<q", a.size) + a.tobytes())
+
+    def hexdigest(self) -> str:
+        return self.h.hexdigest()
+
+
+def digest_run(d: Digest, nhvi, doc: dict) -> bool:
+    """Simulate one configuration document into `d`; False if it raised."""
+    cfg = nhvi.config_from_dict(doc)
+    model = nhvi.build_model(cfg)
+    Ld = nhvi.make_discrete_lagrangian(model, cfg.rule)
+    try:
+        traj = nhvi.simulate(Ld, model, np.array(cfg.q0), np.array(cfg.v0),
+                             cfg.t0, cfg.t_final, cfg.h, cfg.solver)
+    except nhvi.NhviError as exc:
+        d.text(f"error {type(exc).__name__}: {exc}")
+        return False
+    d.text(f"states {len(traj.states)}")
+    for st in traj.states:
+        d.ints([st.k])
+        d.floats([st.t])
+        for a in (st.q, st.v, st.p, st.lam):
+            d.floats(a)
+    d.text(f"impacts {len(traj.impacts)}")
+    for ev in traj.impacts:
+        d.ints([ev.k])
+        d.floats([ev.alpha, ev.t_impact, ev.compat_residual, ev.energy_jump])
+        for a in (ev.q_tilde, ev.v_tilde, ev.p_tilde, ev.lambda_A, ev.lambda_B):
+            d.floats(a)
+    stats = traj.solver_stats
+    d.ints(stats.ks)
+    d.text(",".join(stats.phases))
+    d.ints(stats.iterations)
+    d.floats(stats.residuals)
+    # json writes floats as their shortest round-trip repr, so this is exact
+    d.text(json.dumps(nhvi.build_report(traj, Ld, model).to_dict(), sort_keys=True))
+    d.floats(nhvi.diagnostics.recompute_solve_residuals(traj, Ld, model))
+    return True
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout to digest (default: this script's checkout)")
+    args = parser.parse_args(argv)
+    nhvi, workloads = import_checkout(args.root.resolve())
+
+    bounce = Digest()
+    unsolved = 0
+    members = 0
+    for seed in SEEDS:
+        for index in range(workloads.BOUNCE_MEMBERS):
+            _, doc = workloads.bounce_config(seed, index)
+            bounce.text(f"member {seed} {index}")
+            unsolved += not digest_run(bounce, nhvi, doc)
+            members += 1
+    print(f"bounce   {bounce.hexdigest()}  ({members} members, {unsolved} unsolved)")
+
+    pendulum = Digest()
+    solved = digest_run(pendulum, nhvi, workloads.pendulum_config())
+    print(f"pendulum {pendulum.hexdigest()}  ({'solved' if solved else 'unsolved'})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
