@@ -96,7 +96,7 @@ def _run_single(cfg: SimConfig, out_dir: Path) -> dict:
         elapsed,
     )
     if cfg.outputs.csv:
-        write_trajectory_csv(out_dir / "trajectory.csv", traj, Ld, model)
+        write_trajectory_csv(out_dir / "trajectory.csv", traj, report, model)
         write_impacts_csv(out_dir / "impacts.csv", traj, model)
     if cfg.outputs.summary:
         write_summary_json(out_dir / "summary.json", report, cfg)

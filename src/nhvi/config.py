@@ -5,7 +5,7 @@ Schema (all keys shown; unknown keys are rejected with their path):
     {
       "model": {
         "type": "particle" | "se2_body" | "pendulum",
-        "mass": number, "gravity": number,
+        "mass": number, "gravity": number,   # gravity 0 (free motion): particle only
         # se2_body only:
         "shape": {"kind": "ellipse", "a": number, "b": number}
                | {"kind": "star", "l": number},
@@ -131,8 +131,13 @@ def _parse_model(d, path="model") -> Tuple[str, dict]:
         )
     params = {
         "mass": _get(d, "mass", float, path, default=1.0, positive=True),
-        "gravity": _get(d, "gravity", float, path, default=9.8, positive=True),
+        # zero gravity is free motion, which only the particle model supports
+        "gravity": _get(d, "gravity", float, path, default=9.8, positive=mtype != "particle"),
     }
+    if params["gravity"] < 0:
+        raise SchemaError(
+            f"must be non-negative, got {params['gravity']}", key_path=f"{path}.gravity"
+        )
     if mtype == "particle":
         _reject_unknown(d, {"type", "mass", "gravity"}, path)
     elif mtype == "se2_body":

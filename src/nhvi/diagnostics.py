@@ -8,6 +8,7 @@ honesty check on the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -27,6 +28,8 @@ class RunReport:
     max_constraint_residual: float
     min_boundary_gap: float
     newton_iter_stats: Dict[str, float] = field(default_factory=dict)
+    # per-state columns "E", "c", "max_omega_residual" of the CSV; not in to_dict
+    state_columns: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -41,8 +44,20 @@ class RunReport:
         }
 
 
-def _impact_map(traj: Trajectory):
-    return {ev.k: ev for ev in traj.impacts}
+def _nodes(traj: Trajectory):
+    """(state, s, event, s_after) per state: a state whose step held the
+    collision `event` ends the sub-step s = alpha*h and its impact node
+    starts s_after = (1-alpha)*h; any other state has s = h and two Nones."""
+    h = traj.h
+    n = len(traj.states)
+    steps, events, steps_after = [h] * n, [None] * n, [None] * n
+    for ev in traj.impacts:  # traj.states[k] ends the step that held ev
+        steps[ev.k], events[ev.k], steps_after[ev.k] = ev.alpha * h, ev, (1.0 - ev.alpha) * h
+    return zip(traj.states, steps, events, steps_after)
+
+
+def _omega_residual(model: MechanicalModel, q, v, s) -> float:
+    return float(np.abs(omega_dplus(model, q, v, s)).max())
 
 
 def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> List[Tuple[float, float]]:
@@ -54,20 +69,11 @@ def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> List[Tuple[float,
     """
     if not traj.states:
         raise ValueError("trajectory has no states")
-    h = traj.h
-    events = _impact_map(traj)
     series: List[Tuple[float, float]] = []
-    for st in traj.states:
-        ev = events.get(st.k)
+    for st, s, ev, s_after in _nodes(traj):
+        series.append((st.t, discrete_energy(Ld, st.q, st.v, s)))
         if ev is not None:
-            s1 = ev.alpha * h
-            series.append((st.t, discrete_energy(Ld, st.q, st.v, s1)))
-            s2 = (1.0 - ev.alpha) * h
-            series.append(
-                (ev.t_impact, discrete_energy(Ld, ev.q_tilde, ev.v_tilde, s2))
-            )
-        else:
-            series.append((st.t, discrete_energy(Ld, st.q, st.v, h)))
+            series.append((ev.t_impact, discrete_energy(Ld, ev.q_tilde, ev.v_tilde, s_after)))
     return series
 
 
@@ -80,30 +86,22 @@ def build_report(
     e0 = float(energies[0])
     drift = float(np.max(np.abs(energies - e0))) / max(1.0, abs(e0))
 
-    h = traj.h
-    events = _impact_map(traj)
+    # the columns are float64 arrays: lists of floats would keep ~100 B per state
+    n = len(traj.states)
+    gap = np.fromiter((model.boundary_gap(st.q) for st in traj.states), float, n)
+    # state k's energy sample follows those of the states and impact nodes before it
+    pos = np.arange(n)
+    pos += np.searchsorted([ev.k for ev in traj.impacts], pos)
+    omega_res = np.zeros(n)
     max_residual = 0.0
     if model.m_con:
-        for st in traj.states[1:]:
-            ev = events.get(st.k)
-            s = ev.alpha * h if ev is not None else h
-            r = float(np.max(np.abs(omega_dplus(model, st.q, st.v, s))))
-            if r > max_residual:
-                max_residual = r
-        for ev in traj.impacts:
-            r = float(
-                np.max(
-                    np.abs(
-                        omega_dplus(
-                            model, ev.q_tilde, ev.v_tilde, (1.0 - ev.alpha) * h
-                        )
-                    )
-                )
-            )
-            if r > max_residual:
-                max_residual = r
-
-    min_gap = min(model.boundary_gap(st.q) for st in traj.states)
+        post_res = []
+        for st, s, ev, s_after in _nodes(traj):
+            omega_res[st.k] = _omega_residual(model, st.q, st.v, s)
+            if ev is not None:
+                post_res.append(_omega_residual(model, ev.q_tilde, ev.v_tilde, s_after))
+        # no solve produced the initial state; the impact nodes count too
+        max_residual = max(chain([0.0], omega_res[1:].tolist(), post_res))
 
     iters = traj.solver_stats.iterations
     stats = {
@@ -118,8 +116,9 @@ def build_report(
         energy_final=float(energies[-1]),
         energy_drift_rel=drift,
         max_constraint_residual=max_residual,
-        min_boundary_gap=float(min_gap),
+        min_boundary_gap=float(min(gap)),
         newton_iter_stats=stats,
+        state_columns={"E": energies[pos], "c": gap, "max_omega_residual": omega_res},
     )
 
 
@@ -133,16 +132,16 @@ def recompute_solve_residuals(
     verifies the integrator recorded what it actually achieved.
     """
     h = traj.h
-    events = _impact_map(traj)
+    events = {ev.k: ev for ev in traj.impacts}
     out = np.empty(len(traj.solver_stats))
 
     def full_step_residual(k):
         nxt = traj.states[k + 1]
         r1 = Ld.d1(nxt.q, nxt.v, h) + nxt.p - model.omega(nxt.q).T @ nxt.lam
-        parts = [np.max(np.abs(r1))]
+        r = float(np.max(np.abs(r1)))
         if model.m_con:
-            parts.append(np.max(np.abs(omega_dplus(model, nxt.q, nxt.v, h))))
-        return float(max(parts))
+            r = max(r, _omega_residual(model, nxt.q, nxt.v, h))
+        return r
 
     for i, (k, phase) in enumerate(
         zip(traj.solver_stats.ks, traj.solver_stats.phases)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import SimConfig, config_to_dict
 from .diagnostics import RunReport, energy_series
-from .discretization import DiscreteLagrangian, discrete_energy, omega_dplus
+from .discretization import DiscreteLagrangian
 from .geometry import MechanicalModel
 from .integrator import Trajectory
 
@@ -27,42 +27,32 @@ def _fmt(x: float) -> str:
 
 
 def write_trajectory_csv(
-    path, traj: Trajectory, Ld: DiscreteLagrangian, model: MechanicalModel
+    path, traj: Trajectory, report: RunReport, model: MechanicalModel
 ) -> None:
-    """One row per state: k, t, q, v, p, lambda, E, c(q), max_omega_residual.
+    """One row per state: k, t, q, v, p, lambda, then the report's per-state
+    columns E, c(q) and max_omega_residual (see `build_report`).
 
-    Impact nodes are not rows here; they go to the impacts file.  States
-    whose step contained an impact report their energy and constraint
-    residual on the actual sub-step alpha*h.
+    Impact nodes are not rows here; they go to the impacts file.
     """
     n = model.n
-    m = model.m_con
-    h = traj.h
-    events = {ev.k: ev for ev in traj.impacts}
+    columns = report.state_columns
     header = (
         ["k", "t"]
         + [f"q{i}" for i in range(n)]
         + [f"v{i}" for i in range(n)]
         + [f"p{i}" for i in range(n)]
-        + [f"lambda{i}" for i in range(m)]
-        + ["E", "c", "max_omega_residual"]
+        + [f"lambda{i}" for i in range(model.m_con)]
+        + list(columns)
     )
     lines = [",".join(header)]
-    for st in traj.states:
-        ev = events.get(st.k)
-        s = ev.alpha * h if ev is not None else h
-        energy = discrete_energy(Ld, st.q, st.v, s)
-        if m:
-            omega_res = float(np.max(np.abs(omega_dplus(model, st.q, st.v, s))))
-        else:
-            omega_res = 0.0
+    for st, *values in zip(traj.states, *columns.values()):
         cells = (
             [str(st.k), _fmt(st.t)]
             + [_fmt(x) for x in st.q]
             + [_fmt(x) for x in st.v]
             + [_fmt(x) for x in st.p]
             + [_fmt(x) for x in st.lam]
-            + [_fmt(energy), _fmt(model.boundary_gap(st.q)), _fmt(omega_res)]
+            + [_fmt(x) for x in values]
         )
         lines.append(",".join(cells))
     Path(path).write_text("\r\n".join(lines) + "\r\n")
@@ -112,6 +102,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> List[float]:
     t = start
     while t <= hi + 1e-12 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else float(t))
+        if t + step == t:  # a span of a few ulps: the step rounds away
+            break
         t += step
     return ticks
 

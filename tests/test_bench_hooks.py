@@ -1,5 +1,6 @@
 """The traced benchmark wraps nhvi functions by name: every hook must still
-exist and fire on a short bouncing-particle run."""
+exist and fire on a short bouncing-particle run, and the CLI-side hooks on a
+particle demo run through the CLI."""
 
 import json
 import sys
@@ -21,3 +22,16 @@ def test_traced_hooks_exist_and_fire(tmp_path):
         res = workloads.run_direct(kind, path, workloads._bounce_checks, perf_counter)
     assert res.solved, (res.solver_error, res.problems)
     spans.check_spans_fired(tracer, cli=False)
+
+
+def test_traced_cli_hooks_exist_and_fire(tmp_path):
+    workload = workloads.make_workload("demo_outputs", tmp_path)
+    try:
+        (label, path), = [op for op in workload.ops(1) if op[0] == "particle"]
+        tracer = spans.Tracer()
+        with spans.installed(tracer), tracer.operation(0):
+            res = workload.runner(label, path)
+    finally:
+        workload.close()
+    assert res.solved, (res.solver_error, res.problems)
+    spans.check_spans_fired(tracer, cli=True)

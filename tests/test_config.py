@@ -99,6 +99,28 @@ class TestValidation:
         with pytest.raises(SchemaError, match=r"plots\[0\]"):
             config_from_dict(minimal_config(outputs={"plots": ["phase_portrait"]}))
 
+    def test_particle_accepts_zero_gravity(self):
+        cfg = config_from_dict(minimal_config(model={"type": "particle", "gravity": 0}))
+        assert cfg.model_params["gravity"] == 0.0
+        model = build_model(cfg)
+        assert np.all(model.dL_dq(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 0.0)
+
+    def test_particle_rejects_negative_gravity(self):
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(minimal_config(model={"type": "particle", "gravity": -1.0}))
+        assert info.value.key_path == "model.gravity"
+
+    @pytest.mark.parametrize("model, q0", [
+        ({"type": "se2_body", "shape": {"kind": "ellipse", "a": 1.0, "b": 0.5}},
+         [0.0, 0.0, 3.0]),
+        ({"type": "pendulum", "length": 2.0, "radius": 1.5}, [2.4, 0.0]),
+    ], ids=["se2_body", "pendulum"])
+    def test_other_models_reject_zero_gravity(self, model, q0):
+        cfg = minimal_config(model={**model, "gravity": 0}, q0=q0, v0=[0.0] * len(q0))
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(cfg)
+        assert info.value.key_path == "model.gravity"
+
     def test_pendulum_constant_gain(self):
         cfg = config_from_dict(
             {

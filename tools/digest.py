@@ -1,16 +1,19 @@
 """Bit-identity digests of nhvi's numerical results.
 
-Prints two SHA-256 digests, one per line:
+Prints three SHA-256 digests, one per line:
 
     bounce    the bounce corpus: bench/workloads.py `bounce_config` seeds 1-2,
               every member (768 runs of particle, ellipse and star bodies);
     pendulum  the pendulum_long benchmark configuration (criterion-4
-              pendulum, h = 1e-4, 20 000 steps).
+              pendulum, h = 1e-4, 20 000 steps);
+    demos     every file `nhvi demo NAME --out DIR` writes for the bundled
+              particle, ellipse and pendulum demos (CSV, summary and SVG).
 
 Each run contributes its stored states, impact events, solver statistics,
 `build_report`, `recompute_solve_residuals`, or, when `simulate` raises a
 typed error, that error's type and message.  Floats enter as their IEEE-754
-bytes, so equal digests mean bitwise-equal results.
+bytes, so equal digests mean bitwise-equal results.  Each demo contributes
+its exit code and the name and bytes of every file it wrote.
 
 Run it from a checkout, and once more against another checkout to compare:
 
@@ -28,6 +31,7 @@ import hashlib
 import json
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +46,7 @@ def import_checkout(root: Path):
             raise SystemExit(f"digest: {root / sub} is not a directory")
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import nhvi
+    import nhvi.cli
     import workloads
 
     if Path(nhvi.__file__).resolve().parent != (root / "src" / "nhvi").resolve():
@@ -55,9 +60,11 @@ class Digest:
     def __init__(self):
         self.h = hashlib.sha256()
 
-    def text(self, s: str) -> None:
-        b = s.encode()
+    def blob(self, b: bytes) -> None:
         self.h.update(struct.pack("<q", len(b)) + b)
+
+    def text(self, s: str) -> None:
+        self.blob(s.encode())
 
     def floats(self, values) -> None:
         a = np.ascontiguousarray(values, dtype=np.float64)
@@ -105,6 +112,21 @@ def digest_run(d: Digest, nhvi, doc: dict) -> bool:
     return True
 
 
+def digest_demos(d: Digest, cli, names) -> int:
+    """Run each bundled demo through the CLI into `d`; the number of files."""
+    files = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            out = Path(tmp) / name
+            rc = cli.main(["demo", name, "--out", str(out)])
+            d.text(f"demo {name} exit {rc}")
+            for path in sorted(out.iterdir()):
+                d.text(path.name)
+                d.blob(path.read_bytes())
+                files += 1
+    return files
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -126,6 +148,10 @@ def main(argv=None) -> int:
     pendulum = Digest()
     solved = digest_run(pendulum, nhvi, workloads.pendulum_config())
     print(f"pendulum {pendulum.hexdigest()}  ({'solved' if solved else 'unsolved'})")
+
+    demos = Digest()
+    files = digest_demos(demos, nhvi.cli, workloads.DEMOS)
+    print(f"demos    {demos.hexdigest()}  ({len(workloads.DEMOS)} demos, {files} files)")
     return 0
 
 
