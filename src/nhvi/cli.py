@@ -53,20 +53,13 @@ def _setup_logging() -> None:
 
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     """Apply --h / --t-final, checked like the same keys of a config file."""
-    updates = {}
-    if getattr(args, "h", None) is not None:
-        if args.h <= 0:
-            raise SchemaError(f"--h must be positive, got {args.h}", key_path="h")
-        updates["h"] = args.h
-    if getattr(args, "t_final", None) is not None:
-        if args.t_final <= cfg.t0:
-            raise SchemaError(
-                f"--t-final={args.t_final} must exceed t0={cfg.t0}", key_path="t_final"
-            )
-        updates["t_final"] = args.t_final
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-        check_time_span(cfg.t0, cfg.t_final, cfg.h)
+    updates = {
+        key: getattr(args, key)
+        for key in ("h", "t_final")
+        if getattr(args, key, None) is not None
+    }
+    cfg = dataclasses.replace(cfg, **updates)
+    check_time_span(cfg.t0, cfg.t_final, cfg.h)
     return cfg
 
 
@@ -134,7 +127,12 @@ def cmd_run(args) -> int:
     if args.sweep:
         paths = args.sweep
         out_root = Path(args.out or "nhvi_out")
-        out_dirs = [out_root / Path(path).stem for path in paths]
+        stems = [Path(path).stem for path in paths]
+        shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+        if shared:
+            raise SchemaError(f"sweep members share the file stems {shared}; "
+                              f"each member needs its own output directory")
+        out_dirs = [out_root / stem for stem in stems]
         workers = min(len(paths), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return max(pool.map(_run_config, paths, [args] * len(paths), out_dirs))

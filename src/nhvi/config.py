@@ -28,6 +28,8 @@ Schema (all keys shown; unknown keys are rejected with their path):
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Tuple
@@ -78,6 +80,16 @@ def _reject_unknown(d: dict, allowed, path: str):
             raise SchemaError(f"unknown key {key!r}", key_path=f"{path}.{key}" if path else key)
 
 
+def _number(value, key_path: str) -> float:
+    """A finite JSON number as a float.  json reads NaN and Infinity too, and
+    integer literals past the float range, which float() cannot convert."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise SchemaError(f"expected a finite number, got {value!r}", key_path=key_path)
+    return float(value)
+
+
 def _get(d: dict, key: str, kind, path: str, default=..., positive=False):
     if key not in d:
         if default is ...:
@@ -86,9 +98,7 @@ def _get(d: dict, key: str, kind, path: str, default=..., positive=False):
     value = d[key]
     full = f"{path}.{key}" if path else key
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"expected a number, got {value!r}", key_path=full)
-        value = float(value)
+        value = _number(value, full)
         if positive and value <= 0:
             raise SchemaError(f"must be positive, got {value}", key_path=full)
     elif kind is int:
@@ -112,12 +122,7 @@ def _parse_vector(d: dict, key: str, path: str) -> Tuple[float, ...]:
     raw = d[key]
     if not isinstance(raw, list) or not raw:
         raise SchemaError("expected a non-empty array of numbers", key_path=full)
-    out = []
-    for i, entry in enumerate(raw):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise SchemaError(f"expected a number, got {entry!r}", key_path=f"{full}[{i}]")
-        out.append(float(entry))
-    return tuple(out)
+    return tuple(_number(entry, f"{full}[{i}]") for i, entry in enumerate(raw))
 
 
 def _parse_model(d, path="model") -> Tuple[str, dict]:
@@ -177,23 +182,24 @@ def _parse_model(d, path="model") -> Tuple[str, dict]:
         if params["radius"] >= params["length"]:
             raise SchemaError("cylinder radius must be smaller than the pendulum length", key_path=f"{path}.radius")
         gain = d.get("f", "default")
-        if isinstance(gain, bool) or not isinstance(gain, (int, float, str)):
-            raise SchemaError(f"expected 'default' or a number, got {gain!r}", key_path=f"{path}.f")
-        if isinstance(gain, str) and gain != "default":
-            raise SchemaError(f"expected 'default' or a number, got {gain!r}", key_path=f"{path}.f")
-        params["f"] = gain if isinstance(gain, str) else float(gain)
+        params["f"] = gain if gain == "default" else _number(gain, f"{path}.f")
     return mtype, params
 
 
 def check_time_span(t0: float, t_final: float, h: float) -> None:
-    """Reject a step h that the span [t0, t_final] cannot hold once.
-
-    `simulate` runs round((t_final - t0) / h) steps and needs at least one.
+    """Reject a time span `simulate` cannot run: h must be finite and
+    positive, t_final finite and past t0, and the span must hold at least
+    one step (`simulate` runs round((t_final - t0) / h) of them).
     """
-    if round((t_final - t0) / h) < 1:
+    if not (math.isfinite(h) and h > 0):
+        raise SchemaError(f"must be finite and positive, got {h}", key_path="h")
+    if not (math.isfinite(t_final) and t_final > t0):
+        raise SchemaError(f"t_final={t_final} must be finite and exceed t0={t0}", key_path="t_final")
+    steps = (t_final - t0) / h
+    if not (math.isfinite(steps) and round(steps) >= 1):
         raise SchemaError(
-            f"h={h} is too long for the time span [{t0}, {t_final}]; "
-            f"at least one step is required",
+            f"h={h} gives {steps:.6g} steps over the time span [{t0}, {t_final}]; "
+            f"at least one, and finitely many, are required",
             key_path="h",
         )
 
@@ -223,9 +229,7 @@ def config_from_dict(d: dict) -> SimConfig:
 
     t0 = _get(d, "t0", float, "", default=0.0)
     t_final = _get(d, "t_final", float, "")
-    h = _get(d, "h", float, "", positive=True)
-    if t_final <= t0:
-        raise SchemaError(f"t_final={t_final} must exceed t0={t0}", key_path="t_final")
+    h = _get(d, "h", float, "")
     check_time_span(t0, t_final, h)
 
     solver_raw = d.get("solver", {})
@@ -283,7 +287,7 @@ def parse_config(path) -> SimConfig:
         raise SchemaError(f"cannot read configuration file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(raw)
 

@@ -54,7 +54,7 @@ from .errors import (
     RootSelectionAmbiguous,
 )
 from .geometry import MechanicalModel, boundary_frame, pullback_cotangent, push_cotangent
-from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, newton_solve
+from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _norm, newton_solve
 
 log = logging.getLogger("nhvi.integrator")
 
@@ -100,7 +100,11 @@ class ImpactEvent:
 
 @dataclass
 class SolverStats:
-    """Per-solve Newton record, kept as parallel lists (one entry per solve)."""
+    """Per-solve Newton record, kept as parallel lists (one entry per solve).
+
+    Each phase is one of "step", "impact-A", "impact-B" and "impact-D"; the
+    residual is the infinity norm of that solve's equations at its solution.
+    """
 
     ks: List[int] = field(default_factory=list)
     phases: List[str] = field(default_factory=list)
@@ -243,22 +247,15 @@ def step_minus(
     unconstrained systems.
     """
     n = model.n
-    m = model.m_con
-    if m:
-        om = model.omega(q_next)
-        omT = om.T
+    om = model.omega(q_next)
+    omT = om.T
 
-        def residual(z):
-            u = z[:n]
-            r1 = p_next - Ld.d2(u, q_next, h) - omT @ z[n:]
-            return np.concatenate([r1, -(om @ ((u - q_next) / h))])
+    def residual(z):
+        u = z[:n]
+        r1 = p_next - Ld.d2(u, q_next, h) - omT @ z[n:]
+        return np.concatenate([r1, -(om @ ((u - q_next) / h))])
 
-    else:
-
-        def residual(z):
-            return p_next - Ld.d2(z, q_next, h)
-
-    z0 = np.concatenate([q_next, np.zeros(m)])
+    z0 = np.concatenate([q_next, np.zeros(model.m_con)])
     res = newton_solve(residual, z0, opts)
     _require_converged(res, "step-minus", -1, math.nan)
     u = res.x[:n]
@@ -271,11 +268,11 @@ def _impact_a_residual(Ld, model, q_k, p_k, event, h) -> float:
     """Infinity norm of the phase-A equations at the stored impact data."""
     s1 = event.alpha * h
     r1 = Ld.d1(q_k, event.q_tilde, s1) + p_k - model.omega(q_k).T @ event.lambda_A
-    parts = [float(np.max(np.abs(r1))), abs(model.boundary_gap(event.q_tilde))]
-    if model.m_con:
-        r2 = omega_dplus(model, q_k, event.q_tilde, s1)
-        parts.append(float(np.max(np.abs(r2))))
-    return max(parts)
+    return max(
+        _norm(r1),
+        abs(model.boundary_gap(event.q_tilde)),
+        _norm(omega_dplus(model, q_k, event.q_tilde, s1)),
+    )
 
 
 def _impact_b_residual(Ld, model, q_k, event, h) -> float:
@@ -283,17 +280,15 @@ def _impact_b_residual(Ld, model, q_k, event, h) -> float:
     s1 = event.alpha * h
     s2 = (1.0 - event.alpha) * h
     d3_pre = Ld.d3(q_k, event.q_tilde, s1)
-    force = Ld.d1(event.q_tilde, event.v_tilde, s2)
-    if model.m_con:
-        force = force - model.omega(event.q_tilde).T @ event.lambda_B
+    force = Ld.d1(event.q_tilde, event.v_tilde, s2) - (
+        model.omega(event.q_tilde).T @ event.lambda_B
+    )
     E = np.asarray(model.tangent_basis(event.q_tilde), dtype=float)
-    parts = [abs(d3_pre - Ld.d3(event.q_tilde, event.v_tilde, s2))]
-    if model.n > 1:
-        parts.append(float(np.max(np.abs(E.T @ force + event.p_tilde))))
-    if model.m_con:
-        r3 = omega_dplus(model, event.q_tilde, event.v_tilde, s2)
-        parts.append(float(np.max(np.abs(r3))))
-    return max(parts)
+    return max(
+        abs(d3_pre - Ld.d3(event.q_tilde, event.v_tilde, s2)),
+        _norm(E.T @ force + event.p_tilde),
+        _norm(omega_dplus(model, event.q_tilde, event.v_tilde, s2)),
+    )
 
 
 def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
@@ -337,7 +332,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     frame = boundary_frame(model, q_tilde)
     d2_pre = Ld.d2_w(q_k, w_in, s1)
     p_tilde = pullback_cotangent(frame, d2_pre)
-    compat_residual = float(np.max(np.abs(push_cotangent(frame, p_tilde) - d2_pre)))
+    compat_residual = _norm(push_cotangent(frame, p_tilde) - d2_pre)
     d3_pre = Ld.d3_w(q_k, w_in, s1)
     s2 = (1.0 - alpha) * h
     ET = frame.E.T
@@ -526,11 +521,7 @@ def simulate(
                 Ld, model, state.q, state.p, h, state.v, opts, k, state.t
             )
             # the penetrating v_k is deleted; the phase-A boundary node is
-            # the actual trajectory value of this slot.  The record of the
-            # solve that produced the deleted value no longer corresponds to
-            # stored data, so it is marked rejected.
-            if stats.phases:
-                stats.phases[-1] += "-rejected"
+            # the actual trajectory value of this slot
             state.v = event.q_tilde
             state.lam = event.lambda_A
             impacts.append(event)

@@ -106,6 +106,10 @@ class TestRun:
         (["--h", "-1"], "h"),
         (["--t-final", "1e-5"], "h"),  # shorter than one 1e-3 step
         (["--t-final", "-1"], "t_final"),
+        (["--h", "nan"], "h"),
+        (["--h", "1e-320"], "h"),  # the step count overflows a float
+        (["--t-final", "nan"], "t_final"),
+        (["--t-final", "inf"], "t_final"),
     ])
     def test_bad_override_writes_error_json(self, tmp_path, override, key):
         out = tmp_path / "out"
@@ -121,6 +125,19 @@ class TestRun:
         out = tmp_path / "sweep"
         assert main(["run", "--sweep", str(local), "--out", str(out)]) == 0
         assert (out / "particle" / "summary.json").exists()
+
+    def test_sweep_rejects_members_sharing_a_stem(self, tmp_path, capsys):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.json").write_text(bundled_config_path("particle").read_text())
+        out = tmp_path / "sweep"
+        code = main(["run", "--sweep", str(tmp_path / "a" / "x.json"),
+                     str(tmp_path / "b" / "x.json"), "--out", str(out)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "SchemaError"
+        assert "'x'" in error["message"]
+        assert not out.exists()
 
     def test_sweep_applies_overrides_and_reports_each_failure(self, tmp_path):
         bad = write_bad_config(tmp_path)

@@ -91,6 +91,28 @@ class TestValidation:
         # simulate runs round((t_final - t0) / h) steps: 1 / 1.6 rounds to 1
         assert config_from_dict(minimal_config(t_final=1.0, h=1.6)).h == 1.6
 
+    @pytest.mark.parametrize("overrides, key_path", [
+        ({"h": math.nan}, "h"),
+        ({"t_final": math.nan}, "t_final"),
+        ({"t_final": 10**400}, "t_final"),  # beyond the float range
+        ({"solver": {"tol": math.nan}}, "solver.tol"),
+        ({"q0": [0.0, math.nan]}, "q0[1]"),
+        ({"model": {"type": "pendulum", "length": 2.0, "radius": 1.5, "f": math.nan}},
+         "model.f"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, overrides, key_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(minimal_config(**overrides)))  # json writes NaN bare
+        with pytest.raises(SchemaError) as info:
+            parse_config(path)
+        assert info.value.key_path == key_path
+
+    def test_integer_literal_past_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(minimal_config()).replace('"h": 0.01', '"h": 1' + "0" * 5000))
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            parse_config(path)
+
     def test_bad_rule_rejected(self):
         with pytest.raises(SchemaError, match="rule"):
             config_from_dict(minimal_config(rule="leapfrog"))

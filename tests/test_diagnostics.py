@@ -1,5 +1,6 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from nhvi import (
     State,
@@ -98,14 +99,35 @@ class TestBuildReport:
         }
 
 
+@pytest.fixture
+def impact_runs(pendulum, pendulum_left, particle, particle_mid, ellipse_body_edge_slope):
+    """(traj, Ld, model) of a pendulum, a particle and an edge-slope ellipse
+    run, each with impacts."""
+    ellipse_mid = make_discrete_lagrangian(ellipse_body_edge_slope, "midpoint")
+    runs = []
+    for Ld, model, q0, v0, h in (
+        (pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 1e-3),
+        (particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]), 1e-3),
+        (ellipse_mid, ellipse_body_edge_slope, ELLIPSE_Q0, ELLIPSE_V0, 1e-2),
+    ):
+        traj = simulate(Ld, model, q0, v0, 0.0, 2.0, h)
+        assert traj.impacts
+        runs.append((traj, Ld, model))
+    return runs
+
+
 class TestIntegratorHonesty:
-    def test_stored_residuals_recomputable(self, pendulum, pendulum_left, particle, particle_mid):
-        for Ld, model, q0, v0 in (
-            (pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0),
-            (particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0])),
-        ):
-            traj = simulate(Ld, model, q0, v0, 0.0, 2.0, 1e-3)
-            assert traj.impacts
+    def test_stored_residuals_recomputable(self, impact_runs):
+        for traj, Ld, model in impact_runs:
             recomputed = recompute_solve_residuals(traj, Ld, model)
-            stored = np.array(traj.solver_stats.residuals)
-            npt.assert_allclose(recomputed, stored, rtol=0, atol=1e-12)
+            npt.assert_array_equal(recomputed, traj.solver_stats.residuals)
+
+    def test_only_deleted_solves_echo_stored_residuals(self, impact_runs):
+        sentinel = 12345.0
+        for traj, Ld, model in impact_runs:
+            stats = traj.solver_stats
+            stats.residuals = [sentinel] * len(stats)
+            echoed = np.flatnonzero(recompute_solve_residuals(traj, Ld, model) == sentinel)
+            before_impact = [i - 1 for i, p in enumerate(stats.phases) if p == "impact-A"]
+            assert echoed.tolist() == before_impact
+            assert len(before_impact) == len(traj.impacts)

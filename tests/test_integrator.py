@@ -234,12 +234,10 @@ class TestSimulate:
             particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]), 0.0, 2.0, 1e-3
         )
         assert traj.impacts
+        # the solve whose v_k an impact deleted converged too
         for phase, residual in zip(traj.solver_stats.phases, traj.solver_stats.residuals):
-            if not phase.endswith("-rejected"):
-                assert residual <= 1e-10, phase
-        # one record per impact was necessarily invalidated by the deletion
-        rejected = [p for p in traj.solver_stats.phases if p.endswith("-rejected")]
-        assert len(rejected) == len(traj.impacts)
+            assert residual <= 1e-10, phase
+        assert traj.solver_stats.phases.count("impact-A") == len(traj.impacts)
 
 
 class TestEdgeSlopeVariant:
