@@ -22,7 +22,6 @@ from .errors import (
     NhviError,
     NotOnBoundary,
     PersistentPenetration,
-    PoleSingularity,
     RootSelectionAmbiguous,
     SchemaError,
     SingularJacobian,
@@ -76,7 +75,6 @@ __all__ = [
     "ParticleParams",
     "PendulumParams",
     "PersistentPenetration",
-    "PoleSingularity",
     "RootSelectionAmbiguous",
     "RunReport",
     "SchemaError",

@@ -64,7 +64,11 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
 
 
 def _run_single(cfg: SimConfig, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot create output directory {out_dir}: {exc.strerror}",
+                          "out") from exc
     model = build_model(cfg)
     Ld = make_discrete_lagrangian(model, cfg.rule)
     started = time.perf_counter()
@@ -136,8 +140,6 @@ def cmd_run(args) -> int:
         workers = min(len(paths), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return max(pool.map(_run_config, paths, [args] * len(paths), out_dirs))
-    if not args.config:
-        raise SystemExit("run requires --config (or --sweep)")
     return _run_config(args.config, args, Path(args.out or "nhvi_out"))
 
 
@@ -172,9 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="integrate a configuration and write outputs")
-    run_p.add_argument("--config", help="path to a configuration JSON file")
-    run_p.add_argument("--sweep", nargs="+", metavar="CONFIG",
-                       help="run several configs in parallel workers")
+    source = run_p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a configuration JSON file")
+    source.add_argument("--sweep", nargs="+", metavar="CONFIG",
+                        help="run several configs in parallel workers")
     run_p.add_argument("--h", type=float, default=None, help="override timestep")
     run_p.add_argument("--t-final", dest="t_final", type=float, default=None,
                        help="override final time")

@@ -32,10 +32,6 @@ class DegenerateFrame(NhviError):
     """Tangent basis / projection pair failed the left-inverse check."""
 
 
-class PoleSingularity(NhviError):
-    """Spherical-coordinate state too close to a pole (degenerate metric)."""
-
-
 class InvalidInitialState(NhviError):
     """Discretized initial configurations left the admissible set."""
 

@@ -356,38 +356,31 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     # The reflected guess selects the bouncing energy root for unconstrained
     # models.  With constraints the admissible directions can be transverse
     # to the boundary tangent, in which case the physical root reverses the
-    # whole constrained velocity; try that basin before giving up.
-    res_b = None
-    w_out = None
-    outgoing = -np.inf
+    # whole constrained velocity; try that basin before giving up.  Only a
+    # root that re-enters is used; the others keep just their normal rate.
+    rates = []
     for w_guess in (w_refl, -w_in):
         z0 = np.concatenate([w_guess, np.zeros(m)])
-        candidate = newton_solve(residual_b, z0, opts)
-        if not candidate.converged:
+        res_b = newton_solve(residual_b, z0, opts)
+        if not res_b.converged:
             continue
-        u = candidate.x[:n]
-        rate = float(frame.normal @ u)
+        w_out = res_b.x[:n]
+        rate = float(frame.normal @ w_out)
         if rate > 0.0:
-            res_b = candidate
-            w_out = u
-            outgoing = rate
             break
-        if res_b is None:
-            res_b = candidate
-            w_out = u
-        outgoing = max(outgoing, rate)
-    if res_b is None:
-        raise NewtonFailure(
-            f"impact-B solve stalled from both velocity guesses "
-            f"(step {k}, t={t_k:.6g})",
-            k=k,
-            t=t_k,
-            phase="impact-B",
-        )
-    if outgoing <= 0.0:
+        rates.append(rate)
+    else:
+        if not rates:
+            raise NewtonFailure(
+                f"impact-B solve stalled from both velocity guesses "
+                f"(step {k}, t={t_k:.6g})",
+                k=k,
+                t=t_k,
+                phase="impact-B",
+            )
         raise RootSelectionAmbiguous(
             f"post-impact root does not re-enter the admissible set "
-            f"(normal rate {outgoing:.3e}) at step {k}, t={t_k:.6g}"
+            f"(normal rate {max(rates):.3e}) at step {k}, t={t_k:.6g}"
         )
     lambda_b = res_b.x[n:]
     v_tilde = q_tilde + s2 * w_out

@@ -20,13 +20,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateFrame, PoleSingularity
+from .errors import DegenerateFrame
 from .geometry import MechanicalModel
 
 # star-shape edge function is not differentiable at multiples of pi/2
 STAR_CORNER_TOL = 1e-8
-# spherical metric degenerates on the polar axis
-POLE_SIN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -267,14 +265,9 @@ def make_pendulum(params: PendulumParams = PendulumParams()) -> MechanicalModel:
     mgl = m * g * length
 
     def _sin_cos(q):
-        """sin and cos of the polar angle, refusing states at a pole."""
+        """sin and cos of the polar angle."""
         theta = float(q[0])
-        s = math.sin(theta)
-        if abs(s) < POLE_SIN_TOL:
-            raise PoleSingularity(
-                f"state at theta={theta} too close to a pole (|sin| < {POLE_SIN_TOL})"
-            )
-        return s, math.cos(theta)
+        return math.sin(theta), math.cos(theta)
 
     def lagrangian(q, v):
         s, c = _sin_cos(q)

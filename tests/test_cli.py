@@ -118,6 +118,28 @@ class TestRun:
         assert diagnostic["error"] == "SchemaError"
         assert diagnostic["message"].startswith(f"{key}:")
 
+    @pytest.mark.parametrize("flags", [
+        ["--config", "a.json", "--sweep", "b.json"],
+        [],
+    ])
+    def test_run_takes_exactly_one_source(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *flags])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_uncreatable_out_is_a_schema_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["demo", "particle", "--out", str(taken)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "SchemaError"
+        assert error["message"].startswith("out:")
+        local = tmp_path / "particle.json"
+        local.write_text(bundled_config_path("particle").read_text())
+        assert main(["run", "--sweep", str(local), "--out", str(taken)]) == 2
+        assert taken.read_text() == "not a directory"
+
     def test_sweep_runs_isolated_outputs(self, tmp_path):
         cfg = bundled_config_path("particle")
         local = tmp_path / "particle.json"

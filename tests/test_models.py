@@ -3,18 +3,23 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nhvi import (
     EllipseShape,
     ParticleParams,
     PendulumParams,
-    PoleSingularity,
     Se2BodyParams,
     StarShape,
+    build_report,
+    make_discrete_lagrangian,
     make_particle,
     make_pendulum,
     make_se2_body,
+    simulate,
 )
+from nhvi.integrator import _step_system
 
 
 class TestParticle:
@@ -108,12 +113,6 @@ class TestPendulum:
         gap = pendulum.boundary_gap(np.array([0.75 * np.pi, 0.0]))
         assert abs(gap - 0.08578643762690485) < 1e-12
 
-    def test_pole_guard(self, pendulum):
-        with pytest.raises(PoleSingularity):
-            pendulum.lagrangian(np.array([np.pi + 1e-9, 0.0]), np.zeros(2))
-        with pytest.raises(PoleSingularity):
-            pendulum.dL_dv(np.array([1e-8, 0.0]), np.ones(2))
-
     def test_param_validation(self):
         with pytest.raises(ValueError):
             PendulumParams(radius=2.5, length=2.0)
@@ -121,3 +120,50 @@ class TestPendulum:
             PendulumParams(f=lambda th: th)  # f(0) != f(pi)
         zero_gain = make_pendulum(PendulumParams(f=lambda th: 0.0))
         npt.assert_array_equal(zero_gain.omega(np.array([1.0, 0.0])), [[0.0, -1.0]])
+
+
+class TestPendulumPole:
+    """The polar axis is a coordinate singularity of the metric only: the
+    ml^2 sin^2 theta entry of Lvv vanishes there, but the constraint row
+    omega = [f, -1] keeps the constrained step regular, with
+    |det J| = (ml^2 + f^2 ml^2 sin^2 theta) / h^2 to leading order."""
+
+    @pytest.mark.parametrize("rule", ["retraction-left", "midpoint"])
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        pole=st.sampled_from([0.0, math.pi]),
+        offset=st.floats(-1e-3, 1e-3),
+        phi=st.floats(-10.0, 10.0),
+        rates=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        h=st.floats(1e-6, 1e-3),
+    )
+    @example(pole=0.0, offset=0.0, phi=0.0, rates=(0.5, 1.0), h=1e-3)
+    @example(pole=math.pi, offset=0.0, phi=0.0, rates=(0.5, 1.0), h=1e-3)
+    def test_step_regular_near_pole(self, rule, pole, offset, phi, rates, h):
+        model = make_pendulum(PendulumParams())
+        q = np.array([pole + offset, phi])
+        w = np.array(rates)
+        values = [
+            model.lagrangian(q, w),
+            *model.dL_dq(q, w),
+            *model.dL_dv(q, w),
+            *(x for block in model.d2L(q, w) for x in block.ravel()),
+        ]
+        assert all(math.isfinite(x) for x in values)
+
+        Ld = make_discrete_lagrangian(model, rule)
+        _, jac = _step_system(Ld, model, q, np.zeros(2), h)
+        J = jac(np.concatenate([q + h * w, [0.0]]))
+        ml2 = model.params["mass"] * model.params["length"] ** 2
+        assert abs(abs(np.linalg.det(J)) * h * h / ml2 - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("rule", ["retraction-left", "midpoint"])
+    def test_simulate_through_pole(self, pendulum, rule):
+        Ld = make_discrete_lagrangian(pendulum, rule)
+        traj = simulate(Ld, pendulum, np.array([math.pi, 0.0]),
+                        np.array([0.5, 0.5 * (math.pi + 1.0)]), 0.0, 2.0, 1e-3)
+        thetas = [s.q[0] for s in traj.states]
+        assert min(thetas) < math.pi < max(thetas)
+        report = build_report(traj, Ld, pendulum)
+        assert report.max_constraint_residual <= 1e-10
+        assert report.energy_drift_rel <= 1e-4
