@@ -105,9 +105,14 @@ def build_report(
         max_residual = max(chain([0.0], omega_res[1:].tolist(), post_res))
 
     iters = traj.solver_stats.iterations
+    step_iters = [
+        it for it, phase in zip(iters, traj.solver_stats.phases) if phase == "step"
+    ]
     stats = {
         "mean": float(np.mean(iters)) if iters else 0.0,
         "max": float(max(iters)) if iters else 0.0,
+        # smooth steps only: how well the predictor seeds the step solve
+        "step_mean": float(np.mean(step_iters)) if step_iters else 0.0,
     }
 
     return RunReport(

@@ -180,14 +180,12 @@ def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base,
     if Ld.d1_dv is not None:
         d1_dv = Ld.d1_dv
         if m:
-            # the constraint blocks do not depend on z
-            template = np.zeros((n + m, n + m))
-            template[:n, n:] = -omT
-            template[n:, :n] = om / h
 
             def jac(z):
-                J = template.copy()
+                J = np.zeros((n + m, n + m))
                 J[:n, :n] = d1_dv(q_base, z[:n], h)
+                J[:n, n:] = -omT
+                J[n:, :n] = om / h
                 return J
 
         else:
@@ -198,14 +196,24 @@ def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base,
     return residual, jac
 
 
-def _step_plus_impl(Ld, model, state: State, h, opts):
+def _step_plus_impl(Ld, model, state: State, h, opts, prev=None):
+    """One smooth step from `state`; `prev` is the node before it, or None.
+
+    Newton starts from the quadratic extrapolation of the nodes q_{k-1},
+    q_k, q_{k+1} = v_k and the linear one of the multipliers when `prev` is
+    given, and from the linear extrapolation 2 v_k - q_k, lambda_k otherwise.
+    """
     p_next = Ld.d2(state.q, state.v, h)
     q_next = state.v
     residual, jac = _step_system(Ld, model, q_next, p_next, h)
     n = model.n
     z0 = np.empty(n + model.m_con)
-    z0[:n] = 2.0 * state.v - state.q
-    z0[n:] = state.lam
+    if prev is None:
+        z0[:n] = 2.0 * state.v - state.q
+        z0[n:] = state.lam
+    else:
+        z0[:n] = 3.0 * (state.v - state.q) + prev.q
+        z0[n:] = 2.0 * state.lam - prev.lam
     res = newton_solve(residual, z0, opts, jac)
     _require_converged(res, "step", state.k, state.t)
     new_state = State(
@@ -506,6 +514,9 @@ def simulate(
     impacts: List[ImpactEvent] = []
     stats = SolverStats()
     gap = model.boundary_gap
+    # states[k - 1] when step k - 1 was smooth, for the quadratic seed; None
+    # at k = 0 and after an impact, which rewrote that node's v and lam
+    prev = None
 
     for k in range(n_steps):
         state = states[k]
@@ -521,9 +532,11 @@ def simulate(
             states.append(new_state)
             for rec in records:
                 stats.record(*rec)
+            prev = None
         else:
-            new_state, res = _step_plus_impl(Ld, model, state, h, opts)
+            new_state, res = _step_plus_impl(Ld, model, state, h, opts, prev)
             states.append(new_state)
             stats.record(k, "step", res.iterations, res.residual_norm)
+            prev = state
 
     return Trajectory(states=states, impacts=impacts, h=h, solver_stats=stats)

@@ -74,6 +74,9 @@ class TestBuildReport:
         assert rep.energy_drift_rel == expected_drift
         assert rep.min_boundary_gap >= -1e-12
         assert rep.newton_iter_stats["max"] >= rep.newton_iter_stats["mean"] > 0
+        stats = traj.solver_stats
+        steps = [it for ph, it in zip(stats.phases, stats.iterations) if ph == "step"]
+        assert rep.newton_iter_stats["step_mean"] == np.mean(steps)
 
     def test_pendulum_constraint_residual_recomputed(self, pendulum, pendulum_left):
         traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, 1e-3)

@@ -4,6 +4,7 @@ import pytest
 
 from nhvi import (
     State,
+    build_report,
     discrete_energy,
     initial_discretize,
     make_discrete_lagrangian,
@@ -13,6 +14,10 @@ from nhvi import (
     step_minus,
     step_plus,
 )
+from nhvi.cli import bundled_config_path
+from nhvi.config import build_model, parse_config
+from nhvi.integrator import _step_plus_impl
+from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
 from tests.conftest import PENDULUM_Q0, PENDULUM_V0
 
 
@@ -51,6 +56,61 @@ class TestStepPlus:
         )
         assert np.max(np.abs(r1)) <= 1e-10
         assert np.max(np.abs(omega_dplus(pendulum, nxt.q, nxt.v, h))) <= 1e-10
+
+
+class TestPredictor:
+    """Smooth steps start Newton from the quadratic extrapolation of the
+    last three nodes, except at k = 0 and on the first step after an impact,
+    which fall back to the linear seed 2 v_k - q_k."""
+
+    @pytest.mark.parametrize("demo", ["particle", "ellipse"])
+    def test_free_flight_seed_is_exact(self, demo):
+        # midpoint free flight is exactly quadratic in the nodes, so the
+        # quadratic seed already solves the step
+        cfg = parse_config(bundled_config_path(demo))
+        assert cfg.rule == "midpoint"
+        model = build_model(cfg)
+        Ld = make_discrete_lagrangian(model, cfg.rule)
+        traj = simulate(Ld, model, cfg.q0, cfg.v0, cfg.t0, cfg.t_final, cfg.h, cfg.solver)
+        stats = traj.solver_stats
+        linear = 0
+        for i, (phase, iters) in enumerate(zip(stats.phases, stats.iterations)):
+            if phase != "step":
+                continue
+            if i == 0 or stats.phases[i - 1] == "impact-D":
+                linear += 1
+                assert iters == 1, stats.ks[i]
+            else:
+                assert iters == 0, stats.ks[i]
+        assert traj.impacts
+        assert linear == 1 + len(traj.impacts)
+
+    def test_pendulum_long_one_iteration_per_step(self, pendulum, pendulum_left):
+        # the pendulum_long benchmark configuration: 20 000 steps, one impact
+        traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 2.0, 1e-4)
+        assert len(traj.impacts) == 1
+        stats = traj.solver_stats
+        step_iters = {it for ph, it in zip(stats.phases, stats.iterations) if ph == "step"}
+        assert step_iters == {1}
+        rep = build_report(traj, pendulum_left, pendulum)
+        assert rep.newton_iter_stats["step_mean"] == 1.0
+        assert rep.max_constraint_residual <= 1e-10
+
+    def test_public_step_plus_keeps_linear_seed(self, particle, particle_mid):
+        h = 1e-2
+        traj = simulate(
+            particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]), 0.0, 0.05, h
+        )
+        prev, st = traj.states[1], traj.states[2]
+        opts = DEFAULT_NEWTON_OPTIONS
+        linear, res_linear = _step_plus_impl(particle_mid, particle, st, h, opts, prev=None)
+        quadratic, res_quadratic = _step_plus_impl(particle_mid, particle, st, h, opts, prev)
+        assert (res_linear.iterations, res_quadratic.iterations) == (1, 0)
+        public = step_plus(particle_mid, particle, st, h)
+        for name in ("q", "v", "p", "lam"):
+            npt.assert_array_equal(getattr(public, name), getattr(linear, name))
+        # simulate seeds from the previous node
+        npt.assert_array_equal(quadratic.v, traj.states[3].v)
 
 
 class TestStepMinus:
