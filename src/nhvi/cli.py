@@ -108,6 +108,15 @@ def _fail_with_diagnostic(exc: NhviError, out_dir: Path) -> int:
         diagnostic.update(
             {"k": exc.k, "t": exc.t, "residual_norm": exc.residual_norm, "phase": exc.phase}
         )
+    if exc.state is not None:
+        # the last good node; JSON floats round-trip exactly, so the failing
+        # step can be replayed from it
+        st = exc.state
+        diagnostic["state"] = {
+            "k": st.k,
+            "t": st.t,
+            **{name: getattr(st, name).tolist() for name in ("q", "v", "p", "lam")},
+        }
     text = json.dumps(diagnostic, indent=2)
     print(text, file=sys.stderr)
     try:

@@ -8,8 +8,8 @@ honesty check on the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, List, Tuple
+from itertools import repeat
+from typing import Dict, List
 
 import numpy as np
 
@@ -45,36 +45,54 @@ class RunReport:
         }
 
 
-def _nodes(traj: Trajectory):
-    """(state, s, event, s_after) per state: a state whose step held the
-    collision `event` ends the sub-step s = alpha*h and its impact node
-    starts s_after = (1-alpha)*h; any other state has s = h and two Nones."""
+def _substeps(traj: Trajectory) -> List[float]:
+    """Sub-step ending each row: a row whose step held a collision ends the
+    pre-impact sub-step alpha*h (its impact node starts (1-alpha)*h); any
+    other row ends a full step h."""
     h = traj.h
-    n = len(traj.states)
-    steps, events, steps_after = [h] * n, [None] * n, [None] * n
-    for ev in traj.impacts:  # traj.states[k] ends the step that held ev
-        steps[ev.k], events[ev.k], steps_after[ev.k] = ev.alpha * h, ev, (1.0 - ev.alpha) * h
-    return zip(traj.states, steps, events, steps_after)
+    steps = [h] * len(traj.t)
+    for ev in traj.impacts:  # row ev.k ends the step that held ev
+        steps[ev.k] = ev.alpha * h
+    return steps
+
+
+def _node_samples(traj: Trajectory) -> np.ndarray:
+    """Mask of the node samples in the energy series: each impact sample sits
+    right after the node of its step, so node k follows the nodes and impact
+    samples before it."""
+    mask = np.ones(len(traj.t) + len(traj.impacts), dtype=bool)
+    mask[[ev.k + j + 1 for j, ev in enumerate(traj.impacts)]] = False
+    return mask
 
 
 def _omega_residual(model: MechanicalModel, q, v, s) -> float:
     return float(np.abs(omega_dplus(model, q, v, s)).max())
 
 
-def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> List[Tuple[float, float]]:
+def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> np.ndarray:
     """Discrete energy -d3 at every trajectory node, impact nodes included.
 
-    States whose step contained a collision are evaluated on their actual
+    Returns an (N + impacts, 2) float64 array of (t, E) rows in time order.
+    Nodes whose step contained a collision are evaluated on their actual
     sub-step alpha*h, and the boundary node contributes an extra sample at
-    the impact time with sub-step (1-alpha)*h.
+    the impact time with sub-step (1-alpha)*h, right after that node.
     """
-    if not traj.states:
+    n = len(traj.t)
+    if not n:
         raise ValueError("trajectory has no states")
-    series: List[Tuple[float, float]] = []
-    for st, s, ev, s_after in _nodes(traj):
-        series.append((st.t, discrete_energy(Ld, st.q, st.v, s)))
-        if ev is not None:
-            series.append((ev.t_impact, discrete_energy(Ld, ev.q_tilde, ev.v_tilde, s_after)))
+    h = traj.h
+    impacts = traj.impacts
+    series = np.empty((n + len(impacts), 2))
+    nodes = _node_samples(traj)
+    series[nodes, 0] = traj.t
+    series[nodes, 1] = np.fromiter(
+        map(discrete_energy, repeat(Ld), traj.q, traj.v, _substeps(traj)), float, n
+    )
+    for j, ev in enumerate(impacts):
+        series[ev.k + j + 1] = (
+            ev.t_impact,
+            discrete_energy(Ld, ev.q_tilde, ev.v_tilde, (1.0 - ev.alpha) * h),
+        )
     return series
 
 
@@ -82,27 +100,26 @@ def build_report(
     traj: Trajectory, Ld: DiscreteLagrangian, model: MechanicalModel
 ) -> RunReport:
     """Aggregate energy behavior, constraint residuals and solver statistics."""
-    series = energy_series(traj, Ld)
-    energies = np.array([e for _, e in series])
+    energies = energy_series(traj, Ld)[:, 1]
     e0 = float(energies[0])
     drift = float(np.max(np.abs(energies - e0))) / max(1.0, abs(e0))
 
     # the columns are float64 arrays: lists of floats would keep ~100 B per state
-    n = len(traj.states)
-    gap = np.fromiter((model.boundary_gap(st.q) for st in traj.states), float, n)
-    # state k's energy sample follows those of the states and impact nodes before it
-    pos = np.arange(n)
-    pos += np.searchsorted([ev.k for ev in traj.impacts], pos)
+    n = len(traj.t)
+    gap = np.fromiter(map(model.boundary_gap, traj.q), float, n)
     omega_res = np.zeros(n)
     max_residual = 0.0
     if model.m_con:
-        post_res = []
-        for st, s, ev, s_after in _nodes(traj):
-            omega_res[st.k] = _omega_residual(model, st.q, st.v, s)
-            if ev is not None:
-                post_res.append(_omega_residual(model, ev.q_tilde, ev.v_tilde, s_after))
+        h = traj.h
+        omega_res = np.fromiter(
+            map(_omega_residual, repeat(model), traj.q, traj.v, _substeps(traj)), float, n
+        )
+        post_res = [
+            _omega_residual(model, ev.q_tilde, ev.v_tilde, (1.0 - ev.alpha) * h)
+            for ev in traj.impacts
+        ]
         # no solve produced the initial state; the impact nodes count too
-        max_residual = max(chain([0.0], omega_res[1:].tolist(), post_res))
+        max_residual = max(0.0, float(omega_res[1:].max(initial=0.0)), *post_res)
 
     iters = traj.solver_stats.iterations
     step_iters = [
@@ -124,7 +141,11 @@ def build_report(
         max_constraint_residual=max_residual,
         min_boundary_gap=float(min(gap)),
         newton_iter_stats=stats,
-        state_columns={"E": energies[pos], "c": gap, "max_omega_residual": omega_res},
+        state_columns={
+            "E": energies[_node_samples(traj)],
+            "c": gap,
+            "max_omega_residual": omega_res,
+        },
     )
 
 
@@ -146,19 +167,18 @@ def recompute_solve_residuals(
     events = {ev.k: ev for ev in traj.impacts}
     deleted = {i - 1 for i, phase in enumerate(stats.phases) if phase == "impact-A"}
     out = np.empty(len(stats))
+    q, v, p, lam = traj.q, traj.v, traj.p, traj.lam
     for i, (k, phase) in enumerate(zip(stats.ks, stats.phases)):
         if i in deleted:
             out[i] = stats.residuals[i]
         elif phase in ("step", "impact-D"):
-            nxt = traj.states[k + 1]
-            residual, _ = _step_system(Ld, model, nxt.q, nxt.p, h)
-            out[i] = _norm(residual(np.concatenate([nxt.v, nxt.lam])))
+            j = k + 1
+            residual, _ = _step_system(Ld, model, q[j], p[j], h)
+            out[i] = _norm(residual(np.concatenate([v[j], lam[j]])))
         elif phase == "impact-A":
-            out[i] = _impact_a_residual(
-                Ld, model, traj.states[k].q, traj.states[k].p, events[k], h
-            )
+            out[i] = _impact_a_residual(Ld, model, q[k], p[k], events[k], h)
         elif phase == "impact-B":
-            out[i] = _impact_b_residual(Ld, model, traj.states[k].q, events[k], h)
+            out[i] = _impact_b_residual(Ld, model, q[k], events[k], h)
         else:
             raise ValueError(f"unknown solver phase {phase!r}")
     return out

@@ -2,7 +2,13 @@
 
 
 class NhviError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `state` is the last good trajectory node (an integrator `State`) when
+    `simulate` raised the error from one of its steps, and None otherwise.
+    """
+
+    state = None
 
 
 class EvaluationFailure(NhviError):

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import List, NamedTuple
 
@@ -50,6 +52,7 @@ from .discretization import DiscreteLagrangian, initial_discretize, omega_dplus
 from .errors import (
     AlphaOutOfRange,
     NewtonFailure,
+    NhviError,
     PersistentPenetration,
     RootSelectionAmbiguous,
 )
@@ -100,16 +103,18 @@ class ImpactEvent:
 
 @dataclass
 class SolverStats:
-    """Per-solve Newton record, kept as parallel lists (one entry per solve).
+    """Per-solve Newton record, kept as parallel columns (one entry per solve).
 
     Each phase is one of "step", "impact-A", "impact-B" and "impact-D"; the
     residual is the infinity norm of that solve's equations at its solution.
+    `ks` and `iterations` are int64 arrays and `residuals` a float64 array
+    (`array.array`), so a record costs 32 bytes.
     """
 
-    ks: List[int] = field(default_factory=list)
+    ks: array = field(default_factory=lambda: array("q"))
     phases: List[str] = field(default_factory=list)
-    iterations: List[int] = field(default_factory=list)
-    residuals: List[float] = field(default_factory=list)
+    iterations: array = field(default_factory=lambda: array("q"))
+    residuals: array = field(default_factory=lambda: array("d"))
 
     def record(self, k: int, phase: str, iterations: int, residual: float) -> None:
         self.ks.append(k)
@@ -121,12 +126,80 @@ class SolverStats:
         return len(self.ks)
 
 
-@dataclass
+class StateRows(Sequence):
+    """Read-only sequence of the nodes of a trajectory's rows `rows`.
+
+    Indexing builds `State(k, t[k], q[k], v[k], p[k], lam[k])` on demand,
+    its arrays views of the trajectory columns; a slice is another view.
+    """
+
+    __slots__ = ("_traj", "_rows")
+
+    def __init__(self, traj: "Trajectory", rows: range):
+        self._traj = traj
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return StateRows(self._traj, self._rows[index])
+        return self._traj._state(self._rows[index])
+
+    def __iter__(self):
+        return map(self._traj._state, self._rows)
+
+
 class Trajectory:
-    states: List[State]
-    impacts: List[ImpactEvent]
-    h: float
-    solver_stats: SolverStats
+    """The discrete trajectory, stored as float64 columns whose row is k.
+
+    `t` has shape (N,), `q`, `v` and `p` have shape (N, n) and `lam` has
+    shape (N, m): row k is the node (q_k, v_k, p_k, lambda_k) at time t_k.
+    At a step k that held a collision, row k's v and lam are the phase-A
+    boundary node and multipliers (`impacts[j].q_tilde`, `.lambda_A`).
+    `states` views the rows as `State` objects.  Built from a list of
+    states numbered 0..N-1, or by `from_columns`.
+    """
+
+    __slots__ = ("t", "q", "v", "p", "lam", "impacts", "h", "solver_stats")
+
+    def __init__(
+        self,
+        states: Sequence[State],
+        impacts: List[ImpactEvent],
+        h: float,
+        solver_stats: SolverStats,
+    ):
+        for k, st in enumerate(states):
+            if st.k != k:
+                raise ValueError(f"state {k} is numbered {st.k}; states must be 0..N-1")
+        columns = [
+            np.array([getattr(st, name) for st in states], dtype=float)
+            for name in ("t", "q", "v", "p", "lam")
+        ]
+        self._assign(*columns, impacts, h, solver_stats)
+
+    @classmethod
+    def from_columns(cls, t, q, v, p, lam, impacts, h, solver_stats) -> "Trajectory":
+        """A trajectory over the given columns (shapes as in the class doc)."""
+        traj = cls.__new__(cls)
+        traj._assign(t, q, v, p, lam, impacts, h, solver_stats)
+        return traj
+
+    def _assign(self, t, q, v, p, lam, impacts, h, solver_stats) -> None:
+        self.t, self.q, self.v, self.p, self.lam = t, q, v, p, lam
+        self.impacts = impacts
+        self.h = h
+        self.solver_stats = solver_stats
+
+    def _state(self, k: int) -> State:
+        """Node k as a `State` whose arrays view row k of the columns."""
+        return State(k, float(self.t[k]), self.q[k], self.v[k], self.p[k], self.lam[k])
+
+    @property
+    def states(self) -> StateRows:
+        return StateRows(self, range(len(self.t)))
 
 
 class MinusStepResult(NamedTuple):
@@ -500,6 +573,10 @@ def simulate(
     q_{k+1} = v_k before the smooth solve; a penetrating candidate is deleted
     and the impact is resolved instead (at most one collision per step, with
     the phase-A node replacing the deleted v_k in the stored trajectory).
+    The columns of the trajectory are allocated once, n_steps + 1 rows.
+
+    A typed error (NhviError) raised by step k carries node k, as it stood
+    before the step, as `exc.state`.
     """
     if t_final <= t0:
         raise ValueError("t_final must exceed t0")
@@ -510,33 +587,49 @@ def simulate(
         raise ValueError("time span must cover at least one step")
 
     q0, v0, p0 = initial_discretize(model, Ld.rule, q0_cont, v0_cont, h)
-    states = [State(k=0, t=t0, q=q0, v=v0, p=p0, lam=np.zeros(model.m_con))]
+    n_rows = n_steps + 1
+    t = np.empty(n_rows)
+    q = np.empty((n_rows, model.n))
+    v = np.empty((n_rows, model.n))
+    p = np.empty((n_rows, model.n))
+    lam = np.empty((n_rows, model.m_con))
+    state = State(k=0, t=t0, q=q0, v=v0, p=p0, lam=np.zeros(model.m_con))
+    t[0], q[0], v[0], p[0], lam[0] = t0, q0, v0, p0, state.lam
     impacts: List[ImpactEvent] = []
     stats = SolverStats()
     gap = model.boundary_gap
-    # states[k - 1] when step k - 1 was smooth, for the quadratic seed; None
-    # at k = 0 and after an impact, which rewrote that node's v and lam
+    # node k - 1 when step k - 1 was smooth, for the quadratic seed; None at
+    # k = 0 and after an impact, which rewrote that node's v and lam
     prev = None
 
-    for k in range(n_steps):
-        state = states[k]
-        if gap(state.v) < -GRAZING_TOL:
-            event, new_state, records = _resolve_impact_impl(
-                Ld, model, state.q, state.p, h, state.v, opts, k, state.t
-            )
-            # the penetrating v_k is deleted; the phase-A boundary node is
-            # the actual trajectory value of this slot
-            state.v = event.q_tilde
-            state.lam = event.lambda_A
-            impacts.append(event)
-            states.append(new_state)
-            for rec in records:
-                stats.record(*rec)
-            prev = None
-        else:
-            new_state, res = _step_plus_impl(Ld, model, state, h, opts, prev)
-            states.append(new_state)
-            stats.record(k, "step", res.iterations, res.residual_norm)
-            prev = state
+    try:
+        for k in range(n_steps):
+            if gap(state.v) < -GRAZING_TOL:
+                event, new_state, records = _resolve_impact_impl(
+                    Ld, model, state.q, state.p, h, state.v, opts, k, state.t
+                )
+                # the penetrating v_k is deleted; the phase-A boundary node
+                # is the actual trajectory value of this slot
+                v[k] = event.q_tilde
+                lam[k] = event.lambda_A
+                impacts.append(event)
+                for rec in records:
+                    stats.record(*rec)
+                prev = None
+            else:
+                new_state, res = _step_plus_impl(Ld, model, state, h, opts, prev)
+                stats.record(k, "step", res.iterations, res.residual_norm)
+                prev = state
+            i = k + 1
+            t[i] = new_state.t
+            q[i] = new_state.q
+            v[i] = new_state.v
+            p[i] = new_state.p
+            lam[i] = new_state.lam
+            state = new_state
+    except NhviError as exc:
+        # the last good node, as it stood before the failing step
+        exc.state = state
+        raise
 
-    return Trajectory(states=states, impacts=impacts, h=h, solver_stats=stats)
+    return Trajectory.from_columns(t, q, v, p, lam, impacts, h, stats)

@@ -19,6 +19,9 @@ from .discretization import DiscreteLagrangian
 from .geometry import MechanicalModel
 from .integrator import Trajectory
 
+# trajectory CSV rows formatted per write
+_CSV_BLOCK = 4096
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
@@ -32,7 +35,8 @@ def write_trajectory_csv(
     """One row per state: k, t, q, v, p, lambda, then the report's per-state
     columns E, c(q) and max_omega_residual (see `build_report`).
 
-    Impact nodes are not rows here; they go to the impacts file.
+    Impact nodes are not rows here; they go to the impacts file.  Rows are
+    formatted and written in blocks of _CSV_BLOCK, so memory stays bounded.
     """
     n = model.n
     columns = report.state_columns
@@ -44,18 +48,16 @@ def write_trajectory_csv(
         + [f"lambda{i}" for i in range(model.m_con)]
         + list(columns)
     )
-    lines = [",".join(header)]
-    for st, *values in zip(traj.states, *columns.values()):
-        cells = (
-            [str(st.k), _fmt(st.t)]
-            + [_fmt(x) for x in st.q]
-            + [_fmt(x) for x in st.v]
-            + [_fmt(x) for x in st.p]
-            + [_fmt(x) for x in st.lam]
-            + [_fmt(x) for x in values]
-        )
-        lines.append(",".join(cells))
-    Path(path).write_text("\r\n".join(lines) + "\r\n")
+    blocks = [traj.t[:, None], traj.q, traj.v, traj.p, traj.lam]
+    blocks += [c[:, None] for c in columns.values()]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(traj.t), _CSV_BLOCK):
+            rows = np.hstack([b[start : start + _CSV_BLOCK] for b in blocks]).tolist()
+            fh.write("".join(
+                f"{k},{','.join([_fmt(x) for x in row])}\r\n"
+                for k, row in enumerate(rows, start)
+            ))
 
 
 def write_impacts_csv(path, traj: Trajectory, model: MechanicalModel) -> None:
@@ -212,23 +214,18 @@ def write_plots(
     for kind in kinds:
         if kind == "energy":
             pts = energy_series(traj, Ld)
-            ts = np.array([t for t, _ in pts])
-            es = np.array([e for _, e in pts])
             svg = svg_line_chart(
-                [("", ts, es)], "Discrete energy", "t [s]", "E", width=720
+                [("", pts[:, 0], pts[:, 1])], "Discrete energy", "t [s]", "E", width=720
             )
         elif kind == "coordinates":
-            ts = np.array([st.t for st in traj.states])
-            qs = np.array([st.q for st in traj.states])
             series = [
-                (model.coordinate_names[i], ts, qs[:, i]) for i in range(model.n)
+                (model.coordinate_names[i], traj.t, traj.q[:, i]) for i in range(model.n)
             ]
             svg = svg_line_chart(series, "Configuration coordinates", "t [s]", "q")
         elif kind == "plane_trajectory":
             i, j = _PLANE_AXES[model.name]
-            qs = np.array([st.q for st in traj.states])
             svg = svg_line_chart(
-                [("", qs[:, i], qs[:, j])],
+                [("", traj.q[:, i], traj.q[:, j])],
                 "Planar trajectory",
                 model.coordinate_names[i],
                 model.coordinate_names[j],

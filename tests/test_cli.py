@@ -2,10 +2,18 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 
+import nhvi
 from nhvi.cli import bundled_config_path, main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 def read_csv_rows(path):
@@ -100,6 +108,40 @@ class TestRun:
         diagnostic = json.loads((out / "error.json").read_text())
         assert diagnostic["error"] == "InvalidInitialState"
         assert "admissible" in diagnostic["message"]
+        assert "state" not in diagnostic  # no step ran
+
+    @pytest.mark.parametrize("index, error", [
+        (121, "RootSelectionAmbiguous"),  # vertical-frame ellipse, step 7
+        (9, "NewtonFailure"),  # vertical-frame ellipse, impact-B at step 34
+    ])
+    def test_failed_step_replays_from_error_json(self, tmp_path, index, error):
+        kind, doc = workloads.bounce_config(1, index)
+        assert kind == "ellipse-vertical"
+        path = tmp_path / "member.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        diagnostic = json.loads((out / "error.json").read_text())
+        assert diagnostic["error"] == error
+        node = diagnostic["state"]
+        q, v, p, lam = (np.array(node[name], dtype=float) for name in ("q", "v", "p", "lam"))
+
+        cfg = nhvi.parse_config(path)
+        model = nhvi.build_model(cfg)
+        Ld = nhvi.make_discrete_lagrangian(model, cfg.rule)
+        with pytest.raises(getattr(nhvi, error)) as failure:
+            nhvi.simulate(Ld, model, np.array(cfg.q0), np.array(cfg.v0),
+                          cfg.t0, cfg.t_final, cfg.h, cfg.solver)
+        st = failure.value.state
+        # the JSON node is the simulated one, bit for bit
+        assert (node["k"], node["t"]) == (st.k, st.t)
+        for name, a in zip(("q", "v", "p", "lam"), (q, v, p, lam)):
+            npt.assert_array_equal(a, getattr(st, name))
+        # v is the penetrating candidate the failed impact resolution deleted
+        assert model.boundary_gap(v) < 0
+        with pytest.raises(getattr(nhvi, error)) as replay:
+            nhvi.resolve_impact(Ld, model, q, p, cfg.h, v, cfg.solver, node["k"], node["t"])
+        assert str(replay.value) == diagnostic["message"]
 
     @pytest.mark.parametrize("override, key", [
         (["--h", "1000"], "h"),  # longer than the 2 s span

@@ -6,6 +6,7 @@ from nhvi import (
     State,
     Trajectory,
     build_report,
+    discrete_energy,
     energy_series,
     make_discrete_lagrangian,
     simulate,
@@ -20,7 +21,28 @@ def single_state_trajectory(Ld, q, h):
     return Trajectory(states=[st], impacts=[], h=h, solver_stats=SolverStats())
 
 
+def reference_energy_series(traj, Ld):
+    """energy_series as a loop over the states: (t, E) tuples in time order."""
+    events = {ev.k: ev for ev in traj.impacts}
+    series = []
+    for st in traj.states:
+        ev = events.get(st.k)
+        s = traj.h if ev is None else ev.alpha * traj.h
+        series.append((st.t, discrete_energy(Ld, st.q, st.v, s)))
+        if ev is not None:
+            s_after = (1.0 - ev.alpha) * traj.h
+            series.append((ev.t_impact, discrete_energy(Ld, ev.q_tilde, ev.v_tilde, s_after)))
+    return series
+
+
 class TestEnergySeries:
+    def test_array_equals_per_state_reference(self, impact_runs):
+        for traj, Ld, _ in impact_runs:
+            series = energy_series(traj, Ld)
+            assert series.dtype == np.float64
+            assert series.shape == (len(traj.states) + len(traj.impacts), 2)
+            npt.assert_array_equal(series, reference_energy_series(traj, Ld))
+
     def test_single_state_at_rest(self, particle_mid):
         traj = single_state_trajectory(particle_mid, np.array([0.0, 1.0]), 0.1)
         series = energy_series(traj, particle_mid)

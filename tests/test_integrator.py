@@ -1,9 +1,13 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from nhvi import (
     State,
+    Trajectory,
     build_report,
     discrete_energy,
     initial_discretize,
@@ -16,7 +20,7 @@ from nhvi import (
 )
 from nhvi.cli import bundled_config_path
 from nhvi.config import build_model, parse_config
-from nhvi.integrator import _step_plus_impl
+from nhvi.integrator import SolverStats, _step_plus_impl
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
 from tests.conftest import PENDULUM_Q0, PENDULUM_V0
 
@@ -298,6 +302,90 @@ class TestSimulate:
         for phase, residual in zip(traj.solver_stats.phases, traj.solver_stats.residuals):
             assert residual <= 1e-10, phase
         assert traj.solver_stats.phases.count("impact-A") == len(traj.impacts)
+
+
+def assert_state_equal(a, b):
+    assert (a.k, a.t) == (b.k, b.t)
+    for name in ("q", "v", "p", "lam"):
+        npt.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestTrajectoryColumns:
+    """simulate stores float64 columns, one row per node k; `states` views
+    the rows as State objects."""
+
+    def test_memory_per_stored_state(self, pendulum, pendulum_left):
+        # 5000 steps of the pendulum_long configuration: the columns and the
+        # solver records keep about 100 B per state
+        gc.collect()
+        tracemalloc.start()
+        try:
+            traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 0.5, 1e-4)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == 5001
+        assert kept / len(traj.states) <= 160
+
+    def test_states_view_reads_rows_bitwise(self, pendulum, pendulum_left):
+        traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, 1e-3)
+        states = traj.states
+        assert len(states) == len(traj.t) == 1501
+        assert traj.q.shape == traj.v.shape == traj.p.shape == (1501, 2)
+        assert traj.lam.shape == (1501, 1)
+        for k, st in enumerate(states):
+            assert st.k == k and st.t == traj.t[k]
+            for name in ("q", "v", "p", "lam"):
+                npt.assert_array_equal(getattr(st, name), getattr(traj, name)[k])
+        assert_state_equal(states[-1], states[1500])
+        tail = states[1495::2]
+        assert len(tail) == 3
+        assert [st.k for st in tail] == [1495, 1497, 1499]
+        assert [st.k for st in tail[::-1]] == [1499, 1497, 1495]
+        assert_state_equal(tail[1], states[1497])
+        with pytest.raises(IndexError):
+            states[1501]
+
+    def test_impact_rewrites_row(self, pendulum, pendulum_left):
+        traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 5.0, 1e-3)
+        assert len(traj.impacts) == 3
+        for ev in traj.impacts:
+            npt.assert_array_equal(traj.v[ev.k], ev.q_tilde)
+            npt.assert_array_equal(traj.lam[ev.k], ev.lambda_A)
+            npt.assert_array_equal(traj.q[ev.k + 1], ev.v_tilde)
+
+    def test_built_from_state_list(self, particle, particle_mid):
+        traj = simulate(
+            particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]), 0.0, 1.0, 1e-2
+        )
+        states = list(traj.states)
+        rebuilt = Trajectory(states=states, impacts=traj.impacts, h=traj.h,
+                             solver_stats=traj.solver_stats)
+        assert len(rebuilt.states) == len(states) == 101
+        for a, b in zip(rebuilt.states, states):
+            assert_state_equal(a, b)
+        for name in ("t", "q", "v", "p", "lam"):
+            npt.assert_array_equal(getattr(rebuilt, name), getattr(traj, name))
+        with pytest.raises(ValueError):
+            Trajectory(states=states[1:], impacts=[], h=traj.h, solver_stats=SolverStats())
+
+    def test_error_carries_last_good_node(self, particle, particle_mid):
+        # a one-iteration Newton budget stalls the first impact-A solve
+        from nhvi import NewtonFailure, NewtonOptions
+
+        h = 1e-2
+        opts = NewtonOptions(max_iter=1)
+        with pytest.raises(NewtonFailure) as failure:
+            simulate(particle_mid, particle, np.array([0.0, 1.0]), np.zeros(2), 0.0, 1.0, h, opts)
+        st = failure.value.state
+        traj = simulate(particle_mid, particle, np.array([0.0, 1.0]), np.zeros(2), 0.0, 1.0, h)
+        k = traj.impacts[0].k
+        assert (failure.value.k, st.k) == (k, k)
+        # node k as it stood before the impact rewrote its v and lam
+        npt.assert_array_equal(st.q, traj.q[k])
+        npt.assert_array_equal(st.p, traj.p[k])
+        assert particle.boundary_gap(st.v) < 0
 
 
 class TestEdgeSlopeVariant:
