@@ -13,9 +13,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from .discretization import DiscreteLagrangian, discrete_energy, omega_dplus
+from .discretization import DiscreteLagrangian, discrete_energy
 from .geometry import MechanicalModel
-from .integrator import Trajectory, _impact_a_residual, _impact_b_residual, _step_system
+from .integrator import Trajectory, _impact_a_system, _impact_b_system, _step_system
 from .numerics import _norm
 
 
@@ -45,17 +45,6 @@ class RunReport:
         }
 
 
-def _substeps(traj: Trajectory) -> List[float]:
-    """Sub-step ending each row: a row whose step held a collision ends the
-    pre-impact sub-step alpha*h (its impact node starts (1-alpha)*h); any
-    other row ends a full step h."""
-    h = traj.h
-    steps = [h] * len(traj.t)
-    for ev in traj.impacts:  # row ev.k ends the step that held ev
-        steps[ev.k] = ev.alpha * h
-    return steps
-
-
 def _node_samples(traj: Trajectory) -> np.ndarray:
     """Mask of the node samples in the energy series: each impact sample sits
     right after the node of its step, so node k follows the nodes and impact
@@ -65,34 +54,33 @@ def _node_samples(traj: Trajectory) -> np.ndarray:
     return mask
 
 
-def _omega_residual(model: MechanicalModel, q, v, s) -> float:
-    return float(np.abs(omega_dplus(model, q, v, s)).max())
+def _omega_residual(model: MechanicalModel, q, w) -> float:
+    """Largest |omega(q) w| over the constraints, at discrete velocity w."""
+    return float(np.abs(model.omega(q) @ w).max())
 
 
 def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> np.ndarray:
     """Discrete energy -d3 at every trajectory node, impact nodes included.
 
     Returns an (N + impacts, 2) float64 array of (t, E) rows in time order.
-    Nodes whose step contained a collision are evaluated on their actual
-    sub-step alpha*h, and the boundary node contributes an extra sample at
-    the impact time with sub-step (1-alpha)*h, right after that node.
+    Node k is -d3(q_k, v_k, h), or -d3_w(q_k, w_in, alpha h) when its step
+    held a collision; then the boundary node adds the sample
+    -d3_w(q~, w_out, (1-alpha) h) at the impact time, right after node k.
     """
     n = len(traj.t)
     if not n:
         raise ValueError("trajectory has no states")
     h = traj.h
     impacts = traj.impacts
+    energies = np.fromiter(map(discrete_energy, repeat(Ld), traj.q, traj.v, repeat(h)), float, n)
     series = np.empty((n + len(impacts), 2))
+    for j, ev in enumerate(impacts):
+        energies[ev.k] = -Ld.d3_w(traj.q[ev.k], ev.w_in, ev.alpha * h)
+        e_out = -Ld.d3_w(ev.q_tilde, ev.w_out, (1.0 - ev.alpha) * h)
+        series[ev.k + j + 1] = ev.t_impact, e_out
     nodes = _node_samples(traj)
     series[nodes, 0] = traj.t
-    series[nodes, 1] = np.fromiter(
-        map(discrete_energy, repeat(Ld), traj.q, traj.v, _substeps(traj)), float, n
-    )
-    for j, ev in enumerate(impacts):
-        series[ev.k + j + 1] = (
-            ev.t_impact,
-            discrete_energy(Ld, ev.q_tilde, ev.v_tilde, (1.0 - ev.alpha) * h),
-        )
+    series[nodes, 1] = energies
     return series
 
 
@@ -112,12 +100,13 @@ def build_report(
     if model.m_con:
         h = traj.h
         omega_res = np.fromiter(
-            map(_omega_residual, repeat(model), traj.q, traj.v, _substeps(traj)), float, n
+            (_omega_residual(model, q, (v - q) / h) for q, v in zip(traj.q, traj.v)), float, n
         )
-        post_res = [
-            _omega_residual(model, ev.q_tilde, ev.v_tilde, (1.0 - ev.alpha) * h)
-            for ev in traj.impacts
-        ]
+        # impact rows read the discrete velocities phases A and B solved for
+        post_res = []
+        for ev in traj.impacts:
+            omega_res[ev.k] = _omega_residual(model, traj.q[ev.k], ev.w_in)
+            post_res.append(_omega_residual(model, ev.q_tilde, ev.w_out))
         # no solve produced the initial state; the impact nodes count too
         max_residual = max(0.0, float(omega_res[1:].max(initial=0.0)), *post_res)
 
@@ -154,13 +143,14 @@ def recompute_solve_residuals(
 ) -> np.ndarray:
     """Re-evaluate every recorded solve residual from the stored trajectory.
 
-    Returns one infinity norm per solver_stats entry.  "step" and "impact-D"
-    records re-evaluate the residual the solver itself drove to zero, and
-    impact-A/B records the phase equations at the stored event, so each
-    value equals the stored one bitwise.  The one exception is the record
-    just before each "impact-A": that solve produced the v_k the impact
-    deleted, so nothing stored can reproduce it and its stored value is
-    returned.  (An impact at k = 0 has no earlier record.)
+    Returns one infinity norm per solver_stats entry, each evaluated by the
+    builder of the system its solver drove to zero, at the stored solution
+    ([v, lam] of row k + 1, or the event's [alpha, w_in, lambda_A] and
+    [w_out, lambda_B]), so each value equals the stored one bitwise.  The
+    one exception is the record just before each "impact-A": that solve
+    produced the v_k the impact deleted, so nothing stored can reproduce it
+    and its stored value is returned.  (An impact at k = 0 has no earlier
+    record.)
     """
     h = traj.h
     stats = traj.solver_stats
@@ -176,9 +166,16 @@ def recompute_solve_residuals(
             residual, _ = _step_system(Ld, model, q[j], p[j], h)
             out[i] = _norm(residual(np.concatenate([v[j], lam[j]])))
         elif phase == "impact-A":
-            out[i] = _impact_a_residual(Ld, model, q[k], p[k], events[k], h)
+            ev = events[k]
+            residual = _impact_a_system(Ld, model, q[k], p[k], h)
+            out[i] = _norm(residual(np.concatenate([[ev.alpha], ev.w_in, ev.lambda_A])))
         elif phase == "impact-B":
-            out[i] = _impact_b_residual(Ld, model, q[k], events[k], h)
+            ev = events[k]
+            ET = np.asarray(model.tangent_basis(ev.q_tilde), dtype=float).T
+            d3_pre = Ld.d3_w(q[k], ev.w_in, ev.alpha * h)
+            s2 = (1.0 - ev.alpha) * h
+            residual = _impact_b_system(Ld, model, ev.q_tilde, ET, ev.p_tilde, d3_pre, s2)
+            out[i] = _norm(residual(np.concatenate([ev.w_out, ev.lambda_B])))
         else:
             raise ValueError(f"unknown solver phase {phase!r}")
     return out

@@ -178,9 +178,11 @@ def svg_line_chart(
     )
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(
-            f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys)
-        )
+        # sx/sy map whole columns: numpy applies the same operations in the
+        # same order per element, so the pixels equal the per-point values
+        px = sx(np.asarray(xs, dtype=float)).tolist()
+        py = sy(np.asarray(ys, dtype=float)).tolist()
+        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(px, py)])
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

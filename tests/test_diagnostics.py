@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from nhvi import (
+    PendulumParams,
     State,
     Trajectory,
     build_report,
@@ -13,6 +14,7 @@ from nhvi import (
 )
 from nhvi.diagnostics import recompute_solve_residuals
 from nhvi.integrator import SolverStats
+from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
 from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
 
 
@@ -22,16 +24,19 @@ def single_state_trajectory(Ld, q, h):
 
 
 def reference_energy_series(traj, Ld):
-    """energy_series as a loop over the states: (t, E) tuples in time order."""
+    """energy_series as a loop over the states: (t, E) tuples in time order.
+    The node of an impact step and its impact node are read at the discrete
+    velocities w_in and w_out of the event."""
     events = {ev.k: ev for ev in traj.impacts}
     series = []
     for st in traj.states:
         ev = events.get(st.k)
-        s = traj.h if ev is None else ev.alpha * traj.h
-        series.append((st.t, discrete_energy(Ld, st.q, st.v, s)))
-        if ev is not None:
+        if ev is None:
+            series.append((st.t, discrete_energy(Ld, st.q, st.v, traj.h)))
+        else:
+            series.append((st.t, -Ld.d3_w(st.q, ev.w_in, ev.alpha * traj.h)))
             s_after = (1.0 - ev.alpha) * traj.h
-            series.append((ev.t_impact, discrete_energy(Ld, ev.q_tilde, ev.v_tilde, s_after)))
+            series.append((ev.t_impact, -Ld.d3_w(ev.q_tilde, ev.w_out, s_after)))
     return series
 
 
@@ -156,3 +161,43 @@ class TestIntegratorHonesty:
             before_impact = [i - 1 for i, p in enumerate(stats.phases) if p == "impact-A"]
             assert echoed.tolist() == before_impact
             assert len(before_impact) == len(traj.impacts)
+
+    def test_events_rebuild_from_discrete_velocities(self, impact_runs):
+        for traj, Ld, _ in impact_runs:
+            h = traj.h
+            energies = energy_series(traj, Ld)[:, 1]
+            for j, ev in enumerate(traj.impacts):
+                npt.assert_array_equal(ev.q_tilde, traj.q[ev.k] + (ev.alpha * h) * ev.w_in)
+                npt.assert_array_equal(
+                    ev.v_tilde, ev.q_tilde + ((1.0 - ev.alpha) * h) * ev.w_out
+                )
+                # node k sits after the j earlier impact samples
+                jump = abs(energies[ev.k + j + 1] - energies[ev.k + j])
+                assert jump == ev.energy_jump
+
+
+@pytest.mark.parametrize(
+    "theta0, theta_dot0",
+    [
+        (2.76248672792131, -1.3712903728193908),  # one impact, alpha = 2.41e-3
+        (2.8224609252640556, -2.469413687402394),  # one impact, alpha = 0.9967
+    ],
+)
+def test_short_impact_substep_residuals_within_tol(pendulum, pendulum_left, theta0, theta_dot0):
+    """An impact sub-step alpha h or (1 - alpha) h of a few microseconds: the
+    report and the solver records read the solved equations, not the
+    cancellation of (v - q)/s, so both stay within the Newton tolerance."""
+    f = PendulumParams().f
+    traj = simulate(
+        pendulum_left,
+        pendulum,
+        np.array([theta0, 0.0]),
+        np.array([theta_dot0, f(theta0) * theta_dot0]),
+        0.0,
+        0.6,
+        1e-3,
+    )
+    assert len(traj.impacts) == 1
+    rep = build_report(traj, pendulum_left, pendulum)
+    assert rep.max_constraint_residual <= 1e-10
+    assert max(traj.solver_stats.residuals) <= DEFAULT_NEWTON_OPTIONS.tol

@@ -37,17 +37,23 @@ class TestTrajectoryCsv:
         assert len(traj.impacts) >= 1
         assert len(rows) == len(traj.states)
 
-        alphas = {ev.k: ev.alpha for ev in traj.impacts}
+        # a row whose step held an impact is read at the event's w_in on alpha*h
+        events = {ev.k: ev for ev in traj.impacts}
         for row, st in zip(rows, traj.states):
             assert int(row["k"]) == st.k
-            s = alphas[st.k] * traj.h if st.k in alphas else traj.h
-            omega = np.max(np.abs(omega_dplus(model, st.q, st.v, s)))
-            assert row["E"] == _fmt(discrete_energy(Ld, st.q, st.v, s)), st.k
+            ev = events.get(st.k)
+            if ev is None:
+                energy = discrete_energy(Ld, st.q, st.v, traj.h)
+                omega = np.max(np.abs(omega_dplus(model, st.q, st.v, traj.h)))
+            else:
+                energy = -Ld.d3_w(st.q, ev.w_in, ev.alpha * traj.h)
+                omega = np.max(np.abs(model.omega(st.q) @ ev.w_in))
+            assert row["E"] == _fmt(energy), st.k
             assert row["c"] == _fmt(model.boundary_gap(st.q)), st.k
             assert row["max_omega_residual"] == _fmt(omega), st.k
 
-        # the impact rows are evaluated on alpha*h, and h would differ there
-        for k, alpha in alphas.items():
+        # h in place of the impact row's sub-step would differ there
+        for k in events:
             st = traj.states[k]
             assert rows[k]["E"] != _fmt(discrete_energy(Ld, st.q, st.v, traj.h))
 

@@ -1,19 +1,26 @@
 """Bit-identity digests of nhvi's numerical results.
 
-Prints three SHA-256 digests, one per line:
+Prints five SHA-256 digests, one per line:
 
-    bounce    the bounce corpus: bench/workloads.py `bounce_config` seeds 1-2,
-              every member (768 runs of particle, ellipse and star bodies);
-    pendulum  the pendulum_long benchmark configuration (criterion-4
-              pendulum, h = 1e-4, 20 000 steps);
-    demos     every file `nhvi demo NAME --out DIR` writes for the bundled
-              particle, ellipse and pendulum demos (CSV, summary and SVG).
+    bounce-solution    the bounce corpus: bench/workloads.py `bounce_config`
+    bounce-derived     seeds 1-2, every member (768 runs of particle, ellipse
+                       and star bodies);
+    pendulum-solution  the pendulum_long benchmark configuration (criterion-4
+    pendulum-derived   pendulum, h = 1e-4, 20 000 steps);
+    demos              every file `nhvi demo NAME --out DIR` writes for the
+                       bundled particle, ellipse and pendulum demos (CSV,
+                       summary and SVG).
 
-Each run contributes its stored states, impact events, solver statistics,
-`build_report`, `recompute_solve_residuals`, or, when `simulate` raises a
-typed error, that error's type and message.  Floats enter as their IEEE-754
-bytes, so equal digests mean bitwise-equal results.  Each demo contributes
-its exit code and the name and bytes of every file it wrote.
+Each run feeds two digests.  Its solution is the stored states, the impact
+events (k, alpha, t_impact, compat_residual, energy_jump, q_tilde, v_tilde,
+p_tilde, lambda_A, lambda_B), the solver records' steps, phases and
+iterations, or, when `simulate` raises a typed error, that error's type and
+message.  Its derived numbers are the solver records' residuals,
+`build_report` and `recompute_solve_residuals`.  A change to diagnostics
+alone moves the derived lines and leaves the solution lines equal.  Floats
+enter as their IEEE-754 bytes, so equal digests mean bitwise-equal results.
+Each demo contributes its exit code and the name and bytes of every file it
+wrote.
 
 Run it from a checkout, and once more against another checkout to compare:
 
@@ -78,8 +85,9 @@ class Digest:
         return self.h.hexdigest()
 
 
-def digest_run(d: Digest, nhvi, doc: dict) -> bool:
-    """Simulate one configuration document into `d`; False if it raised."""
+def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict) -> bool:
+    """Simulate one configuration document into the two digests; False if
+    it raised."""
     cfg = nhvi.config_from_dict(doc)
     model = nhvi.build_model(cfg)
     Ld = nhvi.make_discrete_lagrangian(model, cfg.rule)
@@ -87,31 +95,31 @@ def digest_run(d: Digest, nhvi, doc: dict) -> bool:
         traj = nhvi.simulate(Ld, model, np.array(cfg.q0), np.array(cfg.v0),
                              cfg.t0, cfg.t_final, cfg.h, cfg.solver)
     except nhvi.NhviError as exc:
-        d.text(f"error {type(exc).__name__}: {exc}")
+        solution.text(f"error {type(exc).__name__}: {exc}")
         return False
-    d.text(f"states {len(traj.states)}")
+    solution.text(f"states {len(traj.states)}")
     for st in traj.states:
-        d.ints([st.k])
-        d.floats([st.t])
+        solution.ints([st.k])
+        solution.floats([st.t])
         for a in (st.q, st.v, st.p, st.lam):
-            d.floats(a)
-    d.text(f"impacts {len(traj.impacts)}")
+            solution.floats(a)
+    solution.text(f"impacts {len(traj.impacts)}")
     for ev in traj.impacts:
-        d.ints([ev.k])
-        d.floats([ev.alpha, ev.t_impact, ev.compat_residual, ev.energy_jump])
+        solution.ints([ev.k])
+        solution.floats([ev.alpha, ev.t_impact, ev.compat_residual, ev.energy_jump])
         for a in (ev.q_tilde, ev.v_tilde, ev.p_tilde, ev.lambda_A, ev.lambda_B):
-            d.floats(a)
+            solution.floats(a)
     stats = traj.solver_stats
-    d.ints(stats.ks)
+    solution.ints(stats.ks)
     # older checkouts flag the record an impact deleted with a "-rejected"
     # suffix; that record is derivable (the one before each impact-A), so
     # hashing the bare phase keeps digests comparable across checkouts
-    d.text(",".join(p.removesuffix("-rejected") for p in stats.phases))
-    d.ints(stats.iterations)
-    d.floats(stats.residuals)
+    solution.text(",".join(p.removesuffix("-rejected") for p in stats.phases))
+    solution.ints(stats.iterations)
+    derived.floats(stats.residuals)
     # json writes floats as their shortest round-trip repr, so this is exact
-    d.text(json.dumps(nhvi.build_report(traj, Ld, model).to_dict(), sort_keys=True))
-    d.floats(nhvi.diagnostics.recompute_solve_residuals(traj, Ld, model))
+    derived.text(json.dumps(nhvi.build_report(traj, Ld, model).to_dict(), sort_keys=True))
+    derived.floats(nhvi.diagnostics.recompute_solve_residuals(traj, Ld, model))
     return True
 
 
@@ -137,24 +145,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     nhvi, workloads = import_checkout(args.root.resolve())
 
-    bounce = Digest()
+    bounce, bounce_derived = Digest(), Digest()
     unsolved = 0
     members = 0
     for seed in SEEDS:
         for index in range(workloads.BOUNCE_MEMBERS):
             _, doc = workloads.bounce_config(seed, index)
-            bounce.text(f"member {seed} {index}")
-            unsolved += not digest_run(bounce, nhvi, doc)
+            for d in (bounce, bounce_derived):
+                d.text(f"member {seed} {index}")
+            unsolved += not digest_run(bounce, bounce_derived, nhvi, doc)
             members += 1
-    print(f"bounce   {bounce.hexdigest()}  ({members} members, {unsolved} unsolved)")
+    print(f"bounce-solution    {bounce.hexdigest()}  ({members} members, {unsolved} unsolved)")
+    print(f"bounce-derived     {bounce_derived.hexdigest()}")
 
-    pendulum = Digest()
-    solved = digest_run(pendulum, nhvi, workloads.pendulum_config())
-    print(f"pendulum {pendulum.hexdigest()}  ({'solved' if solved else 'unsolved'})")
+    pendulum, pendulum_derived = Digest(), Digest()
+    solved = digest_run(pendulum, pendulum_derived, nhvi, workloads.pendulum_config())
+    print(f"pendulum-solution  {pendulum.hexdigest()}  ({'solved' if solved else 'unsolved'})")
+    print(f"pendulum-derived   {pendulum_derived.hexdigest()}")
 
     demos = Digest()
     files = digest_demos(demos, nhvi.cli, workloads.DEMOS)
-    print(f"demos    {demos.hexdigest()}  ({len(workloads.DEMOS)} demos, {files} files)")
+    print(f"demos              {demos.hexdigest()}  ({len(workloads.DEMOS)} demos, {files} files)")
     return 0
 
 
