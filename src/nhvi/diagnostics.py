@@ -88,9 +88,16 @@ def build_report(
     traj: Trajectory, Ld: DiscreteLagrangian, model: MechanicalModel
 ) -> RunReport:
     """Aggregate energy behavior, constraint residuals and solver statistics."""
-    energies = energy_series(traj, Ld)[:, 1]
-    e0 = float(energies[0])
-    drift = float(np.max(np.abs(energies - e0))) / max(1.0, abs(e0))
+    series = energy_series(traj, Ld)
+    e0 = float(series[0, 1])
+    e_final = float(series[-1, 1])
+    # max |E - e0| from the extremes of E: rounding is monotone, so this is
+    # bitwise the elementwise maximum, without full-length temporaries
+    e_max = float(series[:, 1].max())
+    e_min = float(series[:, 1].min())
+    drift = max(e_max - e0, e0 - e_min) / max(1.0, abs(e0))
+    node_energies = series[_node_samples(traj), 1]
+    del series
 
     # the columns are float64 arrays: lists of floats would keep ~100 B per state
     n = len(traj.t)
@@ -110,28 +117,30 @@ def build_report(
         # no solve produced the initial state; the impact nodes count too
         max_residual = max(0.0, float(omega_res[1:].max(initial=0.0)), *post_res)
 
+    # integer sums are exact, so these means equal np.mean bitwise without
+    # a per-record copy of the columns
     iters = traj.solver_stats.iterations
-    step_iters = [
-        it for it, phase in zip(iters, traj.solver_stats.phases) if phase == "step"
-    ]
+    phases = traj.solver_stats.phases
+    step_count = phases.count("step")
+    step_total = sum(it for it, phase in zip(iters, phases) if phase == "step")
     stats = {
-        "mean": float(np.mean(iters)) if iters else 0.0,
+        "mean": sum(iters) / len(iters) if iters else 0.0,
         "max": float(max(iters)) if iters else 0.0,
         # smooth steps only: how well the predictor seeds the step solve
-        "step_mean": float(np.mean(step_iters)) if step_iters else 0.0,
+        "step_mean": step_total / step_count if step_count else 0.0,
     }
 
     return RunReport(
         impact_count=len(traj.impacts),
         impact_times=[ev.t_impact for ev in traj.impacts],
         energy_initial=e0,
-        energy_final=float(energies[-1]),
+        energy_final=e_final,
         energy_drift_rel=drift,
         max_constraint_residual=max_residual,
         min_boundary_gap=float(min(gap)),
         newton_iter_stats=stats,
         state_columns={
-            "E": energies[_node_samples(traj)],
+            "E": node_energies,
             "c": gap,
             "max_omega_residual": omega_res,
         },
@@ -174,7 +183,7 @@ def recompute_solve_residuals(
             ET = np.asarray(model.tangent_basis(ev.q_tilde), dtype=float).T
             d3_pre = Ld.d3_w(q[k], ev.w_in, ev.alpha * h)
             s2 = (1.0 - ev.alpha) * h
-            residual = _impact_b_system(Ld, model, ev.q_tilde, ET, ev.p_tilde, d3_pre, s2)
+            residual, _ = _impact_b_system(Ld, model, ev.q_tilde, ET, ev.p_tilde, d3_pre, s2)
             out[i] = _norm(residual(np.concatenate([ev.w_out, ev.lambda_B])))
         else:
             raise ValueError(f"unknown solver phase {phase!r}")

@@ -35,7 +35,9 @@ class DiscreteLagrangian:
 
     When the model carries Hessian blocks, `d1_dv` provides the analytic
     Jacobian of d1 with respect to the second configuration slot, which the
-    integrator uses to build exact Newton Jacobians for smooth steps.
+    integrator uses to build exact Newton Jacobians for smooth steps, and
+    `d13_dw` the Jacobians of d1_w and d3_w with respect to the discrete
+    velocity, for the phase-B impact solve.  Both are None without d2L.
     """
 
     def __init__(self, model: MechanicalModel, rule: str):
@@ -131,6 +133,14 @@ class DiscreteLagrangian:
                     lqq, lqv, lvv = hess(mid, w)
                     return 0.25 * h * lqq + 0.5 * lqv - 0.5 * lqv.T - lvv / h
 
+                def _d13_dw(q, w, h):
+                    half = 0.5 * h
+                    mid = q + half * w
+                    lqq, lqv, lvv = hess(mid, w)
+                    dd1 = (half * half) * lqq + half * (lqv - lqv.T) - lvv
+                    dd3 = half * Lq(mid, w) - half * (lqv @ w) - lvv @ w
+                    return dd1, dd3
+
             else:
 
                 def _d1_dv(q, v, h):
@@ -138,9 +148,17 @@ class DiscreteLagrangian:
                     lqq, lqv, lvv = hess(q, w)
                     return lqv - lvv / h
 
+                def _d13_dw(q, w, h):
+                    lqq, lqv, lvv = hess(q, w)
+                    return h * lqv - lvv, -(lvv @ w)
+
             self.d1_dv = _d1_dv
+            # (d d1_w/dw, d d3_w/dw) at (q, w, h): the velocity-form
+            # Jacobians of the phase-B impact solve, no (v - q)/h formed
+            self.d13_dw = _d13_dw
         else:
             self.d1_dv = None
+            self.d13_dw = None
 
 
 def make_discrete_lagrangian(model: MechanicalModel, rule: str) -> DiscreteLagrangian:

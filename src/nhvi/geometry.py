@@ -36,7 +36,8 @@ class MechanicalModel:
     Callable fields take/return plain float64 arrays.  `d2L`, when present,
     returns the Hessian blocks (Lqq, Lqv, Lvv) of the Lagrangian, where
     Lqv[i, j] = d(dL/dq_i)/dv_j; the integrator uses them to assemble
-    analytic Newton Jacobians for the smooth steps.
+    analytic Newton Jacobians for the smooth steps and the phase-B impact
+    solve.
     """
 
     name: str

@@ -371,8 +371,9 @@ def _impact_a_system(Ld, model, q_k, p_k, h):
 
 
 def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
-    """Residual of the phase-B equations (module doc) over the unknown
-    z = [w_out, lambda_B], on the second sub-step s2 = (1 - alpha) h."""
+    """Residual and (when available) analytic Jacobian of the phase-B
+    equations (module doc) over the unknown z = [w_out, lambda_B], on the
+    second sub-step s2 = (1 - alpha) h."""
     n = model.n
     m = model.m_con
     om_t = model.omega(q_tilde)
@@ -390,7 +391,22 @@ def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
             r[n:] = om_t @ u
         return r
 
-    return residual_b
+    jac_b = None
+    if Ld.d13_dw is not None:
+        d13_dw = Ld.d13_dw
+        # the lambda columns and constraint rows are constant over the solve
+        J0 = np.zeros((n + m, n + m))
+        J0[1:n, n:] = -(ET @ omT_t)
+        J0[n:, :n] = om_t
+
+        def jac_b(z):
+            dd1, dd3 = d13_dw(q_tilde, z[:n], s2)
+            J = J0.copy()
+            J[0, :n] = -dd3
+            J[1:n, :n] = ET @ dd1
+            return J
+
+    return residual_b, jac_b
 
 
 def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
@@ -425,7 +441,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     compat_residual = _norm(push_cotangent(frame, p_tilde) - d2_pre)
     d3_pre = Ld.d3_w(q_k, w_in, s1)
     s2 = (1.0 - alpha) * h
-    residual_b = _impact_b_system(Ld, model, q_tilde, frame.E.T, p_tilde, d3_pre, s2)
+    residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.E.T, p_tilde, d3_pre, s2)
     nhat = frame.normal / np.linalg.norm(frame.normal)
     w_refl = w_in - 2.0 * float(nhat @ w_in) * nhat
     # The reflected guess selects the bouncing energy root for unconstrained
@@ -436,7 +452,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     rates = []
     for w_guess in (w_refl, -w_in):
         z0 = np.concatenate([w_guess, np.zeros(m)])
-        res_b = newton_solve(residual_b, z0, opts)
+        res_b = newton_solve(residual_b, z0, opts, jac_b)
         if not res_b.converged:
             continue
         w_out = res_b.x[:n]

@@ -6,6 +6,7 @@ from nhvi import (
     ParticleParams,
     PendulumParams,
     Se2BodyParams,
+    StarShape,
     make_discrete_lagrangian,
     make_particle,
     make_pendulum,
@@ -43,6 +44,11 @@ def ellipse_body_edge_slope():
     return make_se2_body(
         Se2BodyParams(shape=EllipseShape(a=1.0, b=0.5), contact_frame="edge-slope")
     )
+
+
+@pytest.fixture
+def star_body():
+    return make_se2_body(Se2BodyParams(shape=StarShape(l=1.0), inertia=0.5))
 
 
 @pytest.fixture

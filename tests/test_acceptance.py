@@ -192,6 +192,15 @@ def test_criterion_09_constraint_suite(pendulum_mod, pendulum_left_mod, pendulum
                 ),
             )
         assert worst <= 1e-10
+        # the constraint rows phases A and B solve, at their discrete velocities
+        worst_w = 0.0
+        for ev in traj.impacts:
+            worst_w = max(
+                worst_w,
+                np.max(np.abs(pendulum_mod.omega(traj.q[ev.k]) @ ev.w_in)),
+                np.max(np.abs(pendulum_mod.omega(ev.q_tilde) @ ev.w_out)),
+            )
+        assert traj.impacts and worst_w <= 1e-10
 
 
 def test_criterion_10_reversibility_suite():

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -201,3 +204,21 @@ def test_short_impact_substep_residuals_within_tol(pendulum, pendulum_left, thet
     rep = build_report(traj, pendulum_left, pendulum)
     assert rep.max_constraint_residual <= 1e-10
     assert max(traj.solver_stats.residuals) <= DEFAULT_NEWTON_OPTIONS.tol
+
+
+def test_build_report_transient_memory(pendulum, pendulum_left):
+    """On the pendulum_long benchmark trajectory (20 000 steps, one impact)
+    build_report keeps its three float64 state columns (24 B per node) and
+    frees the energy series before it builds the others."""
+    traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 2.0, 1e-4)
+    nodes = len(traj.t)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = build_report(traj, pendulum_left, pendulum)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.impact_count == 1
+    assert kept / nodes <= 30
+    assert peak / nodes <= 40

@@ -99,6 +99,39 @@ class TestDerivativeConsistency:
             fd = fd_jacobian(lambda x: Ld.d1(q, x, h), v, 1e-7)
             assert np.max(np.abs(fd - Ld.d1_dv(q, v, h))) < 1e-5
 
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    @pytest.mark.parametrize(
+        "model_fixture",
+        ["particle", "ellipse_body", "ellipse_body_edge_slope", "star_body", "pendulum"],
+    )
+    def test_d13_dw_matches_central_differences(self, model_fixture, rule, rng, request):
+        # the phase-B Jacobian blocks, down to impact sub-steps of 1e-7
+        from nhvi import fd_jacobian
+
+        model = request.getfixturevalue(model_fixture)
+        Ld = make_discrete_lagrangian(model, rule)
+        worst = 0.0
+        for s in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+            for q in sample_interior_points(model, 10, rng):
+                w = rng.uniform(-3.0, 3.0, model.n)
+                dd1, dd3 = Ld.d13_dw(q, w, s)
+                fd1 = fd_jacobian(lambda x: Ld.d1_w(q, x, s), w, 1e-7)
+                fd3 = fd_jacobian(lambda x: np.array([Ld.d3_w(q, x, s)]), w, 1e-7)[0]
+                assert dd1.shape == (model.n, model.n) and dd3.shape == (model.n,)
+                scale = max(1.0, np.max(np.abs(fd1)), np.max(np.abs(fd3)))
+                err = max(np.max(np.abs(dd1 - fd1)), np.max(np.abs(dd3 - fd3)))
+                worst = max(worst, err / scale)
+        # central differences at eps = 1e-7 read about 5e-8 here
+        assert worst <= 1e-6
+
+    def test_d13_dw_absent_without_hessian(self, particle):
+        import dataclasses
+
+        model = dataclasses.replace(particle, d2L=None)
+        for rule in ("midpoint", "retraction-left"):
+            Ld = make_discrete_lagrangian(model, rule)
+            assert Ld.d1_dv is None and Ld.d13_dw is None
+
 
 class TestConstraintMaps:
     def test_constraint_satisfying_displacement(self, pendulum):

@@ -18,10 +18,17 @@ from nhvi import (
     step_minus,
     step_plus,
 )
+from nhvi import numerics
 from nhvi.cli import bundled_config_path
 from nhvi.config import build_model, parse_config
-from nhvi.integrator import SolverStats, _step_plus_impl
-from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
+from nhvi.integrator import (
+    SolverStats,
+    _impact_b_system,
+    _resolve_impact_impl,
+    _step_plus_impl,
+)
+from nhvi.models import sample_boundary_points
+from nhvi.numerics import DEFAULT_NEWTON_OPTIONS, fd_jacobian
 from tests.conftest import PENDULUM_Q0, PENDULUM_V0
 
 
@@ -219,6 +226,71 @@ class TestResolveImpact:
         assert w_in[0] * w_out[0] < 0
         assert w_in[1] * w_out[1] < 0
         assert np.max(np.abs(omega_dplus(pendulum, ev.q_tilde, ev.v_tilde, (1 - ev.alpha) * h))) <= 1e-10
+        # the constraint rows phases A and B solve, at their discrete velocities
+        assert np.max(np.abs(pendulum.omega(traj.q[ev.k]) @ ev.w_in)) <= 1e-10
+        assert np.max(np.abs(pendulum.omega(ev.q_tilde) @ ev.w_out)) <= 1e-10
+
+
+IMPACT_MODELS = ["particle", "ellipse_body", "ellipse_body_edge_slope", "star_body", "pendulum"]
+
+
+class TestImpactJacobians:
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    @pytest.mark.parametrize("model_fixture", IMPACT_MODELS)
+    def test_phase_b_jacobian_matches_finite_differences(self, model_fixture, rule, rng, request):
+        model = request.getfixturevalue(model_fixture)
+        Ld = make_discrete_lagrangian(model, rule)
+        n, m = model.n, model.m_con
+        worst = 0.0
+        for q_tilde in sample_boundary_points(model, 20, rng):
+            ET = np.asarray(model.tangent_basis(q_tilde), dtype=float).T
+            s2 = float(10.0 ** rng.uniform(-7.0, -2.0))
+            p_tilde = rng.normal(size=n - 1)
+            residual_b, jac_b = _impact_b_system(
+                Ld, model, q_tilde, ET, p_tilde, float(rng.normal()), s2
+            )
+            z = rng.uniform(-3.0, 3.0, n + m)
+            fd = fd_jacobian(residual_b, z)
+            worst = max(worst, np.max(np.abs(jac_b(z) - fd)) / max(1.0, np.max(np.abs(fd))))
+        assert worst <= 1e-6
+
+    @staticmethod
+    def _assert_only_phase_a_differences(monkeypatch, Ld, model, q_k, p_k, h, rejected):
+        calls = []
+        real = numerics.fd_jacobian
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "fd_jacobian", counting)
+        _, _, records = _resolve_impact_impl(
+            Ld, model, q_k, p_k, h, rejected, DEFAULT_NEWTON_OPTIONS, 0, 0.0
+        )
+        (_, phase_a, iters_a, _), (_, phase_b, iters_b, _), _ = records
+        assert (phase_a, phase_b) == ("impact-A", "impact-B")
+        assert iters_a >= 1 and iters_b >= 1
+        # one finite-difference Jacobian per phase-A iteration, none after
+        assert len(calls) == iters_a
+
+    def test_particle_impact_differences_phase_a_only(self, monkeypatch, particle, particle_mid):
+        q_k = np.array([0.3, 0.049])
+        p_k = np.array([1.7, -0.98])
+        h = 0.1
+        rejected = q_k + h * p_k - 0.5 * h * h * 9.8 * np.array([0.0, 1.0])
+        self._assert_only_phase_a_differences(
+            monkeypatch, particle_mid, particle, q_k, p_k, h, rejected
+        )
+
+    def test_pendulum_impact_differences_phase_a_only(self, monkeypatch, pendulum, pendulum_left):
+        h = 1e-3
+        k = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, h).impacts[0].k
+        # stop before step k, so node k still holds the penetrating v_k
+        st = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, k * h, h).states[-1]
+        assert st.k == k and pendulum.boundary_gap(st.v) < 0
+        self._assert_only_phase_a_differences(
+            monkeypatch, pendulum_left, pendulum, st.q, st.p, h, st.v
+        )
 
 
 class TestSimulate:

@@ -1,10 +1,10 @@
 """Bit-identity digests of nhvi's numerical results.
 
-Prints five SHA-256 digests, one per line:
+Prints six SHA-256 digests, one per line:
 
     bounce-solution    the bounce corpus: bench/workloads.py `bounce_config`
     bounce-derived     seeds 1-2, every member (768 runs of particle, ellipse
-                       and star bodies);
+    bounce-outcomes    and star bodies);
     pendulum-solution  the pendulum_long benchmark configuration (criterion-4
     pendulum-derived   pendulum, h = 1e-4, 20 000 steps);
     demos              every file `nhvi demo NAME --out DIR` writes for the
@@ -19,8 +19,11 @@ message.  Its derived numbers are the solver records' residuals,
 `build_report` and `recompute_solve_residuals`.  A change to diagnostics
 alone moves the derived lines and leaves the solution lines equal.  Floats
 enter as their IEEE-754 bytes, so equal digests mean bitwise-equal results.
-Each demo contributes its exit code and the name and bytes of every file it
-wrote.
+The bounce-outcomes line hashes only each member's seed, index, body kind
+and outcome: `ok` with its impact count, or the type of the error it
+raised.  It stays equal when rounding moves the solution lines but every
+member ends the same way, with the same number of impacts.  Each demo
+contributes its exit code and the name and bytes of every file it wrote.
 
 Run it from a checkout, and once more against another checkout to compare:
 
@@ -85,9 +88,9 @@ class Digest:
         return self.h.hexdigest()
 
 
-def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict) -> bool:
-    """Simulate one configuration document into the two digests; False if
-    it raised."""
+def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict) -> str:
+    """Simulate one configuration document into the two digests; returns
+    its outcome, "ok <impact count>" or the type of the error it raised."""
     cfg = nhvi.config_from_dict(doc)
     model = nhvi.build_model(cfg)
     Ld = nhvi.make_discrete_lagrangian(model, cfg.rule)
@@ -96,7 +99,7 @@ def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict) -> bool:
                              cfg.t0, cfg.t_final, cfg.h, cfg.solver)
     except nhvi.NhviError as exc:
         solution.text(f"error {type(exc).__name__}: {exc}")
-        return False
+        return type(exc).__name__
     solution.text(f"states {len(traj.states)}")
     for st in traj.states:
         solution.ints([st.k])
@@ -120,7 +123,7 @@ def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict) -> bool:
     # json writes floats as their shortest round-trip repr, so this is exact
     derived.text(json.dumps(nhvi.build_report(traj, Ld, model).to_dict(), sort_keys=True))
     derived.floats(nhvi.diagnostics.recompute_solve_residuals(traj, Ld, model))
-    return True
+    return f"ok {len(traj.impacts)}"
 
 
 def digest_demos(d: Digest, cli, names) -> int:
@@ -145,22 +148,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     nhvi, workloads = import_checkout(args.root.resolve())
 
-    bounce, bounce_derived = Digest(), Digest()
+    bounce, bounce_derived, outcomes = Digest(), Digest(), Digest()
     unsolved = 0
     members = 0
     for seed in SEEDS:
         for index in range(workloads.BOUNCE_MEMBERS):
-            _, doc = workloads.bounce_config(seed, index)
+            kind, doc = workloads.bounce_config(seed, index)
             for d in (bounce, bounce_derived):
                 d.text(f"member {seed} {index}")
-            unsolved += not digest_run(bounce, bounce_derived, nhvi, doc)
+            outcome = digest_run(bounce, bounce_derived, nhvi, doc)
+            outcomes.text(f"member {seed} {index} {kind} {outcome}")
+            unsolved += not outcome.startswith("ok ")
             members += 1
     print(f"bounce-solution    {bounce.hexdigest()}  ({members} members, {unsolved} unsolved)")
     print(f"bounce-derived     {bounce_derived.hexdigest()}")
+    print(f"bounce-outcomes    {outcomes.hexdigest()}")
 
     pendulum, pendulum_derived = Digest(), Digest()
-    solved = digest_run(pendulum, pendulum_derived, nhvi, workloads.pendulum_config())
-    print(f"pendulum-solution  {pendulum.hexdigest()}  ({'solved' if solved else 'unsolved'})")
+    outcome = digest_run(pendulum, pendulum_derived, nhvi, workloads.pendulum_config())
+    print(f"pendulum-solution  {pendulum.hexdigest()}  ({outcome})")
     print(f"pendulum-derived   {pendulum_derived.hexdigest()}")
 
     demos = Digest()
