@@ -20,6 +20,7 @@ from .errors import (
     InvalidInitialState,
     NewtonFailure,
     NhviError,
+    NoElasticRebound,
     NotOnBoundary,
     PersistentPenetration,
     RootSelectionAmbiguous,
@@ -71,6 +72,7 @@ __all__ = [
     "NewtonOptions",
     "NewtonResult",
     "NhviError",
+    "NoElasticRebound",
     "NotOnBoundary",
     "ParticleParams",
     "PendulumParams",

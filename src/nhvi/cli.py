@@ -27,7 +27,7 @@ import numpy as np
 from .config import SimConfig, build_model, check_time_span, parse_config
 from .diagnostics import build_report
 from .discretization import make_discrete_lagrangian
-from .errors import NewtonFailure, NhviError, SchemaError
+from .errors import NewtonFailure, NhviError, NoElasticRebound, SchemaError
 from .integrator import simulate
 from .output import (
     write_impacts_csv,
@@ -108,6 +108,8 @@ def _fail_with_diagnostic(exc: NhviError, out_dir: Path) -> int:
         diagnostic.update(
             {"k": exc.k, "t": exc.t, "residual_norm": exc.residual_norm, "phase": exc.phase}
         )
+    elif isinstance(exc, NoElasticRebound):
+        diagnostic.update({"k": exc.k, "t": exc.t, "law_rate": exc.law_rate})
     if exc.state is not None:
         # the last good node; JSON floats round-trip exactly, so the failing
         # step can be replayed from it

@@ -19,6 +19,15 @@ from .integrator import Trajectory, _impact_a_system, _impact_b_system, _step_sy
 from .numerics import _norm
 
 
+# solver phase -> its mean-iterations key in RunReport.newton_iter_stats
+PHASE_MEANS = {
+    "step": "step_mean",
+    "impact-A": "impact_a_mean",
+    "impact-B": "impact_b_mean",
+    "impact-D": "impact_d_mean",
+}
+
+
 @dataclass
 class RunReport:
     impact_count: int
@@ -121,14 +130,18 @@ def build_report(
     # a per-record copy of the columns
     iters = traj.solver_stats.iterations
     phases = traj.solver_stats.phases
-    step_count = phases.count("step")
-    step_total = sum(it for it, phase in zip(iters, phases) if phase == "step")
+    totals = dict.fromkeys(PHASE_MEANS, 0)
+    for it, phase in zip(iters, phases):
+        totals[phase] += it
     stats = {
         "mean": sum(iters) / len(iters) if iters else 0.0,
         "max": float(max(iters)) if iters else 0.0,
-        # smooth steps only: how well the predictor seeds the step solve
-        "step_mean": step_total / step_count if step_count else 0.0,
     }
+    # per phase: "step_mean" shows how well the predictor seeds the smooth
+    # steps, the impact means what each impact solve costs
+    for phase, key in PHASE_MEANS.items():
+        count = phases.count(phase)
+        stats[key] = totals[phase] / count if count else 0.0
 
     return RunReport(
         impact_count=len(traj.impacts),

@@ -52,7 +52,24 @@ class PersistentPenetration(NhviError):
 
 class RootSelectionAmbiguous(NhviError):
     """Energy-matching solve converged to a root that does not re-enter the
-    admissible set."""
+    admissible set, although the model's impact law re-enters."""
+
+
+class NoElasticRebound(NhviError):
+    """The model's elastic impact law admits no bounce at this contact.
+
+    The law (the s2 -> 0 limit of phase B, built from the model's tangent
+    basis, constraint one-forms and kinetic metric at the boundary point)
+    gives a post-impact velocity whose normal rate `law_rate` is not
+    positive, and the phase-B root does not re-enter either.  This is a
+    property of the model data, not a solver failure.
+    """
+
+    def __init__(self, message, law_rate=None, k=None, t=None):
+        super().__init__(message)
+        self.law_rate = law_rate
+        self.k = k
+        self.t = t
 
 
 class SchemaError(NhviError):

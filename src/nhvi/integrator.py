@@ -32,9 +32,16 @@ closed-form assignment above, and the discarded normal component is recorded
 on the event as `compat_residual`.
 
 The energy equation in phase B is quadratic-like with a penetrating and a
-reflecting root; the solve starts from the Euclidean reflection of the
-incoming discrete velocity and the converged root is accepted only if the
-post-impact direction re-enters the interior.
+reflecting root.  One Newton solve looks for the reflecting root, seeded by
+the model's own elastic impact law, the s2 -> 0 limit of phase B: with
+M = Lvv(q~, w_in) and E, omega at q~, the jump w_out - w_in = mu d, lambda_B
+= mu l lies on the line (d, l) spanning the kernel of
+[[E^T M, E^T omega^T], [omega, 0]], and kinetic-energy equality picks the
+nonzero root mu = -2 (d^T M w_in) / (d^T M d).  The converged root is
+accepted only if the post-impact direction re-enters the interior; when it
+does not, the law's own normal rate tells a contact where the model admits
+no elastic bounce (NoElasticRebound) from a solve that found the other root
+(RootSelectionAmbiguous).
 """
 
 from __future__ import annotations
@@ -53,11 +60,12 @@ from .errors import (
     AlphaOutOfRange,
     NewtonFailure,
     NhviError,
+    NoElasticRebound,
     PersistentPenetration,
     RootSelectionAmbiguous,
 )
 from .geometry import MechanicalModel, boundary_frame, pullback_cotangent, push_cotangent
-from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _norm, newton_solve
+from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _norm, fd_jacobian, newton_solve
 
 log = logging.getLogger("nhvi.integrator")
 
@@ -409,6 +417,44 @@ def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
     return residual_b, jac_b
 
 
+def _impact_law(model, frame, w_in, opts):
+    """The model's elastic impact law at the boundary point frame.q_tilde.
+
+    Returns (w, lam, law_rate): the post-impact velocity w_in + mu d, the
+    multipliers mu l, and the normal rate grad c . w of the law (module doc).
+    The kernel line comes from one square solve: the row [grad c^T, 0] with
+    right-hand side 1 normalises grad c . d = 1, so law_rate is
+    grad c . w_in + mu.  When that bordered system is singular no kernel
+    direction crosses the boundary, so the law keeps the incoming normal
+    rate, and (w_in, 0, grad c . w_in) is returned.
+    """
+    n = model.n
+    m = model.m_con
+    q_tilde = frame.q_tilde
+    if model.d2L is not None:
+        M = model.d2L(q_tilde, w_in)[2]
+    else:
+        M = fd_jacobian(lambda w: model.dL_dv(q_tilde, w), w_in, opts.fd_eps)
+    om = model.omega(q_tilde)
+    ET = frame.E.T
+    K = np.zeros((n + m, n + m))
+    K[: n - 1, :n] = ET @ M
+    K[: n - 1, n:] = ET @ om.T
+    K[n - 1 : n - 1 + m, :n] = om
+    K[-1, :n] = frame.normal
+    rhs = np.zeros(n + m)
+    rhs[-1] = 1.0
+    rate_in = float(frame.normal @ w_in)
+    try:
+        kernel = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        return w_in, np.zeros(m), rate_in
+    d = kernel[:n]
+    Md = M @ d
+    mu = -2.0 * float(Md @ w_in) / float(Md @ d)
+    return w_in + mu * d, mu * kernel[n:], rate_in + mu
+
+
 def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     n = model.n
     m = model.m_con
@@ -442,36 +488,26 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     d3_pre = Ld.d3_w(q_k, w_in, s1)
     s2 = (1.0 - alpha) * h
     residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.E.T, p_tilde, d3_pre, s2)
-    nhat = frame.normal / np.linalg.norm(frame.normal)
-    w_refl = w_in - 2.0 * float(nhat @ w_in) * nhat
-    # The reflected guess selects the bouncing energy root for unconstrained
-    # models.  With constraints the admissible directions can be transverse
-    # to the boundary tangent, in which case the physical root reverses the
-    # whole constrained velocity; try that basin before giving up.  Only a
-    # root that re-enters is used; the others keep just their normal rate.
-    rates = []
-    for w_guess in (w_refl, -w_in):
-        z0 = np.concatenate([w_guess, np.zeros(m)])
-        res_b = newton_solve(residual_b, z0, opts, jac_b)
-        if not res_b.converged:
-            continue
-        w_out = res_b.x[:n]
-        rate = float(frame.normal @ w_out)
-        if rate > 0.0:
-            break
-        rates.append(rate)
-    else:
-        if not rates:
-            raise NewtonFailure(
-                f"impact-B solve stalled from both velocity guesses "
-                f"(step {k}, t={t_k:.6g})",
+    # one solve from the model's impact law: its jump already lies in the
+    # constraint distribution and reflects in the kinetic metric, so the
+    # solve lands in the reflecting root's basin
+    w_law, lam_law, law_rate = _impact_law(model, frame, w_in, opts)
+    res_b = newton_solve(residual_b, np.concatenate([w_law, lam_law]), opts, jac_b)
+    _require_converged(res_b, "impact-B", k, t_k)
+    w_out = res_b.x[:n]
+    rate = float(frame.normal @ w_out)
+    if rate <= 0.0:
+        if law_rate <= 0.0:
+            raise NoElasticRebound(
+                f"impact law admits no elastic rebound (law normal rate "
+                f"{law_rate:.3e}) at step {k}, t={t_k:.6g}",
+                law_rate=law_rate,
                 k=k,
                 t=t_k,
-                phase="impact-B",
             )
         raise RootSelectionAmbiguous(
             f"post-impact root does not re-enter the admissible set "
-            f"(normal rate {max(rates):.3e}) at step {k}, t={t_k:.6g}"
+            f"(normal rate {rate:.3e}, law rate {law_rate:.3e}) at step {k}, t={t_k:.6g}"
         )
     lambda_b = res_b.x[n:]
     v_tilde = q_tilde + s2 * w_out

@@ -111,7 +111,7 @@ class TestRun:
         assert "state" not in diagnostic  # no step ran
 
     @pytest.mark.parametrize("index, error", [
-        (121, "RootSelectionAmbiguous"),  # vertical-frame ellipse, step 7
+        (121, "NoElasticRebound"),  # vertical-frame ellipse, step 7, law rate < 0
         (9, "NewtonFailure"),  # vertical-frame ellipse, impact-B at step 34
     ])
     def test_failed_step_replays_from_error_json(self, tmp_path, index, error):
@@ -142,6 +142,10 @@ class TestRun:
         with pytest.raises(getattr(nhvi, error)) as replay:
             nhvi.resolve_impact(Ld, model, q, p, cfg.h, v, cfg.solver, node["k"], node["t"])
         assert str(replay.value) == diagnostic["message"]
+        if error == "NoElasticRebound":
+            # the typed cause reaches error.json: the law's normal rate and the step
+            assert diagnostic["law_rate"] == replay.value.law_rate <= 0.0
+            assert (diagnostic["k"], diagnostic["t"]) == (node["k"], node["t"])
 
     @pytest.mark.parametrize("override, key", [
         (["--h", "1000"], "h"),  # longer than the 2 s span

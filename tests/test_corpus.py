@@ -1,0 +1,198 @@
+"""Failure-corpus ratchet, and properties of resolved impacts.
+
+The corpus is fixed: every `bounce_config` member of seeds 1-2
+(bench/workloads.py: particles, vertical- and edge-slope-frame ellipses and
+stars, h = 2e-2) under the midpoint rule, and the same seeds' 576 body
+members under retraction-left.  No member is ever re-seeded, dropped or
+shrunk.  Two ratchets hold on it:
+
+* the failures of each (body kind, rule, error type) stay at or below
+  FAILURES;
+* every member outside UNSOLVED stays solved, so the solved set does not
+  shrink.
+
+A change that solves more members lowers both tables in the same diff.
+"""
+
+import math
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nhvi
+from nhvi.discretization import make_discrete_lagrangian
+from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
+
+SEEDS = (1, 2)
+RULES = ("midpoint", "retraction-left")
+
+# (kind, rule, error type) -> most members of the corpus that may raise it
+FAILURES = {
+    ("ellipse-vertical", "midpoint", "NewtonFailure"): 2,
+    ("ellipse-vertical", "midpoint", "NoElasticRebound"): 44,
+    ("ellipse-vertical", "midpoint", "RootSelectionAmbiguous"): 2,
+    ("star", "midpoint", "AlphaOutOfRange"): 1,
+    ("star", "midpoint", "NewtonFailure"): 1,
+    ("star", "midpoint", "NoElasticRebound"): 25,
+    ("star", "midpoint", "PersistentPenetration"): 11,
+    ("star", "midpoint", "RootSelectionAmbiguous"): 1,
+    ("ellipse-edge-slope", "retraction-left", "NewtonFailure"): 1,
+    ("ellipse-vertical", "retraction-left", "AlphaOutOfRange"): 2,
+    ("ellipse-vertical", "retraction-left", "NewtonFailure"): 15,
+    ("ellipse-vertical", "retraction-left", "NoElasticRebound"): 30,
+    ("star", "retraction-left", "AlphaOutOfRange"): 1,
+    ("star", "retraction-left", "NewtonFailure"): 3,
+    ("star", "retraction-left", "NoElasticRebound"): 24,
+    ("star", "retraction-left", "PersistentPenetration"): 10,
+}
+
+# (rule, seed) -> indices of the members that are not solved; every other
+# member of the corpus is solved and must stay so
+UNSOLVED = {
+    ("midpoint", 1): (
+        9, 17, 31, 43, 47, 51, 55, 57, 61, 65, 67, 69, 75, 121, 125, 135, 159, 169,
+        171, 197, 205, 207, 209, 221, 227, 231, 245, 247, 251, 263, 269, 273, 277,
+        291, 301, 303, 307, 311, 317, 325, 347, 353, 361, 365, 367, 371, 383,
+    ),
+    ("midpoint", 2): (
+        3, 23, 35, 47, 65, 77, 83, 91, 101, 103, 109, 129, 131, 145, 153, 157, 187,
+        189, 205, 213, 217, 221, 229, 233, 241, 247, 257, 259, 267, 273, 289, 293,
+        295, 297, 301, 309, 349, 353, 355, 367,
+    ),
+    ("retraction-left", 1): (
+        9, 17, 31, 43, 47, 51, 55, 57, 61, 65, 67, 69, 75, 121, 125, 135, 159, 169,
+        171, 190, 197, 205, 207, 209, 221, 227, 231, 245, 247, 251, 263, 269, 273,
+        277, 291, 301, 303, 307, 311, 317, 325, 347, 353, 365, 367, 371, 383,
+    ),
+    ("retraction-left", 2): (
+        3, 23, 47, 65, 77, 83, 91, 101, 103, 109, 129, 131, 145, 153, 157, 187, 189,
+        205, 213, 217, 221, 229, 233, 241, 247, 257, 259, 267, 273, 285, 289, 293,
+        295, 297, 301, 309, 349, 355, 367,
+    ),
+}
+
+
+def corpus():
+    """(seed, index, rule, kind, config document) of every corpus member."""
+    for rule in RULES:
+        for seed in SEEDS:
+            for index in range(workloads.BOUNCE_MEMBERS):
+                kind, doc = workloads.bounce_config(seed, index)
+                if rule != "midpoint" and kind == "particle":
+                    continue
+                yield seed, index, rule, kind, {**doc, "rule": rule}
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    """(seed, index, rule) -> (kind, None when solved or the error type)."""
+    result = {}
+    for seed, index, rule, kind, doc in corpus():
+        cfg = nhvi.config_from_dict(doc)
+        model = nhvi.build_model(cfg)
+        Ld = make_discrete_lagrangian(model, cfg.rule)
+        try:
+            nhvi.simulate(Ld, model, np.array(cfg.q0), np.array(cfg.v0),
+                          cfg.t0, cfg.t_final, cfg.h, cfg.solver)
+            error = None
+        except nhvi.NhviError as exc:
+            error = type(exc).__name__
+        result[seed, index, rule] = kind, error
+    return result
+
+
+def test_corpus_size(outcomes):
+    assert len(outcomes) == 2 * workloads.BOUNCE_MEMBERS + 2 * 288
+
+
+def test_failure_counts_within_table(outcomes):
+    counts = Counter((kind, rule, error)
+                     for (_, _, rule), (kind, error) in outcomes.items() if error)
+    over = {key: (count, FAILURES.get(key, 0)) for key, count in counts.items()
+            if count > FAILURES.get(key, 0)}
+    assert not over, f"failures above the committed table (count, allowed): {over}"
+
+
+def test_solved_set_does_not_shrink(outcomes):
+    lost = sorted((seed, index, rule, error)
+                  for (seed, index, rule), (_, error) in outcomes.items()
+                  if error and index not in UNSOLVED[rule, seed])
+    assert not lost, f"members that were solved now fail: {lost}"
+
+
+# --- properties at resolved impacts ------------------------------------------
+
+IMPACT_KINDS = ("particle", "ellipse-vertical", "ellipse-edge-slope", "pendulum")
+TOL = DEFAULT_NEWTON_OPTIONS.tol
+
+
+def impact_model(kind):
+    if kind == "particle":
+        return nhvi.make_particle()
+    if kind == "pendulum":
+        return nhvi.make_pendulum()
+    frame = kind.removeprefix("ellipse-")
+    return nhvi.make_se2_body(nhvi.Se2BodyParams(
+        shape=nhvi.EllipseShape(a=1.0, b=0.5), contact_frame=frame))
+
+
+def boundary_approach(model, kind, u, rate, spin, tau):
+    """Continuous initial conditions tau before an outward crossing of the
+    boundary with normal rate `rate` < 0: (q(0), v(0))."""
+    if kind == "particle":
+        q_b, v = np.array([4.0 * u, 0.0]), np.array([spin, rate])
+    elif kind == "pendulum":
+        theta_b = math.asin(model.params["radius"] / model.params["length"])
+        if u > 0.5:
+            theta_b = math.pi - theta_b
+        q_b = np.array([theta_b, 2.0 * math.pi * u])
+        normal = model.boundary_gap_grad(q_b)
+        theta_dot = rate / normal[0]
+        q0 = q_b - tau * np.array([theta_dot, 0.0])
+        return q0, np.array([theta_dot, model.omega(q0)[0, 0] * theta_dot])
+    else:
+        q_b = np.array([2.0 * math.pi * u, 0.0, 0.0])
+        q_b[2] -= model.boundary_gap(q_b)  # onto y = phi(theta)
+        normal = model.boundary_gap_grad(q_b)
+        v = np.array([spin, 1.0, (rate - normal[0] * spin) / normal[2]])
+    return q_b - tau * v, v
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(IMPACT_KINDS),
+    rule=st.sampled_from(RULES),
+    u=st.floats(0.01, 0.99),
+    rate=st.floats(-3.0, -0.5),
+    spin=st.floats(-2.0, 2.0),
+    h=st.floats(1e-3, 2e-2),
+    lead=st.floats(1.05, 2.0),
+)
+def test_resolved_impacts_conserve_and_reenter(kind, rule, u, rate, spin, h, lead):
+    model = impact_model(kind)
+    Ld = make_discrete_lagrangian(model, rule)
+    q0, v0 = boundary_approach(model, kind, u, rate, spin, lead * h)
+    try:
+        traj = nhvi.simulate(Ld, model, q0, v0, 0.0, 6 * h, h)
+    except nhvi.NhviError:
+        return  # the properties hold whenever the solve returns
+    for ev in traj.impacts:
+        s1, s2 = ev.alpha * h, (1.0 - ev.alpha) * h
+        ET = np.asarray(model.tangent_basis(ev.q_tilde), dtype=float).T
+        om = model.omega(ev.q_tilde)
+        assert ev.energy_jump <= TOL
+        # boundary momentum E^T p before phase B equals the one after it
+        p_before = ET @ Ld.d2_w(traj.q[ev.k], ev.w_in, s1)
+        p_after = ET @ (om.T @ ev.lambda_B - Ld.d1_w(ev.q_tilde, ev.w_out, s2))
+        assert np.abs(p_after - p_before).max(initial=0.0) <= 2 * TOL
+        assert np.abs(om @ ev.w_out).max(initial=0.0) <= TOL
+        assert model.boundary_gap_grad(ev.q_tilde) @ ev.w_out > 0

@@ -15,7 +15,7 @@ from nhvi import (
     make_discrete_lagrangian,
     simulate,
 )
-from nhvi.diagnostics import recompute_solve_residuals
+from nhvi.diagnostics import PHASE_MEANS, recompute_solve_residuals
 from nhvi.integrator import SolverStats
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
 from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
@@ -105,8 +105,10 @@ class TestBuildReport:
         assert rep.min_boundary_gap >= -1e-12
         assert rep.newton_iter_stats["max"] >= rep.newton_iter_stats["mean"] > 0
         stats = traj.solver_stats
-        steps = [it for ph, it in zip(stats.phases, stats.iterations) if ph == "step"]
-        assert rep.newton_iter_stats["step_mean"] == np.mean(steps)
+        assert traj.impacts
+        for phase, key in PHASE_MEANS.items():
+            its = [it for ph, it in zip(stats.phases, stats.iterations) if ph == phase]
+            assert rep.newton_iter_stats[key] == np.mean(its)
 
     def test_pendulum_constraint_residual_recomputed(self, pendulum, pendulum_left):
         traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, 1e-3)

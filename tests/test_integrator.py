@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -18,12 +19,15 @@ from nhvi import (
     step_minus,
     step_plus,
 )
-from nhvi import numerics
+from nhvi import integrator, numerics
 from nhvi.cli import bundled_config_path
 from nhvi.config import build_model, parse_config
+from nhvi.errors import NoElasticRebound
+from nhvi.geometry import boundary_frame
 from nhvi.integrator import (
     SolverStats,
     _impact_b_system,
+    _impact_law,
     _resolve_impact_impl,
     _step_plus_impl,
 )
@@ -291,6 +295,99 @@ class TestImpactJacobians:
         self._assert_only_phase_a_differences(
             monkeypatch, pendulum_left, pendulum, st.q, st.p, h, st.v
         )
+
+
+def incoming_velocity(model, frame, rng):
+    """A random discrete velocity at frame.q_tilde that crosses the boundary
+    outward, inside the constraint distribution there."""
+    while True:
+        w = rng.uniform(-3.0, 3.0, model.n)
+        if model.m_con:
+            om = model.omega(frame.q_tilde)
+            w = w - np.linalg.pinv(om) @ (om @ w)
+        if frame.normal @ w < -0.1:
+            return w
+
+
+class TestImpactLaw:
+    """The phase-B seed: the model's elastic impact law at the boundary."""
+
+    def test_particle_seed_flips_only_vertical_rate(self, particle):
+        frame = boundary_frame(particle, np.array([0.3, 0.0]))
+        w_in = np.array([1.7, -2.3])
+        w, lam, law_rate = _impact_law(particle, frame, w_in, DEFAULT_NEWTON_OPTIONS)
+        npt.assert_array_equal(w, [1.7, 2.3])
+        assert lam.shape == (0,)
+        assert law_rate == 2.3
+
+    def test_vertical_ellipse_seed_flips_only_vertical_rate(self, ellipse_body, rng):
+        for q_tilde in sample_boundary_points(ellipse_body, 20, rng):
+            frame = boundary_frame(ellipse_body, q_tilde)
+            w_in = incoming_velocity(ellipse_body, frame, rng)
+            w, _, law_rate = _impact_law(ellipse_body, frame, w_in, DEFAULT_NEWTON_OPTIONS)
+            npt.assert_array_equal(w[:2], w_in[:2])
+            npt.assert_allclose(w[2], -w_in[2], rtol=1e-15, atol=1e-15)
+            assert law_rate == pytest.approx(frame.normal @ w, rel=1e-12, abs=1e-12)
+
+    def test_pendulum_seed_in_constraint_kernel_keeps_kinetic_energy(self, pendulum, rng):
+        no_hessian = dataclasses.replace(pendulum, d2L=None)
+        for q_tilde in sample_boundary_points(pendulum, 20, rng):
+            frame = boundary_frame(pendulum, q_tilde)
+            w_in = incoming_velocity(pendulum, frame, rng)
+            w, _, law_rate = _impact_law(pendulum, frame, w_in, DEFAULT_NEWTON_OPTIONS)
+            M = pendulum.d2L(q_tilde, w_in)[2]
+            assert abs(pendulum.omega(q_tilde) @ w).max() <= 1e-12 * np.abs(w).max()
+            assert w @ M @ w == pytest.approx(w_in @ M @ w_in, rel=1e-12)
+            assert law_rate > 0
+            # without d2L the metric is one finite-difference Jacobian of dL_dv
+            w_fd, _, _ = _impact_law(no_hessian, frame, w_in, DEFAULT_NEWTON_OPTIONS)
+            npt.assert_allclose(w_fd, w, rtol=1e-7, atol=1e-7)
+
+    def test_pendulum_phase_b_solves_once_per_attempt(self, monkeypatch, pendulum):
+        # criterion-4 configuration up to just past its first impact (t = 1.23)
+        Ld = make_discrete_lagrangian(pendulum, "retraction-left")
+        attempts = []  # Newton solves per impact attempt
+        inside = []
+        real_attempt = integrator._attempt_impact
+        real_newton = integrator.newton_solve
+
+        def attempt(*args):
+            attempts.append(0)
+            inside.append(True)
+            try:
+                return real_attempt(*args)
+            finally:
+                inside.pop()
+
+        def newton(*args):
+            if inside:
+                attempts[-1] += 1
+            return real_newton(*args)
+
+        monkeypatch.setattr(integrator, "_attempt_impact", attempt)
+        monkeypatch.setattr(integrator, "newton_solve", newton)
+        traj = simulate(Ld, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.3, 1e-4)
+        assert len(traj.impacts) == 1
+        # phases A, B and D, one Newton solve each
+        assert attempts == [3]
+
+    def test_singular_law_is_no_elastic_rebound(self, particle):
+        # a frame whose "tangent" column is the floor normal: the law's kernel
+        # direction d/dx never crosses the boundary, so no bounce exists
+        normal_frame = dataclasses.replace(
+            particle,
+            tangent_basis=lambda q: np.array([[0.0], [1.0]]),
+            projection=lambda q: np.array([[0.0, 1.0]]),
+        )
+        Ld = make_discrete_lagrangian(normal_frame, "midpoint")
+        q_k = np.array([0.3, 0.049])
+        p_k = np.array([1.7, -0.98])
+        h = 0.1
+        rejected = q_k + h * p_k - 0.5 * h * h * 9.8 * np.array([0.0, 1.0])
+        with pytest.raises(NoElasticRebound) as failure:
+            resolve_impact(Ld, normal_frame, q_k, p_k, h, rejected)
+        assert failure.value.law_rate < 0
+        assert failure.value.k == 0
 
 
 class TestSimulate:
