@@ -12,8 +12,10 @@ and the retraction-left rule evaluates it at the base point,
 Here (q, v) are two configurations one step apart; v is the *next
 configuration*, not a velocity.  The partials d1 (w.r.t. q), d2 (w.r.t. v)
 and d3 (w.r.t. h) are assembled analytically by the chain rule from the
-model's Lagrangian partials: they sit inside Newton residuals, where
-finite differences of finite differences would square the noise.
+model's Lagrangian partials, and their Jacobians from its Hessian blocks:
+they sit inside Newton residuals, where finite differences of finite
+differences would square the noise.  Each partial is written once, over
+the discrete velocity w = (v - q)/h.
 
 The timestep is a live argument everywhere because impact resolution
 evaluates the same objects on the sub-steps alpha*h and (1-alpha)*h.
@@ -31,13 +33,15 @@ RULES = ("midpoint", "retraction-left")
 
 
 class DiscreteLagrangian:
-    """Evaluator for Ld(q, v, h) and its three partial derivatives.
+    """Evaluator for Ld(q, v, h), its partials and their Jacobians.
 
-    When the model carries Hessian blocks, `d1_dv` provides the analytic
-    Jacobian of d1 with respect to the second configuration slot, which the
-    integrator uses to build exact Newton Jacobians for smooth steps, and
-    `d13_dw` the Jacobians of d1_w and d3_w with respect to the discrete
-    velocity, for the phase-B impact solve.  Both are None without d2L.
+    Each rule defines `eval` and the velocity-form partials `d1_w`, `d2_w`,
+    `d3_w` over (q, w, h) with v = q + h w implicit, which the impact
+    sub-step solves use: forming (v - q)/h from a reconstructed v would lose
+    five digits to cancellation.  `d1`, `d2`, `d3` over (q, v, h) are the
+    same functions at w = (v - q)/h.  From the model's Hessian blocks,
+    `d1_dv` is the Jacobian of d1 in v (smooth steps, phase D) and `d13_dw`
+    those of d1_w and d3_w in w (the phase-B impact solve).
     """
 
     def __init__(self, model: MechanicalModel, rule: str):
@@ -49,28 +53,12 @@ class DiscreteLagrangian:
         L = model.lagrangian
         Lq = model.dL_dq
         Lv = model.dL_dv
+        hess = model.d2L
 
         if rule == "midpoint":
 
             def _eval(q, v, h):
-                w = (v - q) / h
-                mid = 0.5 * (q + v)
-                return h * L(mid, w)
-
-            def _d1(q, v, h):
-                w = (v - q) / h
-                mid = 0.5 * (q + v)
-                return (0.5 * h) * Lq(mid, w) - Lv(mid, w)
-
-            def _d2(q, v, h):
-                w = (v - q) / h
-                mid = 0.5 * (q + v)
-                return (0.5 * h) * Lq(mid, w) + Lv(mid, w)
-
-            def _d3(q, v, h):
-                w = (v - q) / h
-                mid = 0.5 * (q + v)
-                return L(mid, w) - float(Lv(mid, w) @ w)
+                return h * L(0.5 * (q + v), (v - q) / h)
 
             def _d1_w(q, w, h):
                 mid = q + (0.5 * h) * w
@@ -83,24 +71,24 @@ class DiscreteLagrangian:
             def _d3_w(q, w, h):
                 mid = q + (0.5 * h) * w
                 return L(mid, w) - float(Lv(mid, w) @ w)
+
+            def _d1_dv(q, v, h):
+                w = (v - q) / h
+                lqq, lqv, lvv = hess(q + (0.5 * h) * w, w)
+                return 0.25 * h * lqq + 0.5 * lqv - 0.5 * lqv.T - lvv / h
+
+            def _d13_dw(q, w, h):
+                half = 0.5 * h
+                mid = q + half * w
+                lqq, lqv, lvv = hess(mid, w)
+                dd1 = (half * half) * lqq + half * (lqv - lqv.T) - lvv
+                dd3 = half * Lq(mid, w) - half * (lqv @ w) - lvv @ w
+                return dd1, dd3
 
         else:  # retraction-left
 
             def _eval(q, v, h):
-                w = (v - q) / h
-                return h * L(q, w)
-
-            def _d1(q, v, h):
-                w = (v - q) / h
-                return h * Lq(q, w) - Lv(q, w)
-
-            def _d2(q, v, h):
-                w = (v - q) / h
-                return Lv(q, w)
-
-            def _d3(q, v, h):
-                w = (v - q) / h
-                return L(q, w) - float(Lv(q, w) @ w)
+                return h * L(q, (v - q) / h)
 
             def _d1_w(q, w, h):
                 return h * Lq(q, w) - Lv(q, w)
@@ -111,54 +99,24 @@ class DiscreteLagrangian:
             def _d3_w(q, w, h):
                 return L(q, w) - float(Lv(q, w) @ w)
 
+            def _d1_dv(q, v, h):
+                lqq, lqv, lvv = hess(q, (v - q) / h)
+                return lqv - lvv / h
+
+            def _d13_dw(q, w, h):
+                lqq, lqv, lvv = hess(q, w)
+                return h * lqv - lvv, -(lvv @ w)
+
         self.eval = _eval
-        self.d1 = _d1
-        self.d2 = _d2
-        self.d3 = _d3
-        # velocity-form partials: same quantities over (q, w, h) with the
-        # second configuration v = q + h w implicit.  The implicit solvers
-        # use these at impact sub-steps, where forming (v - q)/h from a
-        # reconstructed v would lose five digits to cancellation.
         self.d1_w = _d1_w
         self.d2_w = _d2_w
         self.d3_w = _d3_w
-
-        if model.d2L is not None:
-            hess = model.d2L
-            if rule == "midpoint":
-
-                def _d1_dv(q, v, h):
-                    w = (v - q) / h
-                    mid = 0.5 * (q + v)
-                    lqq, lqv, lvv = hess(mid, w)
-                    return 0.25 * h * lqq + 0.5 * lqv - 0.5 * lqv.T - lvv / h
-
-                def _d13_dw(q, w, h):
-                    half = 0.5 * h
-                    mid = q + half * w
-                    lqq, lqv, lvv = hess(mid, w)
-                    dd1 = (half * half) * lqq + half * (lqv - lqv.T) - lvv
-                    dd3 = half * Lq(mid, w) - half * (lqv @ w) - lvv @ w
-                    return dd1, dd3
-
-            else:
-
-                def _d1_dv(q, v, h):
-                    w = (v - q) / h
-                    lqq, lqv, lvv = hess(q, w)
-                    return lqv - lvv / h
-
-                def _d13_dw(q, w, h):
-                    lqq, lqv, lvv = hess(q, w)
-                    return h * lqv - lvv, -(lvv @ w)
-
-            self.d1_dv = _d1_dv
-            # (d d1_w/dw, d d3_w/dw) at (q, w, h): the velocity-form
-            # Jacobians of the phase-B impact solve, no (v - q)/h formed
-            self.d13_dw = _d13_dw
-        else:
-            self.d1_dv = None
-            self.d13_dw = None
+        # the closures, not self.d1_w: a wrapped d1_w must not count d1 calls
+        self.d1 = lambda q, v, h: _d1_w(q, (v - q) / h, h)
+        self.d2 = lambda q, v, h: _d2_w(q, (v - q) / h, h)
+        self.d3 = lambda q, v, h: _d3_w(q, (v - q) / h, h)
+        self.d1_dv = _d1_dv
+        self.d13_dw = _d13_dw
 
 
 def make_discrete_lagrangian(model: MechanicalModel, rule: str) -> DiscreteLagrangian:

@@ -17,7 +17,7 @@ pull-back is E^T and push-forward is P^T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -33,11 +33,11 @@ FRAME_IDENTITY_TOL = 1e-10
 class MechanicalModel:
     """Immutable descriptor of one mechanical system.
 
-    Callable fields take/return plain float64 arrays.  `d2L`, when present,
-    returns the Hessian blocks (Lqq, Lqv, Lvv) of the Lagrangian, where
-    Lqv[i, j] = d(dL/dq_i)/dv_j; the integrator uses them to assemble
-    analytic Newton Jacobians for the smooth steps and the phase-B impact
-    solve.
+    Callable fields take/return plain float64 arrays.  `d2L` returns the
+    Hessian blocks (Lqq, Lqv, Lvv) of the Lagrangian, where
+    Lqv[i, j] = d(dL/dq_i)/dv_j; the integrator assembles the Newton
+    Jacobians of the smooth steps and the phase-B impact solve from them,
+    and seeds phase B with the kinetic metric Lvv.
     """
 
     name: str
@@ -47,15 +47,13 @@ class MechanicalModel:
     lagrangian: Callable[[np.ndarray, np.ndarray], float]
     dL_dq: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dL_dv: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d2L: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     omega: Callable[[np.ndarray], np.ndarray]
     boundary_gap: Callable[[np.ndarray], float]
     boundary_gap_grad: Callable[[np.ndarray], np.ndarray]
     tangent_basis: Callable[[np.ndarray], np.ndarray]
     projection: Callable[[np.ndarray], np.ndarray]
     params: Dict[str, float] = field(default_factory=dict)
-    d2L: Optional[
-        Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ] = None
 
     def __post_init__(self):
         if self.n < 1:

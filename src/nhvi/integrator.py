@@ -65,7 +65,7 @@ from .errors import (
     RootSelectionAmbiguous,
 )
 from .geometry import MechanicalModel, boundary_frame, pullback_cotangent, push_cotangent
-from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _norm, fd_jacobian, newton_solve
+from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _norm, newton_solve
 
 log = logging.getLogger("nhvi.integrator")
 
@@ -232,7 +232,7 @@ def _require_converged(res, phase: str, k: int, t: float):
 
 
 def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base, h):
-    """Residual and (when available) analytic Jacobian for the implicit block
+    """Residual and analytic Jacobian for the implicit block
 
         d1(q_base, v, h) + p_base - omega(q_base)^T lam = 0
         omega(q_base) . (v - q_base)/h = 0
@@ -259,22 +259,20 @@ def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base,
         def residual(z):
             return d1(q_base, z, h) + p_base
 
-    jac = None
-    if Ld.d1_dv is not None:
-        d1_dv = Ld.d1_dv
-        if m:
+    d1_dv = Ld.d1_dv
+    if m:
 
-            def jac(z):
-                J = np.zeros((n + m, n + m))
-                J[:n, :n] = d1_dv(q_base, z[:n], h)
-                J[:n, n:] = -omT
-                J[n:, :n] = om / h
-                return J
+        def jac(z):
+            J = np.zeros((n + m, n + m))
+            J[:n, :n] = d1_dv(q_base, z[:n], h)
+            J[:n, n:] = -omT
+            J[n:, :n] = om / h
+            return J
 
-        else:
+    else:
 
-            def jac(z):
-                return d1_dv(q_base, z, h)
+        def jac(z):
+            return d1_dv(q_base, z, h)
 
     return residual, jac
 
@@ -379,9 +377,9 @@ def _impact_a_system(Ld, model, q_k, p_k, h):
 
 
 def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
-    """Residual and (when available) analytic Jacobian of the phase-B
-    equations (module doc) over the unknown z = [w_out, lambda_B], on the
-    second sub-step s2 = (1 - alpha) h."""
+    """Residual and analytic Jacobian of the phase-B equations (module doc)
+    over the unknown z = [w_out, lambda_B], on the second sub-step
+    s2 = (1 - alpha) h."""
     n = model.n
     m = model.m_con
     om_t = model.omega(q_tilde)
@@ -399,25 +397,23 @@ def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
             r[n:] = om_t @ u
         return r
 
-    jac_b = None
-    if Ld.d13_dw is not None:
-        d13_dw = Ld.d13_dw
-        # the lambda columns and constraint rows are constant over the solve
-        J0 = np.zeros((n + m, n + m))
-        J0[1:n, n:] = -(ET @ omT_t)
-        J0[n:, :n] = om_t
+    d13_dw = Ld.d13_dw
+    # the lambda columns and constraint rows are constant over the solve
+    J0 = np.zeros((n + m, n + m))
+    J0[1:n, n:] = -(ET @ omT_t)
+    J0[n:, :n] = om_t
 
-        def jac_b(z):
-            dd1, dd3 = d13_dw(q_tilde, z[:n], s2)
-            J = J0.copy()
-            J[0, :n] = -dd3
-            J[1:n, :n] = ET @ dd1
-            return J
+    def jac_b(z):
+        dd1, dd3 = d13_dw(q_tilde, z[:n], s2)
+        J = J0.copy()
+        J[0, :n] = -dd3
+        J[1:n, :n] = ET @ dd1
+        return J
 
     return residual_b, jac_b
 
 
-def _impact_law(model, frame, w_in, opts):
+def _impact_law(model, frame, w_in):
     """The model's elastic impact law at the boundary point frame.q_tilde.
 
     Returns (w, lam, law_rate): the post-impact velocity w_in + mu d, the
@@ -431,10 +427,7 @@ def _impact_law(model, frame, w_in, opts):
     n = model.n
     m = model.m_con
     q_tilde = frame.q_tilde
-    if model.d2L is not None:
-        M = model.d2L(q_tilde, w_in)[2]
-    else:
-        M = fd_jacobian(lambda w: model.dL_dv(q_tilde, w), w_in, opts.fd_eps)
+    M = model.d2L(q_tilde, w_in)[2]
     om = model.omega(q_tilde)
     ET = frame.E.T
     K = np.zeros((n + m, n + m))
@@ -491,7 +484,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     # one solve from the model's impact law: its jump already lies in the
     # constraint distribution and reflects in the kinetic metric, so the
     # solve lands in the reflecting root's basin
-    w_law, lam_law, law_rate = _impact_law(model, frame, w_in, opts)
+    w_law, lam_law, law_rate = _impact_law(model, frame, w_in)
     res_b = newton_solve(residual_b, np.concatenate([w_law, lam_law]), opts, jac_b)
     _require_converged(res_b, "impact-B", k, t_k)
     w_out = res_b.x[:n]

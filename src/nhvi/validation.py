@@ -3,7 +3,8 @@
 Each check returns (name, passed, detail).  The checks mirror the library's
 contracts: boundary frames must be left-inverse pairs, the cotangent
 round-trip must be the identity, gap gradients must match finite differences
-of the gap, constraint one-forms must keep full row rank, and the discrete
+of the gap, constraint one-forms must keep full row rank, the Hessian blocks
+must match finite differences of the Lagrangian's partials, and the discrete
 Lagrangian partials must match finite differences of the evaluation.
 """
 
@@ -86,6 +87,26 @@ def check_omega_rank(
     ]
 
 
+def check_hessian(
+    model: MechanicalModel, rng: np.random.Generator, count: int = 100
+) -> List[CheckResult]:
+    """d2L's blocks against central differences of dL_dq and dL_dv, with
+    Lqv[i, j] = d(dL/dq_i)/dv_j."""
+    worst = 0.0
+    for q in sample_interior_points(model, count, rng):
+        v = rng.uniform(-3.0, 3.0, model.n)
+        fds = (
+            fd_jacobian(lambda x: model.dL_dq(x, v), q),
+            fd_jacobian(lambda x: model.dL_dq(q, x), v),
+            fd_jacobian(lambda x: model.dL_dv(q, x), v),
+        )
+        for block, fd in zip(model.d2L(q, v), fds):
+            err = np.max(np.abs(block - fd)) / max(1.0, np.max(np.abs(fd)))
+            worst = max(worst, float(err))
+    name = "Hessian blocks (Lqq, Lqv, Lvv) vs finite differences"
+    return [(name, worst <= 1e-6, f"max relative error {worst:.3e}")]
+
+
 def check_discrete_partials(
     model: MechanicalModel,
     rule: str,
@@ -129,4 +150,5 @@ def run_all_checks(
     results += check_gap_gradient(model, rng)
     results += check_omega_rank(model, rng)
     results += check_discrete_partials(model, rule, rng)
+    results += check_hessian(model, rng)
     return results

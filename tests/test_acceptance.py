@@ -247,6 +247,7 @@ def test_criterion_11_free_motion_suite():
         assert np.max(np.abs(phis - 0.3)) <= 1e-9
 
 
+@pytest.mark.slow
 def test_criterion_04_pendulum_long_horizon(pendulum_mod, pendulum_left_mod):
     with criterion(4, "pendulum t in [0,100], h=1e-4: 76 +/- 3 impacts, bounded drift, < 5 min"):
         started = time.perf_counter()

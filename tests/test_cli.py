@@ -228,7 +228,21 @@ class TestValidate:
             assert main(["validate", "--config", str(bundled_config_path(name))]) == 0
             out = capsys.readouterr().out
             assert "FAIL" not in out
-            assert "PASS" in out
+            assert "PASS  Hessian blocks (Lqq, Lqv, Lvv) vs finite differences" in out
+
+    def test_transposed_lqv_fails_hessian_check(self, pendulum, rng):
+        import dataclasses
+
+        from nhvi.validation import check_hessian
+
+        def transposed(q, v):
+            lqq, lqv, lvv = pendulum.d2L(q, v)
+            return lqq, lqv.T, lvv
+
+        [(_, ok, _)] = check_hessian(pendulum, rng)
+        assert ok
+        [(_, ok, detail)] = check_hessian(dataclasses.replace(pendulum, d2L=transposed), rng)
+        assert not ok, detail
 
 
 def test_console_script_installed(tmp_path):

@@ -129,6 +129,38 @@ def test_solved_set_does_not_shrink(outcomes):
     assert not lost, f"members that were solved now fail: {lost}"
 
 
+# --- pendulum pole subset ----------------------------------------------------
+# Spherical-pendulum starts near the pole theta = pi, where the metric entry
+# ml^2 sin^2(theta) of Lvv nearly vanishes: a fixed subset of the pendulum
+# fuzz, the same members under both rules, 3 s at h = 1e-3 each.
+
+POLE_MEMBERS = 5
+
+
+def pole_start(model, i):
+    """(q(0), v(0)) of pole member i, inside the constraint distribution."""
+    rng = np.random.default_rng([7, i])
+    theta0 = math.pi + rng.uniform(-0.6, 0.6)
+    phi0 = rng.uniform(0.0, 2.0 * math.pi)
+    theta_dot = rng.uniform(-3.0, 3.0)
+    q0 = np.array([theta0, phi0])
+    return q0, np.array([theta_dot, model.omega(q0)[0, 0] * theta_dot])
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_pendulum_pole_subset_solved(rule):
+    model = nhvi.make_pendulum()
+    Ld = make_discrete_lagrangian(model, rule)
+    failed = []
+    for i in range(POLE_MEMBERS):
+        q0, v0 = pole_start(model, i)
+        try:
+            nhvi.simulate(Ld, model, q0, v0, 0.0, 3.0, 1e-3)
+        except nhvi.NhviError as exc:
+            failed.append((i, type(exc).__name__, str(exc)))
+    assert not failed, f"pole members that fail under {rule}: {failed}"
+
+
 # --- properties at resolved impacts ------------------------------------------
 
 IMPACT_KINDS = ("particle", "ellipse-vertical", "ellipse-edge-slope", "pendulum")

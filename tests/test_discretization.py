@@ -39,15 +39,24 @@ class TestEvaluationExamples:
         w = (v - q) / h
         assert pendulum_left.eval(q, v, h) == h * pendulum.lagrangian(q, w)
 
-    def test_velocity_form_matches_configuration_form(self, pendulum_left, rng):
-        for _ in range(20):
-            q = np.array([rng.uniform(2.4, 3.0), rng.uniform(0, 6)])
-            w = rng.uniform(-2, 2, 2)
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    @pytest.mark.parametrize("model_fixture", ["particle", "ellipse_body", "star_body", "pendulum"])
+    def test_velocity_form_matches_configuration_form(self, model_fixture, rule, rng, request):
+        model = request.getfixturevalue(model_fixture)
+        Ld = make_discrete_lagrangian(model, rule)
+        for q in sample_interior_points(model, 200, rng):
+            w = rng.uniform(-2, 2, model.n)
             h = rng.uniform(1e-4, 1e-1)
             v = q + h * w
-            npt.assert_allclose(pendulum_left.d1_w(q, w, h), pendulum_left.d1(q, v, h), rtol=1e-9, atol=1e-9)
-            npt.assert_allclose(pendulum_left.d2_w(q, w, h), pendulum_left.d2(q, v, h), rtol=1e-9, atol=1e-9)
-            assert abs(pendulum_left.d3_w(q, w, h) - pendulum_left.d3(q, v, h)) < 1e-9
+            # one definition: the configuration form is the velocity form
+            # at w = (v - q)/h, bit for bit
+            w_v = (v - q) / h
+            npt.assert_array_equal(Ld.d1(q, v, h), Ld.d1_w(q, w_v, h))
+            npt.assert_array_equal(Ld.d2(q, v, h), Ld.d2_w(q, w_v, h))
+            assert Ld.d3(q, v, h) == Ld.d3_w(q, w_v, h)
+            npt.assert_allclose(Ld.d1_w(q, w, h), Ld.d1(q, v, h), rtol=1e-9, atol=1e-9)
+            npt.assert_allclose(Ld.d2_w(q, w, h), Ld.d2(q, v, h), rtol=1e-9, atol=1e-9)
+            assert Ld.d3_w(q, w, h) == pytest.approx(Ld.d3(q, v, h), rel=1e-9, abs=1e-9)
 
     def test_unknown_rule_rejected(self, particle):
         with pytest.raises(ValueError):
@@ -123,15 +132,6 @@ class TestDerivativeConsistency:
                 worst = max(worst, err / scale)
         # central differences at eps = 1e-7 read about 5e-8 here
         assert worst <= 1e-6
-
-    def test_d13_dw_absent_without_hessian(self, particle):
-        import dataclasses
-
-        model = dataclasses.replace(particle, d2L=None)
-        for rule in ("midpoint", "retraction-left"):
-            Ld = make_discrete_lagrangian(model, rule)
-            assert Ld.d1_dv is None and Ld.d13_dw is None
-
 
 class TestConstraintMaps:
     def test_constraint_satisfying_displacement(self, pendulum):
