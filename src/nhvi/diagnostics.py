@@ -150,7 +150,7 @@ def build_report(
         energy_final=e_final,
         energy_drift_rel=drift,
         max_constraint_residual=max_residual,
-        min_boundary_gap=float(min(gap)),
+        min_boundary_gap=float(gap.min()),
         newton_iter_stats=stats,
         state_columns={
             "E": node_energies,

@@ -294,7 +294,8 @@ def _step_plus_impl(Ld, model, state: State, h, opts, prev=None):
         z0[n:] = state.lam
     else:
         z0[:n] = 3.0 * (state.v - state.q) + prev.q
-        z0[n:] = 2.0 * state.lam - prev.lam
+        if model.m_con:
+            z0[n:] = 2.0 * state.lam - prev.lam
     res = newton_solve(residual, z0, opts, jac)
     _require_converged(res, "step", state.k, state.t)
     new_state = State(
@@ -367,8 +368,9 @@ def _impact_a_system(Ld, model, q_k, p_k, h):
         w = z[1 : 1 + n]
         s = alpha * h
         r = np.empty(n + m + 1)
-        r[:n] = Ld.d1_w(q_k, w, s) + p_k - omT_k @ z[1 + n :]
+        r[:n] = Ld.d1_w(q_k, w, s) + p_k
         if m:
+            r[:n] -= omT_k @ z[1 + n :]
             r[n : n + m] = om_k @ w
         r[n + m] = gap(q_k + s * w)
         return r

@@ -2,8 +2,10 @@
 
 Every implicit system in the integrator is a handful of unknowns, so plain
 dense linear algebra on float64 arrays is the right tool.  Vectors and
-matrices are numpy arrays throughout; the helpers here validate finiteness at
-API boundaries but stay out of the hot loops.
+matrices are numpy arrays throughout.  On vectors this short a numpy call's
+fixed cost outweighs its arithmetic, so one Python-float pass (:func:`_norm`)
+is the residual norm and the finiteness check that Newton, `_solve_linear`
+and `fd_jacobian` share.
 """
 
 from __future__ import annotations
@@ -65,11 +67,32 @@ class NewtonResult:
     backtracks: int = 0
 
 
+def _norm(Fx) -> float:
+    """Infinity norm of the array Fx, or inf when any entry is NaN or
+    infinite: the finiteness check of Newton, `_solve_linear` and
+    `fd_jacobian`.
+
+    One pass over Python floats: an infinite entry wins the max, a NaN
+    returns at once.  The result is bitwise ``np.abs(Fx).max(initial=0.0)``
+    on finite input, at a fraction of its fixed cost on a few entries.
+    """
+    norm = 0.0
+    for v in Fx.ravel().tolist():
+        a = abs(v)
+        if a > norm:
+            norm = a
+        elif a != a:
+            return math.inf
+    return norm
+
+
 def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x, eps: float = 1e-7) -> np.ndarray:
     """Central-difference Jacobian of F at x.
 
     Entry (i, j) is (F_i(x + e_j) - F_i(x - e_j)) / (2 e_j) with the step
     e_j = eps * max(1, |x_j|), balancing truncation against round-off.
+    F returns a numpy array; a non-finite entry on either side of x_j
+    raises EvaluationFailure naming coordinate j.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -83,7 +106,7 @@ def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x, eps: float = 1e-7) -> 
         xm[j] = xj - e
         fp = F(xp)
         fm = F(xm)
-        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
+        if _norm(fp) == math.inf or _norm(fm) == math.inf:
             raise EvaluationFailure(
                 f"non-finite function value while differencing coordinate {j}"
             )
@@ -95,7 +118,7 @@ def _solve_linear(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Solve J dx = F, falling back to a Tikhonov-shifted system if singular."""
     try:
         dx = np.linalg.solve(J, F)
-        if np.isfinite(dx).all():
+        if _norm(dx) != math.inf:
             return dx
     except np.linalg.LinAlgError:
         pass
@@ -110,16 +133,9 @@ def _solve_linear(J: np.ndarray, F: np.ndarray) -> np.ndarray:
         raise SingularJacobian(
             f"linear solve failed after Tikhonov fallback (shift={shift:.3e})"
         ) from exc
-    if not np.isfinite(dx).all():
+    if _norm(dx) == math.inf:
         raise SingularJacobian("regularized solve produced non-finite step")
     return dx
-
-
-def _norm(Fx) -> float:
-    """Residual infinity norm; inf when any entry is NaN or infinite (both
-    propagate through max, so one reduction is also the finiteness check)."""
-    norm = float(np.abs(Fx).max(initial=0.0))
-    return norm if math.isfinite(norm) else math.inf
 
 
 def newton_solve(

@@ -1,4 +1,7 @@
+import dataclasses
 import gc
+import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -115,6 +118,27 @@ class TestBuildReport:
         rep = build_report(traj, pendulum_left, pendulum)
         assert rep.impact_count == 1
         assert 0.0 < rep.max_constraint_residual <= 1e-10
+
+    def test_min_boundary_gap_bitwise_builtin_min_on_finite_data(self, impact_runs):
+        for traj, Ld, model in impact_runs:
+            rep = build_report(traj, Ld, model)
+            expected = min(model.boundary_gap(q) for q in traj.q)
+            assert struct.pack("<d", rep.min_boundary_gap) == struct.pack("<d", expected)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_nan_gap_reported_wherever_it_sits(self, particle, particle_mid, where):
+        traj = simulate(
+            particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]), 0.0, 0.2, 1e-2
+        )
+        k = {"first": 0, "middle": len(traj.t) // 2, "last": len(traj.t) - 1}[where]
+        bad = traj.q[k].tobytes()
+
+        def gap(q):
+            return math.nan if q.tobytes() == bad else particle.boundary_gap(q)
+
+        # the builtin min skips a NaN that is not first: min([1.0, nan, 0.5]) is 0.5
+        rep = build_report(traj, particle_mid, dataclasses.replace(particle, boundary_gap=gap))
+        assert math.isnan(rep.min_boundary_gap)
 
     def test_round_trips_to_dict(self, particle, particle_mid):
         traj = simulate(

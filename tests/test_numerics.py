@@ -1,6 +1,12 @@
+import math
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nhvi import (
     EvaluationFailure,
@@ -10,6 +16,54 @@ from nhvi import (
     fd_jacobian,
     newton_solve,
 )
+from nhvi.numerics import _norm, _solve_linear
+
+# 0-d, 1-D and 2-D arrays, empty ones included
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestNorm:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(hnp.arrays(np.float64, SHAPES, elements=FINITE))
+    @example(np.zeros(0))
+    @example(np.array(-0.0))
+    @example(np.array([-0.0, 0.0, -0.0]))
+    @example(np.array([5e-324, -5e-324, 2.2e-308]))
+    @example(np.array([[-1.5, 1.5], [0.0, -1.5]]))
+    @example(np.array([-np.finfo(float).max, 1.0]))
+    def test_finite_equals_numpy_max_abs_bitwise(self, x):
+        norm = _norm(x)
+        assert type(norm) is float
+        assert bits(norm) == bits(float(np.abs(x).max(initial=0.0)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.lists(FINITE, min_size=1, max_size=8),
+        st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]),
+        st.sampled_from(["first", "middle", "last"]),
+        st.booleans(),
+    )
+    def test_any_nonfinite_entry_gives_inf(self, values, bad, where, two_d):
+        i = {"first": 0, "middle": len(values) // 2, "last": len(values) - 1}[where]
+        values[i] = bad
+        x = np.array(values)
+        if two_d:
+            x = x.reshape(1, -1)
+        assert _norm(x) == math.inf
+
+
+class TestSolveLinear:
+    def test_overflowing_solve_and_shift_raise(self):
+        J, F = np.array([[1e-320]]), np.array([1e300])
+        # no LinAlgError: the pivot is nonzero and the quotient overflows
+        assert np.isinf(np.linalg.solve(J, F)).all()
+        with pytest.raises(SingularJacobian, match="regularized solve produced non-finite step"):
+            _solve_linear(J, F)
 
 
 class TestFdJacobian:
@@ -43,13 +97,17 @@ class TestFdJacobian:
         with pytest.raises(EvaluationFailure, match="coordinate 1"):
             fd_jacobian(F, np.array([1.0, 0.0]), 1e-7)
 
-    @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_one_sided_nonfinite_identifies_coordinate(self, side):
+    @pytest.mark.parametrize(
+        "side, bad",
+        [(1.0, np.inf), (-1.0, np.inf), (1.0, np.nan), (-1.0, np.nan)],
+        ids=["1.0", "-1.0", "1.0-nan", "-1.0-nan"],
+    )
+    def test_one_sided_nonfinite_identifies_coordinate(self, side, bad):
         x = np.array([0.5, 2.0])
 
         def F(z):
-            # infinite only on one side of coordinate 1
-            return np.array([z[0], np.inf if side * (z[1] - x[1]) > 0 else z[1]])
+            # non-finite only in the last row, on one side of coordinate 1
+            return np.array([z[0], bad if side * (z[1] - x[1]) > 0 else z[1]])
 
         with pytest.raises(EvaluationFailure, match="coordinate 1"):
             fd_jacobian(F, x, 1e-7)
