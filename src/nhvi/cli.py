@@ -63,7 +63,7 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     return cfg
 
 
-def _run_single(cfg: SimConfig, out_dir: Path) -> dict:
+def _run_single(cfg: SimConfig, out_dir: Path) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -99,7 +99,6 @@ def _run_single(cfg: SimConfig, out_dir: Path) -> dict:
         write_summary_json(out_dir / "summary.json", report, cfg)
     if cfg.outputs.plots:
         write_plots(out_dir, traj, Ld, model, cfg.outputs.plots)
-    return report.to_dict()
 
 
 def _fail_with_diagnostic(exc: NhviError, out_dir: Path) -> int:

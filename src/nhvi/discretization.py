@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInitialState
-from .geometry import MechanicalModel
+from .geometry import GRAZING_TOL, MechanicalModel
 from .numerics import as_vector
 
 RULES = ("midpoint", "retraction-left")
@@ -190,7 +190,7 @@ def initial_discretize(
     else:
         raise ValueError(f"unknown discretization rule {rule!r}; expected one of {RULES}")
     for label, point in (("q_0", q0), ("v_0", v0)):
-        if model.boundary_gap(point) < -1e-12:
+        if model.boundary_gap(point) < -GRAZING_TOL:
             raise InvalidInitialState(
                 f"discretized {label}={point} leaves the admissible set"
             )

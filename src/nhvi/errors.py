@@ -47,7 +47,7 @@ class AlphaOutOfRange(NhviError):
 
 
 class PersistentPenetration(NhviError):
-    """Post-impact state still penetrates after a retry; aborting the run."""
+    """Post-impact state still penetrates; aborting the run."""
 
 
 class RootSelectionAmbiguous(NhviError):

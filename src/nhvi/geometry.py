@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import DegenerateFrame, NotOnBoundary
 
+# c(q) >= -GRAZING_TOL counts as admissible; avoids impact solves on round-off
+GRAZING_TOL = 1e-12
 # |c(q)| below this counts as "on the boundary" for frame assembly
 FRAME_GAP_TOL = 1e-8
 # P.E must equal the identity to this tolerance, else the frame is degenerate

@@ -64,13 +64,17 @@ from .errors import (
     PersistentPenetration,
     RootSelectionAmbiguous,
 )
-from .geometry import MechanicalModel, boundary_frame, pullback_cotangent, push_cotangent
+from .geometry import (
+    GRAZING_TOL,
+    MechanicalModel,
+    boundary_frame,
+    pullback_cotangent,
+    push_cotangent,
+)
 from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _norm, newton_solve
 
 log = logging.getLogger("nhvi.integrator")
 
-# |c| below this counts as admissible; avoids impact solves on round-off
-GRAZING_TOL = 1e-12
 # resolved impact fraction must lie in (ALPHA_MARGIN, 1 - ALPHA_MARGIN)
 ALPHA_MARGIN = 1e-6
 
@@ -161,6 +165,7 @@ class StateRows(Sequence):
         return map(self._traj._state, self._rows)
 
 
+@dataclass(slots=True, eq=False)
 class Trajectory:
     """The discrete trajectory, stored as float64 columns whose row is k.
 
@@ -168,40 +173,17 @@ class Trajectory:
     shape (N, m): row k is the node (q_k, v_k, p_k, lambda_k) at time t_k.
     At a step k that held a collision, row k's v and lam are the phase-A
     boundary node and multipliers (`impacts[j].q_tilde`, `.lambda_A`).
-    `states` views the rows as `State` objects.  Built from a list of
-    states numbered 0..N-1, or by `from_columns`.
+    `states` views the rows as `State` objects.
     """
 
-    __slots__ = ("t", "q", "v", "p", "lam", "impacts", "h", "solver_stats")
-
-    def __init__(
-        self,
-        states: Sequence[State],
-        impacts: List[ImpactEvent],
-        h: float,
-        solver_stats: SolverStats,
-    ):
-        for k, st in enumerate(states):
-            if st.k != k:
-                raise ValueError(f"state {k} is numbered {st.k}; states must be 0..N-1")
-        columns = [
-            np.array([getattr(st, name) for st in states], dtype=float)
-            for name in ("t", "q", "v", "p", "lam")
-        ]
-        self._assign(*columns, impacts, h, solver_stats)
-
-    @classmethod
-    def from_columns(cls, t, q, v, p, lam, impacts, h, solver_stats) -> "Trajectory":
-        """A trajectory over the given columns (shapes as in the class doc)."""
-        traj = cls.__new__(cls)
-        traj._assign(t, q, v, p, lam, impacts, h, solver_stats)
-        return traj
-
-    def _assign(self, t, q, v, p, lam, impacts, h, solver_stats) -> None:
-        self.t, self.q, self.v, self.p, self.lam = t, q, v, p, lam
-        self.impacts = impacts
-        self.h = h
-        self.solver_stats = solver_stats
+    t: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
+    lam: np.ndarray
+    impacts: List[ImpactEvent]
+    h: float
+    solver_stats: SolverStats
 
     def _state(self, k: int) -> State:
         """Node k as a `State` whose arrays view row k of the columns."""
@@ -215,7 +197,6 @@ class Trajectory:
 class MinusStepResult(NamedTuple):
     q_prev: np.ndarray
     p_prev: np.ndarray
-    v_slot: np.ndarray
     lam: np.ndarray
 
 
@@ -349,9 +330,7 @@ def step_minus(
     res = newton_solve(residual, z0, opts)
     _require_converged(res, "step-minus", -1, math.nan)
     u = res.x[:n]
-    return MinusStepResult(
-        q_prev=u, p_prev=-Ld.d1(u, q_next, h), v_slot=u, lam=res.x[n:]
-    )
+    return MinusStepResult(q_prev=u, p_prev=-Ld.d1(u, q_next, h), lam=res.x[n:])
 
 
 def _impact_a_system(Ld, model, q_k, p_k, h):
@@ -551,22 +530,16 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
 def _resolve_impact_impl(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     if model.boundary_gap(rejected_q) >= 0:
         raise ValueError("rejected configuration does not penetrate the boundary")
-    if model.boundary_gap(q_k) <= 0:
-        raise ValueError("impact resolution requires an interior pre-impact node")
+    if model.boundary_gap(q_k) < -GRAZING_TOL:
+        raise ValueError("impact resolution requires an admissible pre-impact node")
     event, state, records = _attempt_impact(
         Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k
     )
     if model.boundary_gap(state.q) < -GRAZING_TOL:
-        # One retry keyed to the doubly-rejected point; its interpolated
-        # alpha guess can select an earlier boundary crossing.
-        event, state, records = _attempt_impact(
-            Ld, model, q_k, p_k, h, state.q, opts, k, t_k
+        raise PersistentPenetration(
+            f"post-impact configuration still penetrates "
+            f"(step {k}, t={t_k:.6g}, gap {model.boundary_gap(state.q):.3e})"
         )
-        if model.boundary_gap(state.q) < -GRAZING_TOL:
-            raise PersistentPenetration(
-                f"post-impact configuration still penetrates after retry "
-                f"(step {k}, t={t_k:.6g}, gap {model.boundary_gap(state.q):.3e})"
-            )
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "impact at k=%d: alpha=%.6f t=%.6g energy_jump=%.3e compat=%.3e",
@@ -672,4 +645,4 @@ def simulate(
         exc.state = state
         raise
 
-    return Trajectory.from_columns(t, q, v, p, lam, impacts, h, stats)
+    return Trajectory(t, q, v, p, lam, impacts, h, stats)

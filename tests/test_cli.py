@@ -110,13 +110,14 @@ class TestRun:
         assert "admissible" in diagnostic["message"]
         assert "state" not in diagnostic  # no step ran
 
-    @pytest.mark.parametrize("index, error", [
-        (121, "NoElasticRebound"),  # vertical-frame ellipse, step 7, law rate < 0
-        (9, "NewtonFailure"),  # vertical-frame ellipse, impact-B at step 34
+    @pytest.mark.parametrize("index, body, error", [
+        (121, "ellipse-vertical", "NoElasticRebound"),  # step 7, law rate < 0
+        (9, "ellipse-vertical", "NewtonFailure"),  # impact-B at step 34
+        (383, "star", "PersistentPenetration"),  # first impact, step 1
     ])
-    def test_failed_step_replays_from_error_json(self, tmp_path, index, error):
+    def test_failed_step_replays_from_error_json(self, tmp_path, index, body, error):
         kind, doc = workloads.bounce_config(1, index)
-        assert kind == "ellipse-vertical"
+        assert kind == body
         path = tmp_path / "member.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -146,6 +147,25 @@ class TestRun:
             # the typed cause reaches error.json: the law's normal rate and the step
             assert diagnostic["law_rate"] == replay.value.law_rate <= 0.0
             assert (diagnostic["k"], diagnostic["t"]) == (node["k"], node["t"])
+
+    def test_grazing_node_reaches_impact_resolution(self, tmp_path):
+        # node 1 lies 5e-13 below the floor, inside the admissible tolerance;
+        # step 1 penetrates, and its impact fails as a typed error
+        path = tmp_path / "grazing.json"
+        path.write_text(json.dumps({
+            "model": {"type": "particle"},
+            "rule": "midpoint",
+            "q0": [0.0, 5e-13],
+            "v0": [0.0, -2e-10],
+            "t_final": 0.1,
+            "h": 0.01,
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        diagnostic = json.loads((out / "error.json").read_text())
+        assert diagnostic["error"] == "AlphaOutOfRange"
+        assert diagnostic["state"]["k"] == 1
+        assert -nhvi.geometry.GRAZING_TOL <= diagnostic["state"]["q"][1] < 0
 
     @pytest.mark.parametrize("override, key", [
         (["--h", "1000"], "h"),  # longer than the 2 s span

@@ -10,7 +10,6 @@ import pytest
 
 from nhvi import (
     PendulumParams,
-    State,
     Trajectory,
     build_report,
     discrete_energy,
@@ -25,8 +24,10 @@ from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
 
 
 def single_state_trajectory(Ld, q, h):
-    st = State(k=0, t=0.0, q=q, v=q, p=Ld.d2(q, q, h), lam=np.zeros(0))
-    return Trajectory(states=[st], impacts=[], h=h, solver_stats=SolverStats())
+    """The one node (q, q, d2(q, q, h)) at t = 0, as one-row columns."""
+    rows = np.array([q], dtype=float)
+    return Trajectory(t=np.zeros(1), q=rows, v=rows, p=np.array([Ld.d2(q, q, h)]),
+                      lam=np.zeros((1, 0)), impacts=[], h=h, solver_stats=SolverStats())
 
 
 def reference_energy_series(traj, Ld):

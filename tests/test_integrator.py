@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +10,6 @@ import pytest
 
 from nhvi import (
     State,
-    Trajectory,
     build_report,
     discrete_energy,
     initial_discretize,
@@ -21,11 +22,10 @@ from nhvi import (
 )
 from nhvi import integrator, numerics
 from nhvi.cli import bundled_config_path
-from nhvi.config import build_model, parse_config
-from nhvi.errors import NoElasticRebound
+from nhvi.config import build_model, config_from_dict, parse_config
+from nhvi.errors import NoElasticRebound, PersistentPenetration
 from nhvi.geometry import boundary_frame
 from nhvi.integrator import (
-    SolverStats,
     _impact_b_system,
     _impact_law,
     _resolve_impact_impl,
@@ -34,6 +34,10 @@ from nhvi.integrator import (
 from nhvi.models import sample_boundary_points
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS, fd_jacobian
 from tests.conftest import PENDULUM_Q0, PENDULUM_V0
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 def make_state(Ld, q, v, h, m_con=0):
@@ -152,7 +156,6 @@ class TestStepMinus:
         back = step_minus(Ld, free_particle, np.array([2.0, 0.0]), np.array([10.0, 0.0]), 0.1)
         npt.assert_allclose(back.q_prev, [1.0, 0.0], atol=1e-10)
         npt.assert_allclose(back.p_prev, [10.0, 0.0], atol=1e-10)
-        npt.assert_array_equal(back.v_slot, back.q_prev)
 
     def test_rest_state_recovered(self, free_particle):
         Ld = make_discrete_lagrangian(free_particle, "midpoint")
@@ -213,7 +216,7 @@ class TestResolveImpact:
             resolve_impact(
                 particle_mid,
                 particle,
-                np.array([0.0, -0.1]),  # pre-impact node not interior
+                np.array([0.0, -0.1]),  # pre-impact node penetrates
                 np.zeros(2),
                 0.1,
                 np.array([0.0, -0.2]),
@@ -520,21 +523,6 @@ class TestTrajectoryColumns:
             npt.assert_array_equal(traj.lam[ev.k], ev.lambda_A)
             npt.assert_array_equal(traj.q[ev.k + 1], ev.v_tilde)
 
-    def test_built_from_state_list(self, particle, particle_mid):
-        traj = simulate(
-            particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]), 0.0, 1.0, 1e-2
-        )
-        states = list(traj.states)
-        rebuilt = Trajectory(states=states, impacts=traj.impacts, h=traj.h,
-                             solver_stats=traj.solver_stats)
-        assert len(rebuilt.states) == len(states) == 101
-        for a, b in zip(rebuilt.states, states):
-            assert_state_equal(a, b)
-        for name in ("t", "q", "v", "p", "lam"):
-            npt.assert_array_equal(getattr(rebuilt, name), getattr(traj, name))
-        with pytest.raises(ValueError):
-            Trajectory(states=states[1:], impacts=[], h=traj.h, solver_stats=SolverStats())
-
     def test_error_carries_last_good_node(self, particle, particle_mid):
         # a one-iteration Newton budget stalls the first impact-A solve
         from nhvi import NewtonFailure, NewtonOptions
@@ -591,6 +579,30 @@ class TestErrorPaths:
                 0.1,
                 np.array([0.0, -0.1]),
             )
+
+    def test_persistent_penetration_after_one_attempt(self, monkeypatch):
+        # a midpoint star whose first impact, at step 1, leaves a corner
+        # below the floor: the collision is attempted once, then the run aborts
+        kind, doc = workloads.bounce_config(1, 383)
+        assert kind == "star"
+        cfg = config_from_dict(doc)
+        model = build_model(cfg)
+        Ld = make_discrete_lagrangian(model, cfg.rule)
+        attempts = []
+        real_attempt = integrator._attempt_impact
+
+        def attempt(*args):
+            attempts.append(args)
+            return real_attempt(*args)
+
+        monkeypatch.setattr(integrator, "_attempt_impact", attempt)
+        with pytest.raises(PersistentPenetration) as failure:
+            simulate(Ld, model, np.array(cfg.q0), np.array(cfg.v0),
+                     cfg.t0, cfg.t_final, cfg.h, cfg.solver)
+        assert failure.value.state.k == 1
+        assert len(attempts) == 1
+        # keyed to the candidate the step rejected
+        npt.assert_array_equal(attempts[0][5], failure.value.state.v)
 
 
 BALL = dict(

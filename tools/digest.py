@@ -3,8 +3,11 @@
 Prints six SHA-256 digests, one per line:
 
     bounce-solution    the bounce corpus: bench/workloads.py `bounce_config`
-    bounce-derived     seeds 1-2, every member (768 runs of particle, ellipse
-    bounce-outcomes    and star bodies);
+    bounce-derived     seeds 1-2, every member (768 midpoint runs of particle,
+                       ellipse and star bodies);
+    bounce-outcomes    the same 768 runs, and the 576 body members once more
+                       under the retraction-left rule (the failure corpus of
+                       tests/test_corpus.py);
     pendulum-solution  the pendulum_long benchmark configuration (criterion-4
     pendulum-derived   pendulum, h = 1e-4, 20 000 steps);
     demos              every file `nhvi demo NAME --out DIR` writes for the
@@ -19,10 +22,10 @@ message.  Its derived numbers are the solver records' residuals,
 `build_report` and `recompute_solve_residuals`.  A change to diagnostics
 alone moves the derived lines and leaves the solution lines equal.  Floats
 enter as their IEEE-754 bytes, so equal digests mean bitwise-equal results.
-The bounce-outcomes line hashes only each member's seed, index, body kind
+The bounce-outcomes line hashes only each run's seed, index, body kind, rule
 and outcome: `ok` with its impact count, or the type of the error it
 raised.  It stays equal when rounding moves the solution lines but every
-member ends the same way, with the same number of impacts.  Each demo
+run ends the same way, with the same number of impacts.  Each demo
 contributes its exit code and the name and bytes of every file it wrote.
 
 Run it from a checkout, and once more against another checkout to compare:
@@ -88,15 +91,31 @@ class Digest:
         return self.h.hexdigest()
 
 
-def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict) -> str:
-    """Simulate one configuration document into the two digests; returns
-    its outcome, "ok <impact count>" or the type of the error it raised."""
+def simulate_doc(nhvi, doc: dict):
+    """(trajectory, Ld, model) of one configuration document; raises what
+    `simulate` raises."""
     cfg = nhvi.config_from_dict(doc)
     model = nhvi.build_model(cfg)
     Ld = nhvi.make_discrete_lagrangian(model, cfg.rule)
+    traj = nhvi.simulate(Ld, model, np.array(cfg.q0), np.array(cfg.v0),
+                         cfg.t0, cfg.t_final, cfg.h, cfg.solver)
+    return traj, Ld, model
+
+
+def outcome_of(nhvi, doc: dict) -> str:
+    """"ok <impact count>", or the type of the error the run raised."""
     try:
-        traj = nhvi.simulate(Ld, model, np.array(cfg.q0), np.array(cfg.v0),
-                             cfg.t0, cfg.t_final, cfg.h, cfg.solver)
+        traj, _, _ = simulate_doc(nhvi, doc)
+    except nhvi.NhviError as exc:
+        return type(exc).__name__
+    return f"ok {len(traj.impacts)}"
+
+
+def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict) -> str:
+    """Simulate one configuration document into the two digests; returns
+    its outcome, as `outcome_of` does."""
+    try:
+        traj, Ld, model = simulate_doc(nhvi, doc)
     except nhvi.NhviError as exc:
         solution.text(f"error {type(exc).__name__}: {exc}")
         return type(exc).__name__
@@ -149,20 +168,26 @@ def main(argv=None) -> int:
     nhvi, workloads = import_checkout(args.root.resolve())
 
     bounce, bounce_derived, outcomes = Digest(), Digest(), Digest()
-    unsolved = 0
-    members = 0
+    members = unsolved = runs = runs_unsolved = 0
     for seed in SEEDS:
         for index in range(workloads.BOUNCE_MEMBERS):
             kind, doc = workloads.bounce_config(seed, index)
             for d in (bounce, bounce_derived):
                 d.text(f"member {seed} {index}")
             outcome = digest_run(bounce, bounce_derived, nhvi, doc)
-            outcomes.text(f"member {seed} {index} {kind} {outcome}")
-            unsolved += not outcome.startswith("ok ")
             members += 1
+            unsolved += not outcome.startswith("ok ")
+            rule_outcomes = [("midpoint", outcome)]
+            if kind != "particle":
+                rule_outcomes.append(
+                    ("retraction-left", outcome_of(nhvi, {**doc, "rule": "retraction-left"})))
+            for rule, outcome in rule_outcomes:
+                outcomes.text(f"member {seed} {index} {kind} {rule} {outcome}")
+                runs += 1
+                runs_unsolved += not outcome.startswith("ok ")
     print(f"bounce-solution    {bounce.hexdigest()}  ({members} members, {unsolved} unsolved)")
     print(f"bounce-derived     {bounce_derived.hexdigest()}")
-    print(f"bounce-outcomes    {outcomes.hexdigest()}")
+    print(f"bounce-outcomes    {outcomes.hexdigest()}  ({runs} runs, {runs_unsolved} unsolved)")
 
     pendulum, pendulum_derived = Digest(), Digest()
     outcome = digest_run(pendulum, pendulum_derived, nhvi, workloads.pendulum_config())
