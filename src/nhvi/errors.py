@@ -16,7 +16,7 @@ class EvaluationFailure(NhviError):
 
 
 class SingularJacobian(NhviError):
-    """Linear solve inside Newton failed even after Tikhonov regularization."""
+    """The Newton linear solve failed: a singular Jacobian or a non-finite step."""
 
 
 class NewtonFailure(NhviError):

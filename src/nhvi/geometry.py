@@ -6,9 +6,11 @@ scalar gap function describing the admissible set (positive inside, zero on
 the collision surface, negative outside) and the tangent-basis/projection
 pair on the boundary.
 
-The boundary tangent basis E (n x (n-1)) and the projection P ((n-1) x n) are
-model data, not derived quantities: the impact map depends on which left
-inverse is chosen, so each model ships its own closed-form pair.  Boundary
+The boundary tangent basis E (n x (n-1)) and the projection P ((n-1) x n), a
+left inverse of E, are model data, so each model ships its own closed-form
+pair.  The impact map depends on E alone: phase B reads only E^T.  P enters
+only the diagnostic `compat_residual`, through push_cotangent, so another
+left inverse of the same E leaves every trajectory unchanged.  Boundary
 covectors are stored as coefficient tuples against the dual basis of E's
 columns, which makes the cotangent transfer maps plain matrix transposes:
 pull-back is E^T and push-forward is P^T.

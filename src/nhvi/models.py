@@ -66,9 +66,9 @@ class StarShape:
 class Se2BodyParams:
     """Rigid-body parameters plus the choice of boundary projection.
 
-    `contact_frame` selects which tangent-basis/projection pair transfers
+    `contact_frame` selects the boundary tangent basis E that transfers
     momentum at the contact, and therefore which generalized impulse the
-    collision applies:
+    collision applies (its projection only feeds `compat_residual`):
 
     * "vertical": tangent directions {d/dx, d/dtheta}, impulse along the
       floor normal dy.  The bounce leaves the spin rate unchanged; this is

@@ -33,8 +33,11 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 class NewtonOptions:
     """Tolerances and limits for :func:`newton_solve`.
 
-    tol is a bound on the residual infinity norm; fd_eps is the base step
-    for finite-difference Jacobians (scaled per coordinate).
+    tol is a bound on the residual infinity norm.  max_backtracks is the
+    number of step halvings tried before an iteration stalls: the trials are
+    the steps 1, 1/2, ..., 2^-max_backtracks, and 0 means the full step must
+    reduce the residual.  fd_eps is the base step for finite-difference
+    Jacobians (scaled per coordinate).
     """
 
     tol: float = 1e-10
@@ -58,12 +61,19 @@ DEFAULT_NEWTON_OPTIONS = NewtonOptions()
 
 @dataclass
 class NewtonResult:
+    """Outcome of :func:`newton_solve`.
+
+    x is the last iterate and residual_norm the infinity norm of F there,
+    the smallest seen, since accepted residuals strictly decrease.
+    iterations counts accepted steps, and backtracks the halvings of steps
+    that did not reduce the residual, a stalled iteration's included.
+    converged is residual_norm <= tol.
+    """
+
     x: np.ndarray
     residual_norm: float
     iterations: int
     converged: bool
-    # damped trial steps taken over the whole solve (halvings of a step
-    # that did not reduce the residual)
     backtracks: int = 0
 
 
@@ -115,26 +125,15 @@ def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x, eps: float = 1e-7) -> 
 
 
 def _solve_linear(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Solve J dx = F, falling back to a Tikhonov-shifted system if singular."""
+    """Solve J dx = F with one dense `np.linalg.solve`; a singular J
+    (`LinAlgError`) or a step with a NaN or infinite entry raises
+    SingularJacobian."""
     try:
         dx = np.linalg.solve(J, F)
-        if _norm(dx) != math.inf:
-            return dx
-    except np.linalg.LinAlgError:
-        pass
-    # Near-grazing impact systems can be close to singular; one regularized
-    # step often escapes the bad region.
-    J = np.asarray(J, dtype=float)
-    norm_inf = np.abs(J).max() if J.size else 0.0
-    shift = 1e-12 * max(norm_inf, 1e-300)
-    try:
-        dx = np.linalg.solve(J + shift * np.eye(J.shape[0]), F)
     except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(
-            f"linear solve failed after Tikhonov fallback (shift={shift:.3e})"
-        ) from exc
+        raise SingularJacobian(f"linear solve failed: {exc}") from exc
     if _norm(dx) == math.inf:
-        raise SingularJacobian("regularized solve produced non-finite step")
+        raise SingularJacobian("linear solve produced a non-finite step")
     return dx
 
 
@@ -148,12 +147,13 @@ def newton_solve(
 
     F maps a 1-D float array to a 1-D float array; `jac`, when supplied,
     returns its Jacobian, otherwise :func:`fd_jacobian` differences F.
-    Steps that increase the residual infinity norm are halved up to
-    `opts.max_backtracks` times; if no damping helps, the smallest step is
-    taken anyway and the iteration continues.  Returns the first iterate
-    with residual norm <= opts.tol, or the best iterate seen with
-    converged=False after max_iter iterations.  Each iterate is a new array
-    that is never written to, so the best one is kept without a copy.
+    A step that does not reduce the residual infinity norm is halved up to
+    `opts.max_backtracks` times, and the first trial that reduces it is
+    accepted.  When none does, the iteration has stalled: if the smallest
+    trial is non-finite EvaluationFailure is raised, otherwise the solve
+    ends at the current iterate.  Returns the last iterate, converged when
+    its residual norm is <= opts.tol, and not converged after a stall or
+    max_iter iterations.
     """
     tol = opts.tol
     max_iter = opts.max_iter
@@ -164,8 +164,6 @@ def newton_solve(
     if norm == math.inf:
         raise EvaluationFailure("residual non-finite at the initial guess")
 
-    best_x = x
-    best_norm = norm
     iterations = 0
     backtracks = 0
 
@@ -184,24 +182,18 @@ def newton_solve(
             F_new = F(x_new)
             norm_new = _norm(F_new)
             tries += 1
-        if norm_new == math.inf:
-            raise EvaluationFailure("residual non-finite after exhausting backtracking")
+        backtracks += tries
+        if norm_new >= norm:
+            if norm_new == math.inf:
+                raise EvaluationFailure("residual non-finite after exhausting backtracking")
+            break
 
         x = x_new
         Fx = F_new
         norm = norm_new
         iterations += 1
-        backtracks += tries
-        if norm < best_norm:
-            best_norm = norm
-            best_x = x
 
-    if norm <= tol:
-        return NewtonResult(
-            x=x, residual_norm=norm, iterations=iterations, converged=True,
-            backtracks=backtracks,
-        )
     return NewtonResult(
-        x=best_x, residual_norm=best_norm, iterations=iterations, converged=False,
+        x=x, residual_norm=norm, iterations=iterations, converged=norm <= tol,
         backtracks=backtracks,
     )

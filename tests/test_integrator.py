@@ -24,7 +24,7 @@ from nhvi import integrator, numerics
 from nhvi.cli import bundled_config_path
 from nhvi.config import build_model, config_from_dict, parse_config
 from nhvi.errors import NoElasticRebound, PersistentPenetration
-from nhvi.geometry import boundary_frame
+from nhvi.geometry import BoundaryFrame, boundary_frame
 from nhvi.integrator import (
     _impact_b_system,
     _impact_law,
@@ -322,6 +322,33 @@ class TestImpactLaw:
         npt.assert_array_equal(w, [1.7, 2.3])
         assert lam.shape == (0,)
         assert law_rate == 2.3
+
+    def test_singular_bordered_system_keeps_incoming_velocity(self, monkeypatch, particle):
+        # a tangent basis that contains the normal: the rows [E^T M] and
+        # [grad c^T, 0] are parallel, so no kernel direction crosses the boundary
+        frame = BoundaryFrame(
+            q_tilde=np.array([0.3, 0.0]),
+            E=np.array([[0.0], [1.0]]),
+            P=np.array([[0.0, 1.0]]),
+            normal=np.array([0.0, 1.0]),
+        )
+        w_in = np.array([1.7, -2.3])
+        raised = []
+        real_solve = np.linalg.solve
+
+        def solve(K, rhs):
+            try:
+                return real_solve(K, rhs)
+            except np.linalg.LinAlgError:
+                raised.append(K)
+                raise
+
+        monkeypatch.setattr(integrator.np.linalg, "solve", solve)
+        w, lam, law_rate = _impact_law(particle, frame, w_in)
+        assert len(raised) == 1
+        npt.assert_array_equal(w, w_in)
+        assert lam.shape == (0,)
+        assert law_rate == frame.normal @ w_in
 
     def test_vertical_ellipse_seed_flips_only_vertical_rate(self, ellipse_body, rng):
         for q_tilde in sample_boundary_points(ellipse_body, 20, rng):

@@ -16,6 +16,7 @@ from nhvi import (
     fd_jacobian,
     newton_solve,
 )
+from nhvi import numerics
 from nhvi.numerics import _norm, _solve_linear
 
 # 0-d, 1-D and 2-D arrays, empty ones included
@@ -58,11 +59,11 @@ class TestNorm:
 
 
 class TestSolveLinear:
-    def test_overflowing_solve_and_shift_raise(self):
+    def test_overflowing_solve_raises(self):
         J, F = np.array([[1e-320]]), np.array([1e300])
         # no LinAlgError: the pivot is nonzero and the quotient overflows
         assert np.isinf(np.linalg.solve(J, F)).all()
-        with pytest.raises(SingularJacobian, match="regularized solve produced non-finite step"):
+        with pytest.raises(SingularJacobian, match="linear solve produced a non-finite step"):
             _solve_linear(J, F)
 
 
@@ -195,7 +196,7 @@ class TestNewtonSolve:
             newton_solve(F, x0, NewtonOptions(max_backtracks=4),
                          jac=lambda x: np.array([[2.0 * x[0]]]))
 
-    def test_exactly_singular_first_jacobian_recovered_by_shift(self):
+    def test_exactly_singular_first_jacobian_raises_after_one_solve(self, monkeypatch):
         def F(z):
             x, y = z
             return np.array([x * x - 4.0 + y, y * (x - 1.0)])
@@ -205,11 +206,66 @@ class TestNewtonSolve:
             return np.array([[2.0 * x, 1.0], [y, x - 1.0]])
 
         z0 = np.array([1.0, 0.0])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(J(z0), F(z0))
-        res = newton_solve(F, z0, NewtonOptions(tol=1e-12), jac=J)
-        assert res.converged
-        npt.assert_allclose(res.x, [2.0, 0.0], atol=1e-12)
+        solves = []
+        real_solve = np.linalg.solve
+
+        def solve(A, b):
+            solves.append(A)
+            return real_solve(A, b)
+
+        monkeypatch.setattr(numerics.np.linalg, "solve", solve)
+        with pytest.raises(SingularJacobian, match="linear solve failed"):
+            newton_solve(F, z0, NewtonOptions(tol=1e-12), jac=J)
+        assert len(solves) == 1
+
+    def test_stall_ends_the_solve_at_the_current_iterate(self):
+        # F has no root and its full step from near 0 overshoots; no damped
+        # trial down to 2^-30 reduces |F| = 1, so the solve stops at x0
+        x0 = np.array([1e-9])
+        res = newton_solve(lambda x: x * x + 1.0, x0, jac=lambda x: np.array([[2.0 * x[0]]]))
+        assert not res.converged
+        assert res.iterations == 0
+        assert res.backtracks == 30
+        npt.assert_array_equal(res.x, x0)
+        assert res.residual_norm == 1.0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        hnp.arrays(np.float64, 2, elements=st.floats(-3.0, 3.0)),
+        st.integers(1, 50),
+        st.integers(0, 30),
+    )
+    @example([0.0, 1.0, 1.0, 0.0], np.array([1e-9, 0.5]), 50, 30)
+    def test_accepted_residuals_strictly_decrease(self, coef, z0, max_iter, max_backtracks):
+        a, b, c, d = coef
+
+        def F(z):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.array([z[0] ** 2 + a * z[1] + b, z[1] ** 3 / 3.0 + c * z[0] + d])
+
+        jac_norms = []
+
+        def J(z):
+            jac_norms.append(_norm(F(z)))
+            return np.array([[2.0 * z[0], a], [c, z[1] ** 2]])
+
+        opts = NewtonOptions(max_iter=max_iter, max_backtracks=max_backtracks)
+        try:
+            res = newton_solve(F, z0, opts, jac=J)
+        except (SingularJacobian, EvaluationFailure):
+            res = None
+        assert all(n1 < n0 for n0, n1 in zip(jac_norms, jac_norms[1:]))
+        if res is None:
+            return
+        assert res.residual_norm == _norm(F(res.x))
+        stalled = not res.converged and res.iterations < max_iter
+        # a stall ends the solve at the iterate whose Jacobian was just used
+        assert len(jac_norms) == res.iterations + stalled
+        if stalled:
+            assert res.residual_norm == jac_norms[-1]
+        elif jac_norms:
+            assert res.residual_norm < jac_norms[-1]
 
     def test_backtracks_counted(self):
         calls = {"n": 0}
@@ -228,7 +284,7 @@ class TestNewtonSolve:
     def test_result_backtracks_default_zero(self):
         assert NewtonResult(np.zeros(1), 0.0, 0, True).backtracks == 0
 
-    def test_singular_jacobian_raises_after_fallback(self):
+    def test_zero_fd_jacobian_raises_singular(self):
         with pytest.raises(SingularJacobian):
             newton_solve(lambda x: np.array([1.0]), np.array([0.0]))
 
