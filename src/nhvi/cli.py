@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SimConfig, build_model, check_time_span, parse_config
+from .config import SimConfig, build_model, check_time_span, config_to_dict, parse_config
 from .diagnostics import build_report
 from .discretization import make_discrete_lagrangian
 from .errors import NewtonFailure, NhviError, NoElasticRebound, SchemaError
@@ -101,7 +101,7 @@ def _run_single(cfg: SimConfig, out_dir: Path) -> None:
         write_plots(out_dir, traj, Ld, model, cfg.outputs.plots)
 
 
-def _fail_with_diagnostic(exc: NhviError, out_dir: Path) -> int:
+def _fail_with_diagnostic(exc: NhviError, out_dir: Path, cfg: SimConfig | None) -> int:
     diagnostic = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, NewtonFailure):
         diagnostic.update(
@@ -118,6 +118,10 @@ def _fail_with_diagnostic(exc: NhviError, out_dir: Path) -> int:
             "t": st.t,
             **{name: getattr(st, name).tolist() for name in ("q", "v", "p", "lam")},
         }
+    if cfg is not None:
+        # the resolved configuration, overrides applied: it rebuilds the
+        # model, h and solver options the replay needs
+        diagnostic["config"] = config_to_dict(cfg)
     text = json.dumps(diagnostic, indent=2)
     print(text, file=sys.stderr)
     try:
@@ -130,10 +134,12 @@ def _fail_with_diagnostic(exc: NhviError, out_dir: Path) -> int:
 
 def _run_config(path, args, out_dir: Path) -> int:
     """Parse, override and run one configuration; 2 after writing error.json."""
+    cfg = None
     try:
-        _run_single(_apply_overrides(parse_config(path), args), out_dir)
+        cfg = _apply_overrides(parse_config(path), args)
+        _run_single(cfg, out_dir)
     except NhviError as exc:
-        return _fail_with_diagnostic(exc, out_dir)
+        return _fail_with_diagnostic(exc, out_dir, cfg)
     return 0
 
 

@@ -23,14 +23,18 @@ Schema (all keys shown; unknown keys are rejected with their path):
       "outputs": {"csv": bool, "summary": bool,
                   "plots": ["energy" | "coordinates" | "plane_trajectory", ..]}
     }
+
+`SimConfig.model` is the validated "model" object; `build_model` makes `*Params`.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
 
@@ -62,8 +66,11 @@ class OutputOptions:
 
 @dataclass(frozen=True)
 class SimConfig:
-    model_type: str
-    model_params: dict
+    """A validated configuration.  `model` is the "model" object with its
+    defaults filled in (an ellipse's inertia too), the shape nested and the
+    keys in the order `config_to_dict` writes them."""
+
+    model: dict
     rule: str
     q0: Tuple[float, ...]
     v0: Tuple[float, ...]
@@ -125,7 +132,8 @@ def _parse_vector(d: dict, key: str, path: str) -> Tuple[float, ...]:
     return tuple(_number(entry, f"{full}[{i}]") for i, entry in enumerate(raw))
 
 
-def _parse_model(d, path="model") -> Tuple[str, dict]:
+def _parse_model(d, path="model") -> dict:
+    """The validated model object: defaults filled in, keys in schema order."""
     if not isinstance(d, dict):
         raise SchemaError("expected an object", key_path=path)
     mtype = _get(d, "type", str, path)
@@ -134,14 +142,15 @@ def _parse_model(d, path="model") -> Tuple[str, dict]:
             f"unknown model type {mtype!r}; expected one of {sorted(MODEL_DIMS)}",
             key_path=f"{path}.type",
         )
-    params = {
+    model = {
+        "type": mtype,
         "mass": _get(d, "mass", float, path, default=1.0, positive=True),
         # zero gravity is free motion, which only the particle model supports
         "gravity": _get(d, "gravity", float, path, default=9.8, positive=mtype != "particle"),
     }
-    if params["gravity"] < 0:
+    if model["gravity"] < 0:
         raise SchemaError(
-            f"must be non-negative, got {params['gravity']}", key_path=f"{path}.gravity"
+            f"must be non-negative, got {model['gravity']}", key_path=f"{path}.gravity"
         )
     if mtype == "particle":
         _reject_unknown(d, {"type", "mass", "gravity"}, path)
@@ -153,37 +162,37 @@ def _parse_model(d, path="model") -> Tuple[str, dict]:
                 f"expected 'vertical' or 'edge-slope', got {frame!r}",
                 key_path=f"{path}.contact_frame",
             )
-        params["contact_frame"] = frame
         shape = d.get("shape")
         if not isinstance(shape, dict):
             raise SchemaError("expected an object", key_path=f"{path}.shape")
         kind = _get(shape, "kind", str, f"{path}.shape")
         if kind == "ellipse":
             _reject_unknown(shape, {"kind", "a", "b"}, f"{path}.shape")
-            params["shape_kind"] = "ellipse"
-            params["a"] = _get(shape, "a", float, f"{path}.shape", positive=True)
-            params["b"] = _get(shape, "b", float, f"{path}.shape", positive=True)
-            default_inertia = params["mass"] * (params["a"] ** 2 + params["b"] ** 2) / 4.0
-            params["inertia"] = _get(d, "inertia", float, path, default=default_inertia, positive=True)
+            a = _get(shape, "a", float, f"{path}.shape", positive=True)
+            b = _get(shape, "b", float, f"{path}.shape", positive=True)
+            model["shape"] = {"kind": "ellipse", "a": a, "b": b}
+            default_inertia = model["mass"] * (a**2 + b**2) / 4.0
         elif kind == "star":
             _reject_unknown(shape, {"kind", "l"}, f"{path}.shape")
-            params["shape_kind"] = "star"
-            params["l"] = _get(shape, "l", float, f"{path}.shape", positive=True)
-            params["inertia"] = _get(d, "inertia", float, path, positive=True)
+            l = _get(shape, "l", float, f"{path}.shape", positive=True)
+            model["shape"] = {"kind": "star", "l": l}
+            default_inertia = ...  # required for stars
         else:
             raise SchemaError(
                 f"unknown shape kind {kind!r}; expected 'ellipse' or 'star'",
                 key_path=f"{path}.shape.kind",
             )
+        model["inertia"] = _get(d, "inertia", float, path, default=default_inertia, positive=True)
+        model["contact_frame"] = frame
     else:  # pendulum
         _reject_unknown(d, {"type", "mass", "gravity", "length", "radius", "f"}, path)
-        params["length"] = _get(d, "length", float, path, positive=True)
-        params["radius"] = _get(d, "radius", float, path, positive=True)
-        if params["radius"] >= params["length"]:
+        model["length"] = _get(d, "length", float, path, positive=True)
+        model["radius"] = _get(d, "radius", float, path, positive=True)
+        if model["radius"] >= model["length"]:
             raise SchemaError("cylinder radius must be smaller than the pendulum length", key_path=f"{path}.radius")
         gain = d.get("f", "default")
-        params["f"] = gain if gain == "default" else _number(gain, f"{path}.f")
-    return mtype, params
+        model["f"] = gain if gain == "default" else _number(gain, f"{path}.f")
+    return model
 
 
 def check_time_span(t0: float, t_final: float, h: float) -> None:
@@ -212,7 +221,7 @@ def config_from_dict(d: dict) -> SimConfig:
     )
     if "model" not in d:
         raise SchemaError("missing required key", key_path="model")
-    mtype, mparams = _parse_model(d["model"])
+    model = _parse_model(d["model"])
 
     rule = _get(d, "rule", str, "")
     if rule not in RULES:
@@ -220,10 +229,10 @@ def config_from_dict(d: dict) -> SimConfig:
 
     q0 = _parse_vector(d, "q0", "")
     v0 = _parse_vector(d, "v0", "")
-    n = MODEL_DIMS[mtype]
+    n = MODEL_DIMS[model["type"]]
     if len(q0) != n or len(v0) != n:
         raise DimensionMismatch(
-            f"model {mtype!r} has dimension {n}, got q0 of length {len(q0)} "
+            f"model {model['type']!r} has dimension {n}, got q0 of length {len(q0)} "
             f"and v0 of length {len(v0)}"
         )
 
@@ -266,8 +275,7 @@ def config_from_dict(d: dict) -> SimConfig:
     )
 
     return SimConfig(
-        model_type=mtype,
-        model_params=mparams,
+        model=model,
         rule=rule,
         q0=q0,
         v0=v0,
@@ -293,35 +301,15 @@ def parse_config(path) -> SimConfig:
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    model: dict = {"type": cfg.model_type}
-    p = cfg.model_params
-    model["mass"] = p["mass"]
-    model["gravity"] = p["gravity"]
-    if cfg.model_type == "se2_body":
-        if p["shape_kind"] == "ellipse":
-            model["shape"] = {"kind": "ellipse", "a": p["a"], "b": p["b"]}
-        else:
-            model["shape"] = {"kind": "star", "l": p["l"]}
-        model["inertia"] = p["inertia"]
-        model["contact_frame"] = p["contact_frame"]
-    elif cfg.model_type == "pendulum":
-        model["length"] = p["length"]
-        model["radius"] = p["radius"]
-        model["f"] = p["f"]
     return {
-        "model": model,
+        "model": copy.deepcopy(cfg.model),
         "rule": cfg.rule,
         "q0": list(cfg.q0),
         "v0": list(cfg.v0),
         "t0": cfg.t0,
         "t_final": cfg.t_final,
         "h": cfg.h,
-        "solver": {
-            "tol": cfg.solver.tol,
-            "max_iter": cfg.solver.max_iter,
-            "max_backtracks": cfg.solver.max_backtracks,
-            "fd_eps": cfg.solver.fd_eps,
-        },
+        "solver": dataclasses.asdict(cfg.solver),
         "outputs": {
             "csv": cfg.outputs.csv,
             "summary": cfg.outputs.summary,
@@ -335,36 +323,18 @@ def serialize_config(cfg: SimConfig) -> str:
 
 
 def build_model(cfg: SimConfig) -> MechanicalModel:
-    """Instantiate the mechanical model described by a configuration."""
-    p = cfg.model_params
-    if cfg.model_type == "particle":
-        return make_particle(ParticleParams(mass=p["mass"], gravity=p["gravity"]))
-    if cfg.model_type == "se2_body":
-        if p["shape_kind"] == "ellipse":
-            shape = EllipseShape(a=p["a"], b=p["b"])
-        else:
-            shape = StarShape(l=p["l"])
-        return make_se2_body(
-            Se2BodyParams(
-                mass=p["mass"],
-                gravity=p["gravity"],
-                shape=shape,
-                inertia=p["inertia"],
-                contact_frame=p["contact_frame"],
-            )
-        )
-    gain = p["f"]
-    if gain == "default":
-        params = PendulumParams(
-            mass=p["mass"], gravity=p["gravity"], length=p["length"], radius=p["radius"]
-        )
-    else:
-        const = float(gain)
-        params = PendulumParams(
-            mass=p["mass"],
-            gravity=p["gravity"],
-            length=p["length"],
-            radius=p["radius"],
-            f=lambda theta, _c=const: _c,
-        )
-    return make_pendulum(params)
+    """Instantiate the mechanical model described by a configuration: the
+    model object's keys past "type" are the fields of its `*Params` record."""
+    fields = dict(cfg.model)
+    mtype = fields.pop("type")
+    if mtype == "particle":
+        return make_particle(ParticleParams(**fields))
+    if mtype == "se2_body":
+        shape = dict(fields["shape"])
+        kind = shape.pop("kind")
+        fields["shape"] = EllipseShape(**shape) if kind == "ellipse" else StarShape(**shape)
+        return make_se2_body(Se2BodyParams(**fields))
+    gain = fields.pop("f")
+    if gain != "default":
+        fields["f"] = lambda theta, _c=gain: _c
+    return make_pendulum(PendulumParams(**fields))

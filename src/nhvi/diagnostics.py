@@ -123,8 +123,9 @@ def build_report(
         for ev in traj.impacts:
             omega_res[ev.k] = _omega_residual(model, traj.q[ev.k], ev.w_in)
             post_res.append(_omega_residual(model, ev.q_tilde, ev.w_out))
-        # no solve produced the initial state; the impact nodes count too
-        max_residual = max(0.0, float(omega_res[1:].max(initial=0.0)), *post_res)
+        # no solve produced the initial state; the impact nodes count too.
+        # np.max, unlike the builtin max, propagates a NaN from any position
+        max_residual = float(np.max([omega_res[1:].max(initial=0.0), *post_res]))
 
     # integer sums are exact, so these means equal np.mean bitwise without
     # a per-record copy of the columns

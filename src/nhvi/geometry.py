@@ -18,8 +18,8 @@ pull-back is E^T and push-forward is P^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,9 @@ class MechanicalModel:
     Hessian blocks (Lqq, Lqv, Lvv) of the Lagrangian, where
     Lqv[i, j] = d(dL/dq_i)/dv_j; the integrator assembles the Newton
     Jacobians of the smooth steps and the phase-B impact solve from them,
-    and seeds phase B with the kinetic metric Lvv.
+    and seeds phase B with the kinetic metric Lvv.  `params` is the record a
+    built-in model was made from (`ParticleParams`, `Se2BodyParams` or
+    `PendulumParams`); custom models may leave it None.
     """
 
     name: str
@@ -57,7 +59,7 @@ class MechanicalModel:
     boundary_gap_grad: Callable[[np.ndarray], np.ndarray]
     tangent_basis: Callable[[np.ndarray], np.ndarray]
     projection: Callable[[np.ndarray], np.ndarray]
-    params: Dict[str, float] = field(default_factory=dict)
+    params: Any = None
 
     def __post_init__(self):
         if self.n < 1:

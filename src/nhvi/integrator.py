@@ -75,9 +75,6 @@ from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _norm, newton_solve
 
 log = logging.getLogger("nhvi.integrator")
 
-# resolved impact fraction must lie in (ALPHA_MARGIN, 1 - ALPHA_MARGIN)
-ALPHA_MARGIN = 1e-6
-
 
 @dataclass(slots=True)
 class State:
@@ -445,7 +442,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     res_a = newton_solve(residual_a, z0, opts)
     _require_converged(res_a, "impact-A", k, t_k)
     alpha = float(res_a.x[0])
-    if not ALPHA_MARGIN < alpha < 1.0 - ALPHA_MARGIN:
+    if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(
             f"impact fraction {alpha:.6g} outside (0, 1) at step {k}, t={t_k:.6g}"
         )

@@ -151,7 +151,7 @@ def make_particle(params: ParticleParams = ParticleParams()) -> MechanicalModel:
         boundary_gap_grad=lambda q: grad_c,
         tangent_basis=lambda q: E,
         projection=lambda q: P,
-        params={"mass": m, "gravity": g},
+        params=params,
         d2L=lambda q, v: (zero22, zero22, lvv),
     )
 
@@ -197,10 +197,8 @@ def make_se2_body(params: Se2BodyParams = Se2BodyParams()) -> MechanicalModel:
     iph = params.inertia
     if isinstance(params.shape, EllipseShape):
         phi, phi_dot = _ellipse_edge(params.shape.a, params.shape.b)
-        shape_desc = {"shape": "ellipse", "a": params.shape.a, "b": params.shape.b}
     else:
         phi, phi_dot = _star_edge(params.shape.l)
-        shape_desc = {"shape": "star", "l": params.shape.l}
 
     mg = m * g
     dLdq_const = np.array([0.0, 0.0, -mg])
@@ -238,13 +236,7 @@ def make_se2_body(params: Se2BodyParams = Se2BodyParams()) -> MechanicalModel:
         boundary_gap_grad=lambda q: np.array([-phi_dot(q[0]), 0.0, 1.0]),
         tangent_basis=tangent_basis,
         projection=lambda q: P,
-        params={
-            "mass": m,
-            "gravity": g,
-            "inertia": iph,
-            "contact_frame": params.contact_frame,
-            **shape_desc,
-        },
+        params=params,
         d2L=lambda q, v: (zero33, zero33, lvv),
     )
 
@@ -313,12 +305,7 @@ def make_pendulum(params: PendulumParams = PendulumParams()) -> MechanicalModel:
         ),
         tangent_basis=lambda q: E,
         projection=lambda q: P,
-        params={
-            "mass": m,
-            "gravity": g,
-            "length": length,
-            "radius": radius,
-        },
+        params=params,
         d2L=d2L,
     )
 
@@ -336,7 +323,7 @@ def sample_boundary_points(
         return np.column_stack([xs, np.zeros(count)])
     if model.name == "se2_body":
         pts = np.empty((count, 3))
-        is_star = model.params.get("shape") == "star"
+        is_star = isinstance(model.params.shape, StarShape)
         for i in range(count):
             while True:
                 theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -349,7 +336,7 @@ def sample_boundary_points(
             pts[i] = q
         return pts
     if model.name == "pendulum":
-        ratio = model.params["radius"] / model.params["length"]
+        ratio = model.params.radius / model.params.length
         base = math.asin(ratio)
         thetas = np.where(rng.random(count) < 0.5, base, math.pi - base)
         phis = rng.uniform(0.0, 2.0 * math.pi, count)
@@ -370,7 +357,7 @@ def sample_interior_points(
         pts[:, 2] += rng.uniform(0.05, 4.0, count)
         return pts
     if model.name == "pendulum":
-        ratio = model.params["radius"] / model.params["length"]
+        ratio = model.params.radius / model.params.length
         hi = math.pi - math.asin(ratio)  # bottom-cap boundary
         thetas = rng.uniform(hi + 0.05, math.pi - 0.01, count)
         phis = rng.uniform(0.0, 2.0 * math.pi, count)

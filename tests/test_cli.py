@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -104,11 +105,15 @@ class TestRun:
     def test_failed_run_writes_diagnostic_json(self, tmp_path, capsys):
         cfg = write_bad_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["run", "--config", str(cfg), "--t-final", "0.5", "--out", str(out)]) == 2
         diagnostic = json.loads((out / "error.json").read_text())
         assert diagnostic["error"] == "InvalidInitialState"
         assert "admissible" in diagnostic["message"]
         assert "state" not in diagnostic  # no step ran
+        # the configuration as run: parsed, defaults filled in, override applied
+        resolved = nhvi.config_from_dict(diagnostic["config"])
+        assert resolved.t_final == 0.5
+        assert resolved == dataclasses.replace(nhvi.parse_config(cfg), t_final=0.5)
 
     @pytest.mark.parametrize("index, body, error", [
         (121, "ellipse-vertical", "NoElasticRebound"),  # step 7, law rate < 0
@@ -127,7 +132,9 @@ class TestRun:
         node = diagnostic["state"]
         q, v, p, lam = (np.array(node[name], dtype=float) for name in ("q", "v", "p", "lam"))
 
-        cfg = nhvi.parse_config(path)
+        # error.json alone rebuilds the model, h and solver options
+        cfg = nhvi.config_from_dict(diagnostic["config"])
+        assert cfg == nhvi.parse_config(path)
         model = nhvi.build_model(cfg)
         Ld = nhvi.make_discrete_lagrangian(model, cfg.rule)
         with pytest.raises(getattr(nhvi, error)) as failure:
@@ -183,6 +190,7 @@ class TestRun:
         diagnostic = json.loads((out / "error.json").read_text())
         assert diagnostic["error"] == "SchemaError"
         assert diagnostic["message"].startswith(f"{key}:")
+        assert "config" not in diagnostic  # no configuration was resolved
 
     @pytest.mark.parametrize("flags", [
         ["--config", "a.json", "--sweep", "b.json"],

@@ -6,7 +6,11 @@ import pytest
 
 from nhvi import (
     DimensionMismatch,
+    ParticleParams,
+    PendulumParams,
     SchemaError,
+    Se2BodyParams,
+    StarShape,
     build_model,
     config_from_dict,
     parse_config,
@@ -32,10 +36,10 @@ def minimal_config(**overrides):
 class TestBundledConfigs:
     def test_ellipse_matches_reference_parameters(self):
         cfg = parse_config(bundled_config_path("ellipse"))
-        assert cfg.model_type == "se2_body"
-        p = cfg.model_params
+        p = cfg.model
+        assert p["type"] == "se2_body"
         assert (p["mass"], p["gravity"]) == (1.0, 9.8)
-        assert (p["a"], p["b"]) == (1.0, 0.5)
+        assert p["shape"] == {"kind": "ellipse", "a": 1.0, "b": 0.5}
         assert p["inertia"] == 0.3125
         assert cfg.h == 0.01
         assert cfg.q0 == (math.pi / 2, 0.0, 3.5)
@@ -44,7 +48,7 @@ class TestBundledConfigs:
 
     def test_pendulum_matches_reference_parameters(self):
         cfg = parse_config(bundled_config_path("pendulum"))
-        p = cfg.model_params
+        p = cfg.model
         assert (p["mass"], p["gravity"], p["length"], p["radius"]) == (1.0, 9.8, 2.0, 1.5)
         assert p["f"] == "default"
         assert cfg.h == 1e-3
@@ -123,7 +127,7 @@ class TestValidation:
 
     def test_particle_accepts_zero_gravity(self):
         cfg = config_from_dict(minimal_config(model={"type": "particle", "gravity": 0}))
-        assert cfg.model_params["gravity"] == 0.0
+        assert cfg.model["gravity"] == 0.0
         model = build_model(cfg)
         assert np.all(model.dL_dq(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 0.0)
 
@@ -182,6 +186,48 @@ class TestRoundTrip:
             path = tmp_path / f"{name}.json"
             path.write_text(serialize_config(cfg))
             assert parse_config(path) == cfg
+
+    @pytest.mark.parametrize("model, q0, expected", [
+        ({"shape": {"l": 1.0, "kind": "star"}, "inertia": 0.5, "type": "se2_body"},
+         [0.3, 0.0, 3.0],
+         {"type": "se2_body", "mass": 1.0, "gravity": 9.8, "shape": {"kind": "star", "l": 1.0},
+          "inertia": 0.5, "contact_frame": "vertical"}),
+        ({"contact_frame": "edge-slope", "type": "se2_body",
+          "shape": {"b": 0.5, "a": 1.0, "kind": "ellipse"}},
+         [0.3, 0.0, 3.0],
+         {"type": "se2_body", "mass": 1.0, "gravity": 9.8,
+          "shape": {"kind": "ellipse", "a": 1.0, "b": 0.5},
+          "inertia": 0.3125, "contact_frame": "edge-slope"}),
+        ({"f": 0.5, "radius": 1.5, "length": 2.0, "type": "pendulum"},
+         [2.4, 0.0],
+         {"type": "pendulum", "mass": 1.0, "gravity": 9.8, "length": 2.0, "radius": 1.5,
+          "f": 0.5}),
+        ({"gravity": 0, "type": "particle"},
+         [0.0, 1.0],
+         {"type": "particle", "mass": 1.0, "gravity": 0.0}),
+    ], ids=["star", "edge-slope-ellipse", "constant-gain-pendulum", "zero-gravity-particle"])
+    def test_every_model_variant_round_trips(self, tmp_path, model, q0, expected):
+        cfg = config_from_dict(minimal_config(model=model, q0=q0, v0=[0.0] * len(q0)))
+        doc = config_to_dict(cfg)
+        # defaults filled in, keys in schema order, the shape's too
+        assert json.dumps(doc["model"]) == json.dumps(expected)
+        path = tmp_path / "cfg.json"
+        path.write_text(serialize_config(cfg))
+        again = parse_config(path)
+        assert again == cfg
+        assert serialize_config(again) == serialize_config(cfg)
+
+    def test_built_model_keeps_the_params_record(self):
+        star = {"type": "se2_body", "shape": {"kind": "star", "l": 1.0}, "inertia": 0.5}
+        cfg = config_from_dict(minimal_config(model=star, q0=[0.3, 0.0, 3.0], v0=[0.0] * 3))
+        assert build_model(cfg).params == Se2BodyParams(shape=StarShape(l=1.0), inertia=0.5)
+        free = config_from_dict(minimal_config(model={"type": "particle", "gravity": 0}))
+        assert build_model(free).params == ParticleParams(gravity=0.0)
+        pendulum = {"type": "pendulum", "length": 2.0, "radius": 1.5, "f": 0.5}
+        params = build_model(config_from_dict(
+            minimal_config(model=pendulum, q0=[2.4, 0.0], v0=[0.0, 0.0]))).params
+        assert isinstance(params, PendulumParams)
+        assert (params.length, params.radius, params.f(1.0)) == (2.0, 1.5, 0.5)
 
     def test_defaults_are_materialized(self):
         cfg = config_from_dict(minimal_config())

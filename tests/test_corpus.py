@@ -182,7 +182,7 @@ def boundary_approach(model, kind, u, rate, spin, tau):
     if kind == "particle":
         q_b, v = np.array([4.0 * u, 0.0]), np.array([spin, rate])
     elif kind == "pendulum":
-        theta_b = math.asin(model.params["radius"] / model.params["length"])
+        theta_b = math.asin(model.params.radius / model.params.length)
         if u > 0.5:
             theta_b = math.pi - theta_b
         q_b = np.array([theta_b, 2.0 * math.pi * u])

@@ -141,6 +141,35 @@ class TestBuildReport:
         rep = build_report(traj, particle_mid, dataclasses.replace(particle, boundary_gap=gap))
         assert math.isnan(rep.min_boundary_gap)
 
+    def test_max_constraint_residual_bitwise_builtin_max_on_finite_data(self, impact_runs):
+        for traj, Ld, model in impact_runs:
+            rep = build_report(traj, Ld, model)
+            if not model.m_con:
+                assert rep.max_constraint_residual == 0.0
+                continue
+            column = rep.state_columns["max_omega_residual"]
+            post = [float(np.abs(model.omega(ev.q_tilde) @ ev.w_out).max())
+                    for ev in traj.impacts]
+            expected = max(0.0, *column[1:], *post)
+            assert struct.pack("<d", rep.max_constraint_residual) == struct.pack("<d", expected)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "impact"])
+    def test_nan_omega_residual_reported_wherever_it_sits(self, pendulum, pendulum_left, where):
+        traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, 1e-3)
+        (ev,) = traj.impacts
+        if where == "impact":
+            ev.w_out[1] = math.nan  # phase B's velocity: only the maximum reads it
+        else:
+            # row 0 is the initial state, which no solve produced
+            row = {"first": 1, "middle": len(traj.t) // 2, "last": len(traj.t) - 1}[where]
+            assert row != ev.k
+            traj.v[row, 1] = math.nan
+        # the builtin max skips a NaN that is not first: max(0.0, nan) is 0.0
+        rep = build_report(traj, pendulum_left, pendulum)
+        assert math.isnan(rep.max_constraint_residual)
+        if where != "impact":
+            assert math.isnan(rep.state_columns["max_omega_residual"][row])
+
     def test_round_trips_to_dict(self, particle, particle_mid):
         traj = simulate(
             particle_mid, particle, np.array([0.0, 5.0]), np.zeros(2), 0.0, 0.2, 1e-2

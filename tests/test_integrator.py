@@ -178,6 +178,20 @@ class TestResolveImpact:
         assert abs(particle.boundary_gap(event.q_tilde)) <= 1e-8
         assert particle.boundary_gap(nxt.q) > 0
 
+    def test_crossing_just_after_the_node_resolves(self, particle, particle_mid):
+        # 5e-9 above the floor, falling at 1 m/s: the crossing lies at
+        # alpha ~ 5e-7, where the velocity form is as regular as anywhere
+        q_k = np.array([0.0, 5e-9])
+        p_k = np.array([0.0, -1.0])
+        h = 1e-2
+        rejected = q_k + h * p_k - 0.5 * h * h * 9.8 * np.array([0.0, 1.0])
+        event, nxt = resolve_impact(particle_mid, particle, q_k, p_k, h, rejected)
+        s_root = 2 * 5e-9 / (1.0 + np.sqrt(1.0 + 2 * 9.8 * 5e-9))
+        assert abs(event.alpha - s_root / h) <= 1e-2 * s_root / h
+        assert abs(particle.boundary_gap(event.q_tilde)) <= 1e-10
+        assert abs(event.energy_jump) <= 1e-12
+        assert particle.boundary_gap(nxt.q) > 0
+
     def test_tangential_momentum_passes_through(self, particle, particle_mid):
         q_k = np.array([0.3, 0.049])
         p_k = np.array([1.7, -0.98])

@@ -20,6 +20,16 @@ from nhvi import (
     simulate,
 )
 from nhvi.integrator import _step_system
+from nhvi.models import sample_boundary_points
+
+
+@pytest.mark.parametrize("make, params", [
+    (make_particle, ParticleParams(gravity=0.0)),
+    (make_se2_body, Se2BodyParams(shape=StarShape(l=1.0), inertia=0.5)),
+    (make_pendulum, PendulumParams(length=3.0)),
+], ids=["particle", "se2_body", "pendulum"])
+def test_params_is_the_record_the_model_was_built_from(make, params):
+    assert make(params).params is params
 
 
 class TestParticle:
@@ -40,7 +50,7 @@ class TestParticle:
         with pytest.raises(ValueError):
             ParticleParams(gravity=-1.0)
         # free motion is allowed
-        assert make_particle(ParticleParams(gravity=0.0)).params["gravity"] == 0.0
+        assert make_particle(ParticleParams(gravity=0.0)).params.gravity == 0.0
 
 
 class TestSe2Body:
@@ -63,7 +73,12 @@ class TestSe2Body:
         assert abs(phi - math.sqrt(2.0)) < 1e-12
 
     def test_default_inertia_is_lamina_value(self, ellipse_body):
-        assert ellipse_body.params["inertia"] == 0.3125
+        assert ellipse_body.params.inertia == 0.3125
+
+    def test_star_boundary_samples_avoid_corners(self, rng):
+        model = make_se2_body(Se2BodyParams(shape=StarShape(l=1.0), inertia=0.5))
+        thetas = sample_boundary_points(model, 200, rng)[:, 0]
+        assert np.min(np.minimum(np.abs(np.sin(thetas)), np.abs(np.cos(thetas)))) > 0.05
 
     def test_star_requires_explicit_inertia(self):
         with pytest.raises(ValueError):
@@ -154,7 +169,7 @@ class TestPendulumPole:
         Ld = make_discrete_lagrangian(model, rule)
         _, jac = _step_system(Ld, model, q, np.zeros(2), h)
         J = jac(np.concatenate([q + h * w, [0.0]]))
-        ml2 = model.params["mass"] * model.params["length"] ** 2
+        ml2 = model.params.mass * model.params.length ** 2
         assert abs(abs(np.linalg.det(J)) * h * h / ml2 - 1.0) <= 1e-3
 
     @pytest.mark.parametrize("rule", ["retraction-left", "midpoint"])
