@@ -22,6 +22,7 @@ from .errors import (
     NhviError,
     NoElasticRebound,
     NotOnBoundary,
+    ParameterError,
     PersistentPenetration,
     RootSelectionAmbiguous,
     SchemaError,
@@ -74,6 +75,7 @@ __all__ = [
     "NhviError",
     "NoElasticRebound",
     "NotOnBoundary",
+    "ParameterError",
     "ParticleParams",
     "PendulumParams",
     "PersistentPenetration",

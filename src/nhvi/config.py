@@ -9,7 +9,7 @@ Schema (all keys shown; unknown keys are rejected with their path):
         # se2_body only:
         "shape": {"kind": "ellipse", "a": number, "b": number}
                | {"kind": "star", "l": number},
-        "inertia": number,            # optional for ellipses: m(a^2+b^2)/4
+        "inertia": number,            # optional for ellipses
         # pendulum only:
         "length": number, "radius": number,
         "f": "default" | number       # constraint gain; number means constant
@@ -24,7 +24,10 @@ Schema (all keys shown; unknown keys are rejected with their path):
                   "plots": ["energy" | "coordinates" | "plane_trajectory", ..]}
     }
 
-`SimConfig.model` is the validated "model" object; `build_model` makes `*Params`.
+This module checks only what JSON needs: types, finiteness, unknown and
+required keys, and the enums of "type", "shape.kind", "rule" and "plots".
+The `*Params` records and `NewtonOptions` own every default and range of the
+model and solver fields; a value they reject is a SchemaError at its key path.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 from typing import Tuple
 
 from .discretization import RULES
-from .errors import DimensionMismatch, SchemaError
+from .errors import DimensionMismatch, ParameterError, SchemaError
 from .geometry import MechanicalModel
 from .models import (
     EllipseShape,
@@ -97,7 +100,7 @@ def _number(value, key_path: str) -> float:
     return float(value)
 
 
-def _get(d: dict, key: str, kind, path: str, default=..., positive=False):
+def _get(d: dict, key: str, kind, path: str, default=...):
     if key not in d:
         if default is ...:
             raise SchemaError("missing required key", key_path=f"{path}.{key}" if path else key)
@@ -106,13 +109,9 @@ def _get(d: dict, key: str, kind, path: str, default=..., positive=False):
     full = f"{path}.{key}" if path else key
     if kind is float:
         value = _number(value, full)
-        if positive and value <= 0:
-            raise SchemaError(f"must be positive, got {value}", key_path=full)
     elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"expected an integer, got {value!r}", key_path=full)
-        if positive and value <= 0:
-            raise SchemaError(f"must be positive, got {value}", key_path=full)
     elif kind is bool:
         if not isinstance(value, bool):
             raise SchemaError(f"expected a boolean, got {value!r}", key_path=full)
@@ -132,6 +131,37 @@ def _parse_vector(d: dict, key: str, path: str) -> Tuple[float, ...]:
     return tuple(_number(entry, f"{full}[{i}]") for i, entry in enumerate(raw))
 
 
+def _typed(d: dict, kinds: dict, path: str) -> dict:
+    """The values of the keys of `kinds` present in `d`, each of its kind."""
+    return {key: _get(d, key, kind, path) for key, kind in kinds.items() if key in d}
+
+
+def _record(make, fields: dict, path: str):
+    """make(**fields), a value the record rejects reported at its key path."""
+    try:
+        return make(**fields)
+    except ParameterError as exc:
+        raise SchemaError(exc.detail, key_path=f"{path}.{exc.field}") from exc
+
+
+def _params(model: dict, path: str = "model"):
+    """The `*Params` record of a model object of JSON-valid types: the shape
+    object becomes its record, and a numeric "f" a constant gain."""
+    fields = dict(model)
+    mtype = fields.pop("type")
+    if mtype == "particle":
+        return _record(ParticleParams, fields, path)
+    if mtype == "se2_body":
+        shape = dict(fields["shape"])
+        make = EllipseShape if shape.pop("kind") == "ellipse" else StarShape
+        fields["shape"] = _record(make, shape, f"{path}.shape")
+        return _record(Se2BodyParams, fields, path)
+    gain = fields.pop("f")
+    if gain != "default":
+        fields["f"] = lambda theta, _c=gain: _c
+    return _record(PendulumParams, fields, path)
+
+
 def _parse_model(d, path="model") -> dict:
     """The validated model object: defaults filled in, keys in schema order."""
     if not isinstance(d, dict):
@@ -142,56 +172,36 @@ def _parse_model(d, path="model") -> dict:
             f"unknown model type {mtype!r}; expected one of {sorted(MODEL_DIMS)}",
             key_path=f"{path}.type",
         )
-    model = {
-        "type": mtype,
-        "mass": _get(d, "mass", float, path, default=1.0, positive=True),
-        # zero gravity is free motion, which only the particle model supports
-        "gravity": _get(d, "gravity", float, path, default=9.8, positive=mtype != "particle"),
-    }
-    if model["gravity"] < 0:
-        raise SchemaError(
-            f"must be non-negative, got {model['gravity']}", key_path=f"{path}.gravity"
-        )
+    fields = {"type": mtype, **_typed(d, {"mass": float, "gravity": float}, path)}
     if mtype == "particle":
         _reject_unknown(d, {"type", "mass", "gravity"}, path)
     elif mtype == "se2_body":
         _reject_unknown(d, {"type", "mass", "gravity", "shape", "inertia", "contact_frame"}, path)
-        frame = _get(d, "contact_frame", str, path, default="vertical")
-        if frame not in ("vertical", "edge-slope"):
-            raise SchemaError(
-                f"expected 'vertical' or 'edge-slope', got {frame!r}",
-                key_path=f"{path}.contact_frame",
-            )
+        fields.update(_typed(d, {"inertia": float, "contact_frame": str}, path))
         shape = d.get("shape")
+        spath = f"{path}.shape"
         if not isinstance(shape, dict):
-            raise SchemaError("expected an object", key_path=f"{path}.shape")
-        kind = _get(shape, "kind", str, f"{path}.shape")
-        if kind == "ellipse":
-            _reject_unknown(shape, {"kind", "a", "b"}, f"{path}.shape")
-            a = _get(shape, "a", float, f"{path}.shape", positive=True)
-            b = _get(shape, "b", float, f"{path}.shape", positive=True)
-            model["shape"] = {"kind": "ellipse", "a": a, "b": b}
-            default_inertia = model["mass"] * (a**2 + b**2) / 4.0
-        elif kind == "star":
-            _reject_unknown(shape, {"kind", "l"}, f"{path}.shape")
-            l = _get(shape, "l", float, f"{path}.shape", positive=True)
-            model["shape"] = {"kind": "star", "l": l}
-            default_inertia = ...  # required for stars
-        else:
+            raise SchemaError("expected an object", key_path=spath)
+        kind = _get(shape, "kind", str, spath)
+        if kind not in ("ellipse", "star"):
             raise SchemaError(
                 f"unknown shape kind {kind!r}; expected 'ellipse' or 'star'",
-                key_path=f"{path}.shape.kind",
+                key_path=f"{spath}.kind",
             )
-        model["inertia"] = _get(d, "inertia", float, path, default=default_inertia, positive=True)
-        model["contact_frame"] = frame
+        keys = ("a", "b") if kind == "ellipse" else ("l",)
+        _reject_unknown(shape, {"kind", *keys}, spath)
+        fields["shape"] = {"kind": kind, **{key: _get(shape, key, float, spath) for key in keys}}
     else:  # pendulum
         _reject_unknown(d, {"type", "mass", "gravity", "length", "radius", "f"}, path)
-        model["length"] = _get(d, "length", float, path, positive=True)
-        model["radius"] = _get(d, "radius", float, path, positive=True)
-        if model["radius"] >= model["length"]:
-            raise SchemaError("cylinder radius must be smaller than the pendulum length", key_path=f"{path}.radius")
+        fields["length"] = _get(d, "length", float, path)
+        fields["radius"] = _get(d, "radius", float, path)
         gain = d.get("f", "default")
-        model["f"] = gain if gain == "default" else _number(gain, f"{path}.f")
+        fields["f"] = gain if gain == "default" else _number(gain, f"{path}.f")
+    model = {"type": mtype, **dataclasses.asdict(_params(fields, path))}
+    if mtype == "se2_body":
+        model["shape"] = {"kind": kind, **model["shape"]}
+    elif mtype == "pendulum":
+        model["f"] = fields["f"]
     return model
 
 
@@ -244,16 +254,9 @@ def config_from_dict(d: dict) -> SimConfig:
     solver_raw = d.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise SchemaError("expected an object", key_path="solver")
-    _reject_unknown(solver_raw, {"tol", "max_iter", "max_backtracks", "fd_eps"}, "solver")
-    try:
-        solver = NewtonOptions(
-            tol=_get(solver_raw, "tol", float, "solver", default=1e-10, positive=True),
-            max_iter=_get(solver_raw, "max_iter", int, "solver", default=50, positive=True),
-            max_backtracks=_get(solver_raw, "max_backtracks", int, "solver", default=30),
-            fd_eps=_get(solver_raw, "fd_eps", float, "solver", default=1e-7, positive=True),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc), key_path="solver") from exc
+    kinds = {"tol": float, "max_iter": int, "max_backtracks": int, "fd_eps": float}
+    _reject_unknown(solver_raw, kinds, "solver")
+    solver = _record(NewtonOptions, _typed(solver_raw, kinds, "solver"), "solver")
 
     outputs_raw = d.get("outputs", {})
     if not isinstance(outputs_raw, dict):
@@ -323,18 +326,6 @@ def serialize_config(cfg: SimConfig) -> str:
 
 
 def build_model(cfg: SimConfig) -> MechanicalModel:
-    """Instantiate the mechanical model described by a configuration: the
-    model object's keys past "type" are the fields of its `*Params` record."""
-    fields = dict(cfg.model)
-    mtype = fields.pop("type")
-    if mtype == "particle":
-        return make_particle(ParticleParams(**fields))
-    if mtype == "se2_body":
-        shape = dict(fields["shape"])
-        kind = shape.pop("kind")
-        fields["shape"] = EllipseShape(**shape) if kind == "ellipse" else StarShape(**shape)
-        return make_se2_body(Se2BodyParams(**fields))
-    gain = fields.pop("f")
-    if gain != "default":
-        fields["f"] = lambda theta, _c=gain: _c
-    return make_pendulum(PendulumParams(**fields))
+    """Instantiate the mechanical model described by a configuration."""
+    make = {"particle": make_particle, "se2_body": make_se2_body, "pendulum": make_pendulum}
+    return make[cfg.model["type"]](_params(cfg.model))

@@ -48,7 +48,6 @@ class DiscreteLagrangian:
         if rule not in RULES:
             raise ValueError(f"unknown discretization rule {rule!r}; expected one of {RULES}")
         self.rule = rule
-        self.model = model
 
         L = model.lagrangian
         Lq = model.dL_dq
@@ -181,19 +180,17 @@ def initial_discretize(
         raise InvalidInitialState(
             f"q(0)={q0_cont} is not in the interior of the admissible set"
         )
+    Ld = DiscreteLagrangian(model, rule)
     if rule == "midpoint":
         q0 = q0_cont - 0.5 * h * v0_cont
         v0 = q0_cont + 0.5 * h * v0_cont
-    elif rule == "retraction-left":
+    else:  # retraction-left
         q0 = q0_cont.copy()
         v0 = q0_cont + h * v0_cont
-    else:
-        raise ValueError(f"unknown discretization rule {rule!r}; expected one of {RULES}")
     for label, point in (("q_0", q0), ("v_0", v0)):
         if model.boundary_gap(point) < -GRAZING_TOL:
             raise InvalidInitialState(
                 f"discretized {label}={point} leaves the admissible set"
             )
-    Ld = DiscreteLagrangian(model, rule)
     p0 = Ld.d2(q0, v0, h)
     return q0, v0, p0

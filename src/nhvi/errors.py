@@ -82,3 +82,19 @@ class SchemaError(NhviError):
 
 class DimensionMismatch(NhviError):
     """Vector lengths inconsistent with the model dimensions."""
+
+
+class ParameterError(NhviError, ValueError):
+    """A parameter record's `field` breaks its rule; `detail` says how."""
+
+    def __init__(self, field, detail):
+        super().__init__(f"{field} {detail}")
+        self.field = field
+        self.detail = detail
+
+
+def require(record, field: str, ok: bool, rule: str) -> None:
+    """The one check of a parameter record: `ok` is whether `rule`, the
+    condition on `field`, holds; stated as what must hold, a NaN fails it."""
+    if not ok:
+        raise ParameterError(field, f"must satisfy {rule}, got {getattr(record, field)!r}")

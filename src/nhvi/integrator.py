@@ -255,6 +255,16 @@ def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base,
     return residual, jac
 
 
+def _solve_step(Ld, model, q_next, p_next, h, z0, opts, phase, k, t):
+    """Solve the smooth step from the node (q_next, p_next) of step k, time t,
+    from the guess z0; return the state of step k + 1 and the Newton result."""
+    residual, jac = _step_system(Ld, model, q_next, p_next, h)
+    res = newton_solve(residual, z0, opts, jac)
+    _require_converged(res, phase, k, t)
+    n = model.n
+    return State(k + 1, t + h, q_next, res.x[:n], p_next, res.x[n:]), res
+
+
 def _step_plus_impl(Ld, model, state: State, h, opts, prev=None):
     """One smooth step from `state`; `prev` is the node before it, or None.
 
@@ -263,8 +273,6 @@ def _step_plus_impl(Ld, model, state: State, h, opts, prev=None):
     given, and from the linear extrapolation 2 v_k - q_k, lambda_k otherwise.
     """
     p_next = Ld.d2(state.q, state.v, h)
-    q_next = state.v
-    residual, jac = _step_system(Ld, model, q_next, p_next, h)
     n = model.n
     z0 = np.empty(n + model.m_con)
     if prev is None:
@@ -274,17 +282,7 @@ def _step_plus_impl(Ld, model, state: State, h, opts, prev=None):
         z0[:n] = 3.0 * (state.v - state.q) + prev.q
         if model.m_con:
             z0[n:] = 2.0 * state.lam - prev.lam
-    res = newton_solve(residual, z0, opts, jac)
-    _require_converged(res, "step", state.k, state.t)
-    new_state = State(
-        k=state.k + 1,
-        t=state.t + h,
-        q=q_next,
-        v=res.x[:n],
-        p=p_next,
-        lam=res.x[n:],
-    )
-    return new_state, res
+    return _solve_step(Ld, model, state.v, p_next, h, z0, opts, "step", state.k, state.t)
 
 
 def step_plus(
@@ -489,10 +487,8 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     q_next = v_tilde
 
     # PHASE D: full-step constrained solve from the post-impact node.
-    residual_d, jac_d = _step_system(Ld, model, q_next, p_next, h)
     z0 = np.concatenate([v_tilde + h * w_out, lambda_b])
-    res_d = newton_solve(residual_d, z0, opts, jac_d)
-    _require_converged(res_d, "impact-D", k, t_k)
+    new_state, res_d = _solve_step(Ld, model, q_next, p_next, h, z0, opts, "impact-D", k, t_k)
 
     event = ImpactEvent(
         k=k,
@@ -507,14 +503,6 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
         lambda_B=lambda_b,
         compat_residual=compat_residual,
         energy_jump=energy_jump,
-    )
-    new_state = State(
-        k=k + 1,
-        t=t_k + h,
-        q=q_next,
-        v=res_d.x[:n],
-        p=p_next,
-        lam=res_d.x[n:],
     )
     records = [
         (k, "impact-A", res_a.iterations, res_a.residual_norm),

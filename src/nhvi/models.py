@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateFrame
+from .errors import DegenerateFrame, require
 from .geometry import MechanicalModel
 
 # star-shape edge function is not differentiable at multiples of pi/2
@@ -29,14 +29,16 @@ STAR_CORNER_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ParticleParams:
+    """Point-mass parameters.  Each record here owns its defaults and ranges:
+    a value out of range, NaN included, raises ParameterError naming the
+    field, and a configuration reports it at that field's key path."""
+
     mass: float = 1.0
     gravity: float = 9.8  # zero allowed: free motion is a useful test case
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.gravity < 0:
-            raise ValueError("gravity must be non-negative")
+        require(self, "mass", self.mass > 0, "mass > 0")
+        require(self, "gravity", self.gravity >= 0, "gravity >= 0")
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ class EllipseShape:
     b: float = 0.5
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("semi-axes must be positive")
+        require(self, "a", self.a > 0, "a > 0")
+        require(self, "b", self.b > 0, "b > 0")
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,7 @@ class StarShape:
     l: float = 1.0
 
     def __post_init__(self):
-        if self.l <= 0:
-            raise ValueError("star length must be positive")
+        require(self, "l", self.l > 0, "l > 0")
 
 
 @dataclass(frozen=True)
@@ -87,21 +88,15 @@ class Se2BodyParams:
     contact_frame: str = "vertical"
 
     def __post_init__(self):
-        if self.mass <= 0 or self.gravity <= 0:
-            raise ValueError("mass and gravity must be positive")
-        if self.contact_frame not in ("vertical", "edge-slope"):
-            raise ValueError("contact_frame must be 'vertical' or 'edge-slope'")
-        if self.inertia is None:
-            if isinstance(self.shape, EllipseShape):
-                object.__setattr__(
-                    self,
-                    "inertia",
-                    self.mass * (self.shape.a**2 + self.shape.b**2) / 4.0,
-                )
-            else:
-                raise ValueError("inertia must be given explicitly for star shapes")
-        elif self.inertia <= 0:
-            raise ValueError("inertia must be positive")
+        require(self, "mass", self.mass > 0, "mass > 0")
+        require(self, "gravity", self.gravity > 0, "gravity > 0")
+        if self.inertia is None and isinstance(self.shape, EllipseShape):
+            a, b = self.shape.a, self.shape.b
+            object.__setattr__(self, "inertia", self.mass * (a**2 + b**2) / 4.0)
+        ok = self.inertia is not None and self.inertia > 0
+        require(self, "inertia", ok, "inertia > 0 (a star has no default)")
+        frames = ("vertical", "edge-slope")
+        require(self, "contact_frame", self.contact_frame in frames, f"contact_frame in {frames}")
 
 
 def _default_constraint_gain(theta: float) -> float:
@@ -117,12 +112,11 @@ class PendulumParams:
     f: Callable[[float], float] = field(default=_default_constraint_gain)
 
     def __post_init__(self):
-        if self.mass <= 0 or self.gravity <= 0 or self.length <= 0:
-            raise ValueError("mass, gravity and length must be positive")
-        if not 0 < self.radius < self.length:
-            raise ValueError("cylinder radius must satisfy 0 < R < length")
-        if abs(self.f(0.0) - self.f(math.pi)) > 1e-9:
-            raise ValueError("constraint gain must satisfy f(0) = f(pi)")
+        require(self, "mass", self.mass > 0, "mass > 0")
+        require(self, "gravity", self.gravity > 0, "gravity > 0")
+        require(self, "length", self.length > 0, "length > 0")
+        require(self, "radius", 0 < self.radius < self.length, "0 < radius < length")
+        require(self, "f", abs(self.f(0.0) - self.f(math.pi)) <= 1e-9, "f(0) = f(pi)")
 
 
 def make_particle(params: ParticleParams = ParticleParams()) -> MechanicalModel:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvaluationFailure, SingularJacobian
+from .errors import EvaluationFailure, SingularJacobian, require
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -37,7 +37,8 @@ class NewtonOptions:
     number of step halvings tried before an iteration stalls: the trials are
     the steps 1, 1/2, ..., 2^-max_backtracks, and 0 means the full step must
     reduce the residual.  fd_eps is the base step for finite-difference
-    Jacobians (scaled per coordinate).
+    Jacobians (scaled per coordinate).  A value out of range, NaN included,
+    raises ParameterError naming the field.
     """
 
     tol: float = 1e-10
@@ -46,14 +47,10 @@ class NewtonOptions:
     fd_eps: float = 1e-7
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be non-negative")
-        if self.fd_eps <= 0:
-            raise ValueError("fd_eps must be positive")
+        require(self, "tol", self.tol > 0, "tol > 0")
+        require(self, "max_iter", self.max_iter >= 1, "max_iter >= 1")
+        require(self, "max_backtracks", self.max_backtracks >= 0, "max_backtracks >= 0")
+        require(self, "fd_eps", self.fd_eps > 0, "fd_eps > 0")
 
 
 DEFAULT_NEWTON_OPTIONS = NewtonOptions()

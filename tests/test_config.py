@@ -179,6 +179,39 @@ class TestValidation:
             config_from_dict(cfg)
 
 
+ELLIPSE = {"type": "se2_body", "shape": {"kind": "ellipse", "a": 1.0, "b": 0.5}}
+STAR = {"type": "se2_body", "shape": {"kind": "star", "l": 1.0}, "inertia": 0.5}
+PENDULUM = {"type": "pendulum", "length": 2.0, "radius": 1.5}
+
+
+OUT_OF_RANGE = [
+    ({"model": {"type": "particle", "mass": 0.0}}, "model.mass"),
+    ({"model": {**PENDULUM, "mass": -1.0}}, "model.mass"),
+    ({"model": {"type": "particle", "gravity": -1.0}}, "model.gravity"),
+    ({"model": {**ELLIPSE, "gravity": 0.0}}, "model.gravity"),
+    ({"model": {**ELLIPSE, "shape": {"kind": "ellipse", "a": 0.0, "b": 0.5}}}, "model.shape.a"),
+    ({"model": {**ELLIPSE, "shape": {"kind": "ellipse", "a": 1.0, "b": -0.5}}},
+     "model.shape.b"),
+    ({"model": {**STAR, "shape": {"kind": "star", "l": 0.0}}}, "model.shape.l"),
+    ({"model": {**ELLIPSE, "inertia": 0.0}}, "model.inertia"),
+    ({"model": {"type": "se2_body", "shape": {"kind": "star", "l": 1.0}}}, "model.inertia"),
+    ({"model": {**ELLIPSE, "contact_frame": "diagonal"}}, "model.contact_frame"),
+    ({"model": {**PENDULUM, "length": 0.0}}, "model.length"),
+    ({"model": {**PENDULUM, "radius": 2.0}}, "model.radius"),
+    ({"solver": {"tol": 0.0}}, "solver.tol"),
+    ({"solver": {"max_iter": 0}}, "solver.max_iter"),
+    ({"solver": {"max_backtracks": -1}}, "solver.max_backtracks"),
+    ({"solver": {"fd_eps": -1e-7}}, "solver.fd_eps"),
+]
+
+
+@pytest.mark.parametrize("overrides, key_path", OUT_OF_RANGE, ids=[p for _, p in OUT_OF_RANGE])
+def test_out_of_range_value_reported_at_its_key_path(overrides, key_path):
+    with pytest.raises(SchemaError) as info:
+        config_from_dict(minimal_config(**overrides))
+    assert info.value.key_path == key_path
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_is_identity(self, tmp_path):
         for name in ("particle", "ellipse", "pendulum"):

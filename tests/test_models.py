@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from nhvi import (
     EllipseShape,
+    NewtonOptions,
+    ParameterError,
     ParticleParams,
     PendulumParams,
     Se2BodyParams,
@@ -30,6 +32,21 @@ from nhvi.models import sample_boundary_points
 ], ids=["particle", "se2_body", "pendulum"])
 def test_params_is_the_record_the_model_was_built_from(make, params):
     assert make(params).params is params
+
+
+@pytest.mark.parametrize("record, field", [
+    (ParticleParams, "mass"), (ParticleParams, "gravity"),
+    (EllipseShape, "a"), (EllipseShape, "b"), (StarShape, "l"),
+    (Se2BodyParams, "mass"), (Se2BodyParams, "gravity"), (Se2BodyParams, "inertia"),
+    (PendulumParams, "mass"), (PendulumParams, "gravity"),
+    (PendulumParams, "length"), (PendulumParams, "radius"),
+    (NewtonOptions, "tol"), (NewtonOptions, "max_iter"),
+    (NewtonOptions, "max_backtracks"), (NewtonOptions, "fd_eps"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_records_reject_nan_naming_the_field(record, field):
+    with pytest.raises(ValueError, match=f"^{field} ") as info:
+        record(**{field: math.nan})
+    assert isinstance(info.value, ParameterError) and info.value.field == field
 
 
 class TestParticle:
