@@ -116,7 +116,7 @@ def _fail_with_diagnostic(exc: NhviError, out_dir: Path, cfg: SimConfig | None) 
         diagnostic["state"] = {
             "k": st.k,
             "t": st.t,
-            **{name: getattr(st, name).tolist() for name in ("q", "v", "p", "lam")},
+            **{name: list(getattr(st, name)) for name in ("q", "v", "p", "lam")},
         }
     if cfg is not None:
         # the resolved configuration, overrides applied: it rebuilds the

@@ -16,7 +16,10 @@ import numpy as np
 from .discretization import DiscreteLagrangian, discrete_energy
 from .geometry import MechanicalModel
 from .integrator import Trajectory, _impact_a_system, _impact_b_system, _step_system
-from .numerics import _norm
+from .numerics import _dot, _norm
+
+# rows per block when a column is read as Python floats
+_BLOCK = 256
 
 
 # solver phase -> its mean-iterations key in RunReport.newton_iter_stats
@@ -63,9 +66,24 @@ def _node_samples(traj: Trajectory) -> np.ndarray:
     return mask
 
 
+def _rows(column: np.ndarray):
+    """The entries of a float64 column as Python floats (rows as lists),
+    converted a block at a time, so a long trajectory never holds them all."""
+    for start in range(0, len(column), _BLOCK):
+        yield from column[start : start + _BLOCK].tolist()
+
+
 def _omega_residual(model: MechanicalModel, q, w) -> float:
-    """Largest |omega(q) w| over the constraints, at discrete velocity w."""
-    return float(np.abs(model.omega(q) @ w).max())
+    """Largest |omega(q) w| over the constraints, at discrete velocity w; a
+    NaN rate makes it NaN."""
+    worst = 0.0
+    for row in model.omega(q):
+        rate = abs(_dot(row, w))
+        if not rate <= worst:
+            worst = rate
+            if rate != rate:
+                break
+    return worst
 
 
 def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> np.ndarray:
@@ -81,10 +99,12 @@ def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> np.ndarray:
         raise ValueError("trajectory has no states")
     h = traj.h
     impacts = traj.impacts
-    energies = np.fromiter(map(discrete_energy, repeat(Ld), traj.q, traj.v, repeat(h)), float, n)
+    energies = np.fromiter(
+        map(discrete_energy, repeat(Ld), _rows(traj.q), _rows(traj.v), repeat(h)), float, n
+    )
     series = np.empty((n + len(impacts), 2))
     for j, ev in enumerate(impacts):
-        energies[ev.k] = -Ld.d3_w(traj.q[ev.k], ev.w_in, ev.alpha * h)
+        energies[ev.k] = -Ld.d3_w(traj.q[ev.k].tolist(), ev.w_in, ev.alpha * h)
         e_out = -Ld.d3_w(ev.q_tilde, ev.w_out, (1.0 - ev.alpha) * h)
         series[ev.k + j + 1] = ev.t_impact, e_out
     nodes = _node_samples(traj)
@@ -110,18 +130,20 @@ def build_report(
 
     # the columns are float64 arrays: lists of floats would keep ~100 B per state
     n = len(traj.t)
-    gap = np.fromiter(map(model.boundary_gap, traj.q), float, n)
+    gap = np.fromiter(map(model.boundary_gap, _rows(traj.q)), float, n)
     omega_res = np.zeros(n)
     max_residual = 0.0
     if model.m_con:
         h = traj.h
         omega_res = np.fromiter(
-            (_omega_residual(model, q, (v - q) / h) for q, v in zip(traj.q, traj.v)), float, n
+            (_omega_residual(model, q, [(b - a) / h for a, b in zip(q, v)])
+             for q, v in zip(_rows(traj.q), _rows(traj.v))),
+            float, n,
         )
         # impact rows read the discrete velocities phases A and B solved for
         post_res = []
         for ev in traj.impacts:
-            omega_res[ev.k] = _omega_residual(model, traj.q[ev.k], ev.w_in)
+            omega_res[ev.k] = _omega_residual(model, traj.q[ev.k].tolist(), ev.w_in)
             post_res.append(_omega_residual(model, ev.q_tilde, ev.w_out))
         # no solve produced the initial state; the impact nodes count too.
         # np.max, unlike the builtin max, propagates a NaN from any position
@@ -186,19 +208,19 @@ def recompute_solve_residuals(
             out[i] = stats.residuals[i]
         elif phase in ("step", "impact-D"):
             j = k + 1
-            residual, _ = _step_system(Ld, model, q[j], p[j], h)
-            out[i] = _norm(residual(np.concatenate([v[j], lam[j]])))
+            residual, _ = _step_system(Ld, model, q[j].tolist(), p[j].tolist(), h)
+            out[i] = _norm(residual(v[j].tolist() + lam[j].tolist()))
         elif phase == "impact-A":
             ev = events[k]
-            residual = _impact_a_system(Ld, model, q[k], p[k], h)
-            out[i] = _norm(residual(np.concatenate([[ev.alpha], ev.w_in, ev.lambda_A])))
+            residual = _impact_a_system(Ld, model, q[k].tolist(), p[k].tolist(), h)
+            out[i] = _norm(residual([ev.alpha, *ev.w_in, *ev.lambda_A]))
         elif phase == "impact-B":
             ev = events[k]
             ET = np.asarray(model.tangent_basis(ev.q_tilde), dtype=float).T
-            d3_pre = Ld.d3_w(q[k], ev.w_in, ev.alpha * h)
+            d3_pre = Ld.d3_w(q[k].tolist(), ev.w_in, ev.alpha * h)
             s2 = (1.0 - ev.alpha) * h
             residual, _ = _impact_b_system(Ld, model, ev.q_tilde, ET, ev.p_tilde, d3_pre, s2)
-            out[i] = _norm(residual(np.concatenate([ev.w_out, ev.lambda_B])))
+            out[i] = _norm(residual(ev.w_out + ev.lambda_B))
         else:
             raise ValueError(f"unknown solver phase {phase!r}")
     return out

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInitialState
 from .geometry import GRAZING_TOL, MechanicalModel
-from .numerics import as_vector
+from .numerics import _dot, as_vector
 
 RULES = ("midpoint", "retraction-left")
 
@@ -42,6 +42,11 @@ class DiscreteLagrangian:
     same functions at w = (v - q)/h.  From the model's Hessian blocks,
     `d1_dv` is the Jacobian of d1 in v (smooth steps, phase D) and `d13_dw`
     those of d1_w and d3_w in w (the phase-B impact solve).
+
+    Everything is written over Python floats: the vector partials return
+    sequences of floats, `d3`/`d3_w` a float, and the Jacobians lists of
+    row lists.  The dL/dv . w of `d3_w` stays numpy's `np.dot`, whose fused
+    multiply-adds a left-to-right Python sum does not reproduce.
     """
 
     def __init__(self, model: MechanicalModel, rule: str):
@@ -57,63 +62,81 @@ class DiscreteLagrangian:
         if rule == "midpoint":
 
             def _eval(q, v, h):
-                return h * L(0.5 * (q + v), (v - q) / h)
+                mid = [0.5 * (a + b) for a, b in zip(q, v)]
+                return h * L(mid, [(b - a) / h for a, b in zip(q, v)])
 
             def _d1_w(q, w, h):
-                mid = q + (0.5 * h) * w
-                return (0.5 * h) * Lq(mid, w) - Lv(mid, w)
+                half = 0.5 * h
+                mid = [a + half * b for a, b in zip(q, w)]
+                return [half * a - b for a, b in zip(Lq(mid, w), Lv(mid, w))]
 
             def _d2_w(q, w, h):
-                mid = q + (0.5 * h) * w
-                return (0.5 * h) * Lq(mid, w) + Lv(mid, w)
+                half = 0.5 * h
+                mid = [a + half * b for a, b in zip(q, w)]
+                return [half * a + b for a, b in zip(Lq(mid, w), Lv(mid, w))]
 
             def _d3_w(q, w, h):
-                mid = q + (0.5 * h) * w
-                return L(mid, w) - float(Lv(mid, w) @ w)
+                half = 0.5 * h
+                mid = [a + half * b for a, b in zip(q, w)]
+                return L(mid, w) - float(np.dot(Lv(mid, w), w))
 
             def _d1_dv(q, v, h):
-                w = (v - q) / h
-                lqq, lqv, lvv = hess(q + (0.5 * h) * w, w)
-                return 0.25 * h * lqq + 0.5 * lqv - 0.5 * lqv.T - lvv / h
+                half = 0.5 * h
+                w = [(b - a) / h for a, b in zip(q, v)]
+                lqq, lqv, lvv = hess([a + half * b for a, b in zip(q, w)], w)
+                quarter = 0.25 * h
+                return [
+                    [quarter * a + 0.5 * b - 0.5 * bt - c / h
+                     for a, b, bt, c in zip(ra, rb, rbt, rc)]
+                    for ra, rb, rbt, rc in zip(lqq, lqv, zip(*lqv), lvv)
+                ]
 
             def _d13_dw(q, w, h):
                 half = 0.5 * h
-                mid = q + half * w
+                mid = [a + half * b for a, b in zip(q, w)]
                 lqq, lqv, lvv = hess(mid, w)
-                dd1 = (half * half) * lqq + half * (lqv - lqv.T) - lvv
-                dd3 = half * Lq(mid, w) - half * (lqv @ w) - lvv @ w
+                hh = half * half
+                dd1 = [
+                    [hh * a + half * (b - bt) - c for a, b, bt, c in zip(ra, rb, rbt, rc)]
+                    for ra, rb, rbt, rc in zip(lqq, lqv, zip(*lqv), lvv)
+                ]
+                dd3 = [
+                    half * a - half * _dot(rb, w) - _dot(rc, w)
+                    for a, rb, rc in zip(Lq(mid, w), lqv, lvv)
+                ]
                 return dd1, dd3
 
         else:  # retraction-left
 
             def _eval(q, v, h):
-                return h * L(q, (v - q) / h)
+                return h * L(q, [(b - a) / h for a, b in zip(q, v)])
 
             def _d1_w(q, w, h):
-                return h * Lq(q, w) - Lv(q, w)
+                return [h * a - b for a, b in zip(Lq(q, w), Lv(q, w))]
 
             def _d2_w(q, w, h):
                 return Lv(q, w)
 
             def _d3_w(q, w, h):
-                return L(q, w) - float(Lv(q, w) @ w)
+                return L(q, w) - float(np.dot(Lv(q, w), w))
 
             def _d1_dv(q, v, h):
-                lqq, lqv, lvv = hess(q, (v - q) / h)
-                return lqv - lvv / h
+                lqq, lqv, lvv = hess(q, [(b - a) / h for a, b in zip(q, v)])
+                return [[b - c / h for b, c in zip(rb, rc)] for rb, rc in zip(lqv, lvv)]
 
             def _d13_dw(q, w, h):
                 lqq, lqv, lvv = hess(q, w)
-                return h * lqv - lvv, -(lvv @ w)
+                dd1 = [[h * b - c for b, c in zip(rb, rc)] for rb, rc in zip(lqv, lvv)]
+                return dd1, [-_dot(rc, w) for rc in lvv]
 
         self.eval = _eval
         self.d1_w = _d1_w
         self.d2_w = _d2_w
         self.d3_w = _d3_w
         # the closures, not self.d1_w: a wrapped d1_w must not count d1 calls
-        self.d1 = lambda q, v, h: _d1_w(q, (v - q) / h, h)
-        self.d2 = lambda q, v, h: _d2_w(q, (v - q) / h, h)
-        self.d3 = lambda q, v, h: _d3_w(q, (v - q) / h, h)
+        self.d1 = lambda q, v, h: _d1_w(q, [(b - a) / h for a, b in zip(q, v)], h)
+        self.d2 = lambda q, v, h: _d2_w(q, [(b - a) / h for a, b in zip(q, v)], h)
+        self.d3 = lambda q, v, h: _d3_w(q, [(b - a) / h for a, b in zip(q, v)], h)
         self.d1_dv = _d1_dv
         self.d13_dw = _d13_dw
 
@@ -122,24 +145,23 @@ def make_discrete_lagrangian(model: MechanicalModel, rule: str) -> DiscreteLagra
     return DiscreteLagrangian(model, rule)
 
 
-def omega_dplus(model: MechanicalModel, q: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+def omega_dplus(model: MechanicalModel, q, v, h: float) -> list:
     """Constraint one-forms evaluated on the discrete velocity from q to v.
 
     Zero iff the configuration pair lies in the forward discrete constraint
-    distribution.  Returns an empty vector for unconstrained models.
+    distribution.  Returns an empty list for unconstrained models.
     """
-    if model.m_con == 0:
-        return np.empty(0)
-    return model.omega(q) @ ((v - q) / h)
+    w = [(b - a) / h for a, b in zip(q, v)]
+    return [_dot(row, w) for row in model.omega(q)]
 
 
-def omega_dminus(model: MechanicalModel, v: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
+def omega_dminus(model: MechanicalModel, v, q, h: float) -> list:
     """Backward discrete constraint map: sign-flipped omega_dplus with the
     base point in the second slot."""
-    return -omega_dplus(model, q, v, h)
+    return [-x for x in omega_dplus(model, q, v, h)]
 
 
-def discrete_energy(Ld: DiscreteLagrangian, q: np.ndarray, v: np.ndarray, h: float) -> float:
+def discrete_energy(Ld: DiscreteLagrangian, q, v, h: float) -> float:
     """Energy diagnostic -d3(q, v, h).
 
     Equals dL/dv . w - L evaluated at the rule's base point with the
@@ -167,7 +189,8 @@ def initial_discretize(
     The retraction-left rule keeps the base point and retracts the scaled
     velocity: q_0 = q(0), v_0 = q(0) + h v(0).
 
-    Returns (q_0, v_0, p_0) with p_0 = d2(q_0, v_0, h).
+    Returns (q_0, v_0, p_0) with p_0 = d2(q_0, v_0, h), as lists of
+    floats: the integrator's float arithmetic starts here.
     """
     q0_cont = as_vector(q0_cont, "q(0)")
     v0_cont = as_vector(v0_cont, "v(0)")
@@ -185,12 +208,13 @@ def initial_discretize(
         q0 = q0_cont - 0.5 * h * v0_cont
         v0 = q0_cont + 0.5 * h * v0_cont
     else:  # retraction-left
-        q0 = q0_cont.copy()
+        q0 = q0_cont
         v0 = q0_cont + h * v0_cont
+    q0, v0 = q0.tolist(), v0.tolist()
     for label, point in (("q_0", q0), ("v_0", v0)):
         if model.boundary_gap(point) < -GRAZING_TOL:
             raise InvalidInitialState(
-                f"discretized {label}={point} leaves the admissible set"
+                f"discretized {label}={np.array(point)} leaves the admissible set"
             )
     p0 = Ld.d2(q0, v0, h)
     return q0, v0, p0

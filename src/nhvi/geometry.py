@@ -37,25 +37,29 @@ FRAME_IDENTITY_TOL = 1e-10
 class MechanicalModel:
     """Immutable descriptor of one mechanical system.
 
-    Callable fields take/return plain float64 arrays.  `d2L` returns the
-    Hessian blocks (Lqq, Lqv, Lvv) of the Lagrangian, where
-    Lqv[i, j] = d(dL/dq_i)/dv_j; the integrator assembles the Newton
-    Jacobians of the smooth steps and the phase-B impact solve from them,
-    and seeds phase B with the kinetic metric Lvv.  `params` is the record a
-    built-in model was made from (`ParticleParams`, `Se2BodyParams` or
-    `PendulumParams`); custom models may leave it None.
+    Callables take configurations and velocities as sequences of floats.
+    The built-in ones return a float (`lagrangian`, `boundary_gap`), tuples
+    of floats (`dL_dq`, `dL_dv`), m row tuples (`omega`) and the Hessian
+    blocks (Lqq, Lqv, Lvv) as tuples of row tuples (`d2L`), where
+    Lqv[i, j] = d(dL/dq_i)/dv_j.  The integrator only indexes, iterates and
+    zips them, so numpy arrays work too, at numpy's cost per call; the
+    boundary-frame callables return arrays.  The Newton Jacobians of the
+    smooth steps and phase B come from `d2L`, and phase B is seeded with
+    the kinetic metric Lvv.  `params` is the record a built-in model was
+    made from (`ParticleParams`, `Se2BodyParams` or `PendulumParams`);
+    custom models may leave it None.
     """
 
     name: str
     n: int
     m_con: int
     coordinate_names: Sequence[str]
-    lagrangian: Callable[[np.ndarray, np.ndarray], float]
-    dL_dq: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dL_dv: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d2L: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    omega: Callable[[np.ndarray], np.ndarray]
-    boundary_gap: Callable[[np.ndarray], float]
+    lagrangian: Callable[[Sequence[float], Sequence[float]], float]
+    dL_dq: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
+    dL_dv: Callable[[Sequence[float], Sequence[float]], Sequence[float]]
+    d2L: Callable[[Sequence[float], Sequence[float]], tuple]
+    omega: Callable[[Sequence[float]], Sequence[Sequence[float]]]
+    boundary_gap: Callable[[Sequence[float]], float]
     boundary_gap_grad: Callable[[np.ndarray], np.ndarray]
     tangent_basis: Callable[[np.ndarray], np.ndarray]
     projection: Callable[[np.ndarray], np.ndarray]
@@ -87,6 +91,7 @@ def boundary_frame(model: MechanicalModel, q_tilde: np.ndarray) -> BoundaryFrame
     DegenerateFrame if P.E differs from the identity (e.g. at a star-shape
     corner where the edge function is not differentiable).
     """
+    q_tilde = np.asarray(q_tilde, dtype=float)
     c = model.boundary_gap(q_tilde)
     if abs(c) > FRAME_GAP_TOL:
         raise NotOnBoundary(
@@ -105,7 +110,7 @@ def boundary_frame(model: MechanicalModel, q_tilde: np.ndarray) -> BoundaryFrame
             f"projection is not a left inverse of the tangent basis at {q_tilde}"
         )
     return BoundaryFrame(
-        q_tilde=np.asarray(q_tilde, dtype=float),
+        q_tilde=q_tilde,
         E=E,
         P=P,
         normal=np.asarray(model.boundary_gap_grad(q_tilde), dtype=float),

@@ -51,6 +51,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import neg
 from typing import List, NamedTuple
 
 import numpy as np
@@ -71,7 +72,7 @@ from .geometry import (
     pullback_cotangent,
     push_cotangent,
 )
-from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _norm, newton_solve
+from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _dot, _norm, newton_solve
 
 log = logging.getLogger("nhvi.integrator")
 
@@ -83,31 +84,33 @@ class State:
     `v` is the next-configuration slot of the scheme (a point of the
     configuration space, not a velocity); `lam` holds the constraint
     multipliers of the solve that produced this node (zeros at k = 0, empty
-    for unconstrained models).
+    for unconstrained models).  The nodes `simulate`, `step_plus` and
+    `resolve_impact` make hold lists of Python floats; a `Trajectory` view
+    holds row views of its float64 columns.
     """
 
     k: int
     t: float
-    q: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    lam: np.ndarray
+    q: Sequence[float]
+    v: Sequence[float]
+    p: Sequence[float]
+    lam: Sequence[float]
 
 
 @dataclass(slots=True)
 class ImpactEvent:
-    """Resolved elastic collision within step k."""
+    """Resolved elastic collision within step k; vectors are lists of floats."""
 
     k: int
     alpha: float
     t_impact: float
-    q_tilde: np.ndarray
-    v_tilde: np.ndarray
-    w_in: np.ndarray  # phase-A discrete velocity: q_tilde = q_k + alpha h w_in
-    w_out: np.ndarray  # phase-B discrete velocity: v_tilde = q_tilde + (1-alpha) h w_out
-    p_tilde: np.ndarray  # boundary covector, length n-1
-    lambda_A: np.ndarray
-    lambda_B: np.ndarray
+    q_tilde: list
+    v_tilde: list
+    w_in: list  # phase-A discrete velocity: q_tilde = q_k + alpha h w_in
+    w_out: list  # phase-B discrete velocity: v_tilde = q_tilde + (1-alpha) h w_out
+    p_tilde: list  # boundary covector, length n-1
+    lambda_A: list
+    lambda_B: list
     compat_residual: float  # discarded normal momentum, diagnostic only
     energy_jump: float
 
@@ -192,9 +195,9 @@ class Trajectory:
 
 
 class MinusStepResult(NamedTuple):
-    q_prev: np.ndarray
-    p_prev: np.ndarray
-    lam: np.ndarray
+    q_prev: list
+    p_prev: list
+    lam: list
 
 
 def _require_converged(res, phase: str, k: int, t: float):
@@ -209,48 +212,46 @@ def _require_converged(res, phase: str, k: int, t: float):
         )
 
 
+def _columns(rows, n: int) -> list:
+    """The n columns of an m x n matrix given by its rows: n empty tuples
+    when m = 0, so a column-wise sum over no constraints is 0.0."""
+    return list(zip(*rows)) or [()] * n
+
+
 def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base, h):
     """Residual and analytic Jacobian for the implicit block
 
         d1(q_base, v, h) + p_base - omega(q_base)^T lam = 0
         omega(q_base) . (v - q_base)/h = 0
 
-    over the unknown z = [v, lam].  The base point is fixed, so the
-    constraint matrix is evaluated once.
+    over the unknown z = [v, lam], as lists of floats.  The base point is
+    fixed, so the constraint rows and the constant Jacobian blocks are
+    evaluated once.
     """
     n = model.n
-    m = model.m_con
     d1 = Ld.d1
-    if m:
-        om = model.omega(q_base)
-        omT = om.T
-
-        def residual(z):
-            v = z[:n]
-            r = np.empty(n + m)
-            r[:n] = d1(q_base, v, h) + p_base - omT @ z[n:]
-            r[n:] = om @ ((v - q_base) / h)
-            return r
-
-    else:
-
-        def residual(z):
-            return d1(q_base, z, h) + p_base
-
     d1_dv = Ld.d1_dv
-    if m:
+    if not model.m_con:
 
-        def jac(z):
-            J = np.zeros((n + m, n + m))
-            J[:n, :n] = d1_dv(q_base, z[:n], h)
-            J[:n, n:] = -omT
-            J[n:, :n] = om / h
-            return J
+        def residual(z):
+            return [f + p for f, p in zip(d1(q_base, z, h), p_base)]
 
-    else:
+        return residual, lambda z: d1_dv(q_base, z, h)
 
-        def jac(z):
-            return d1_dv(q_base, z, h)
+    om = model.omega(q_base)
+    omT = _columns(om, n)
+    right = [list(map(neg, col)) for col in omT]
+    bottom = [[a / h for a in row] + [0.0] * len(om) for row in om]
+
+    def residual(z):
+        v = z[:n]
+        lam = z[n:]
+        r = [f + p - _dot(col, lam) for f, p, col in zip(d1(q_base, v, h), p_base, omT)]
+        w = [(b - a) / h for a, b in zip(q_base, v)]
+        return r + [_dot(row, w) for row in om]
+
+    def jac(z):
+        return [row + c for row, c in zip(d1_dv(q_base, z[:n], h), right)] + bottom
 
     return residual, jac
 
@@ -272,17 +273,15 @@ def _step_plus_impl(Ld, model, state: State, h, opts, prev=None):
     q_k, q_{k+1} = v_k and the linear one of the multipliers when `prev` is
     given, and from the linear extrapolation 2 v_k - q_k, lambda_k otherwise.
     """
-    p_next = Ld.d2(state.q, state.v, h)
-    n = model.n
-    z0 = np.empty(n + model.m_con)
+    q, v = state.q, state.v
+    p_next = Ld.d2(q, v, h)
     if prev is None:
-        z0[:n] = 2.0 * state.v - state.q
-        z0[n:] = state.lam
+        z0 = [2.0 * b - a for a, b in zip(q, v)] + list(state.lam)
     else:
-        z0[:n] = 3.0 * (state.v - state.q) + prev.q
+        z0 = [3.0 * (b - a) + c for a, b, c in zip(q, v, prev.q)]
         if model.m_con:
-            z0[n:] = 2.0 * state.lam - prev.lam
-    return _solve_step(Ld, model, state.v, p_next, h, z0, opts, "step", state.k, state.t)
+            z0 += [2.0 * a - b for a, b in zip(state.lam, prev.lam)]
+    return _solve_step(Ld, model, v, p_next, h, z0, opts, "step", state.k, state.t)
 
 
 def step_plus(
@@ -300,8 +299,8 @@ def step_plus(
 def step_minus(
     Ld: DiscreteLagrangian,
     model: MechanicalModel,
-    q_next: np.ndarray,
-    p_next: np.ndarray,
+    q_next,
+    p_next,
     h: float,
     opts: NewtonOptions = DEFAULT_NEWTON_OPTIONS,
 ) -> MinusStepResult:
@@ -314,39 +313,39 @@ def step_minus(
     """
     n = model.n
     om = model.omega(q_next)
-    omT = om.T
+    omT = _columns(om, n)
 
     def residual(z):
         u = z[:n]
-        r1 = p_next - Ld.d2(u, q_next, h) - omT @ z[n:]
-        return np.concatenate([r1, -(om @ ((u - q_next) / h))])
+        lam = z[n:]
+        r = [p - d - _dot(col, lam) for p, d, col in zip(p_next, Ld.d2(u, q_next, h), omT)]
+        w = [(a - b) / h for a, b in zip(u, q_next)]
+        return r + [-_dot(row, w) for row in om]
 
-    z0 = np.concatenate([q_next, np.zeros(model.m_con)])
-    res = newton_solve(residual, z0, opts)
+    res = newton_solve(residual, [*q_next, *[0.0] * model.m_con], opts)
     _require_converged(res, "step-minus", -1, math.nan)
     u = res.x[:n]
-    return MinusStepResult(q_prev=u, p_prev=-Ld.d1(u, q_next, h), lam=res.x[n:])
+    return MinusStepResult(
+        q_prev=u, p_prev=[-x for x in Ld.d1(u, q_next, h)], lam=res.x[n:]
+    )
 
 
 def _impact_a_system(Ld, model, q_k, p_k, h):
     """Residual of the phase-A equations (module doc) over the unknown
     z = [alpha, w_in, lambda_A]; the solver's and the records' one copy."""
     n = model.n
-    m = model.m_con
     om_k = model.omega(q_k)
-    omT_k = om_k.T
+    omT_k = _columns(om_k, n)
     gap = model.boundary_gap
+    d1_w = Ld.d1_w
 
     def residual_a(z):
-        alpha = z[0]
+        s = z[0] * h
         w = z[1 : 1 + n]
-        s = alpha * h
-        r = np.empty(n + m + 1)
-        r[:n] = Ld.d1_w(q_k, w, s) + p_k
-        if m:
-            r[:n] -= omT_k @ z[1 + n :]
-            r[n : n + m] = om_k @ w
-        r[n + m] = gap(q_k + s * w)
+        lam = z[1 + n :]
+        r = [f + p - _dot(col, lam) for f, p, col in zip(d1_w(q_k, w, s), p_k, omT_k)]
+        r += [_dot(row, w) for row in om_k]
+        r.append(gap([a + s * b for a, b in zip(q_k, w)]))
         return r
 
     return residual_a
@@ -355,34 +354,35 @@ def _impact_a_system(Ld, model, q_k, p_k, h):
 def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
     """Residual and analytic Jacobian of the phase-B equations (module doc)
     over the unknown z = [w_out, lambda_B], on the second sub-step
-    s2 = (1 - alpha) h."""
+    s2 = (1 - alpha) h.  The boundary restriction E^T stays a numpy product
+    with the frame's E, so the Jacobian is an array."""
     n = model.n
     m = model.m_con
     om_t = model.omega(q_tilde)
-    omT_t = om_t.T
+    omT_t = _columns(om_t, n)
+    d1_w = Ld.d1_w
+    d3_w = Ld.d3_w
 
     def residual_b(z):
         u = z[:n]
-        force = Ld.d1_w(q_tilde, u, s2)
-        if m:
-            force = force - omT_t @ z[n:]
-        r = np.empty(n + m)
-        r[0] = d3_pre - Ld.d3_w(q_tilde, u, s2)
-        r[1:n] = ET @ force + p_tilde
-        if m:
-            r[n:] = om_t @ u
+        lam = z[n:]
+        force = [f - _dot(col, lam) for f, col in zip(d1_w(q_tilde, u, s2), omT_t)]
+        r = [d3_pre - d3_w(q_tilde, u, s2)]
+        r += (ET @ force + p_tilde).tolist()
+        r += [_dot(row, u) for row in om_t]
         return r
 
     d13_dw = Ld.d13_dw
     # the lambda columns and constraint rows are constant over the solve
+    om_arr = np.reshape(np.array(om_t, dtype=float), (m, n))
     J0 = np.zeros((n + m, n + m))
-    J0[1:n, n:] = -(ET @ omT_t)
-    J0[n:, :n] = om_t
+    J0[1:n, n:] = -(ET @ om_arr.T)
+    J0[n:, :n] = om_arr
 
     def jac_b(z):
         dd1, dd3 = d13_dw(q_tilde, z[:n], s2)
         J = J0.copy()
-        J[0, :n] = -dd3
+        J[0, :n] = [-x for x in dd3]
         J[1:n, :n] = ET @ dd1
         return J
 
@@ -403,8 +403,8 @@ def _impact_law(model, frame, w_in):
     n = model.n
     m = model.m_con
     q_tilde = frame.q_tilde
-    M = model.d2L(q_tilde, w_in)[2]
-    om = model.omega(q_tilde)
+    M = np.array(model.d2L(q_tilde, w_in)[2], dtype=float)
+    om = np.reshape(np.array(model.omega(q_tilde), dtype=float), (m, n))
     ET = frame.E.T
     K = np.zeros((n + m, n + m))
     K[: n - 1, :n] = ET @ M
@@ -436,10 +436,10 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     residual_a = _impact_a_system(Ld, model, q_k, p_k, h)
     c_k = gap(q_k)
     alpha0 = c_k / (c_k - gap(rejected_q))
-    z0 = np.concatenate([[alpha0], (rejected_q - q_k) / h, np.zeros(m)])
+    z0 = [alpha0, *[(b - a) / h for a, b in zip(q_k, rejected_q)], *[0.0] * m]
     res_a = newton_solve(residual_a, z0, opts)
     _require_converged(res_a, "impact-A", k, t_k)
-    alpha = float(res_a.x[0])
+    alpha = res_a.x[0]
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(
             f"impact fraction {alpha:.6g} outside (0, 1) at step {k}, t={t_k:.6g}"
@@ -447,13 +447,14 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     s1 = alpha * h
     lambda_a = res_a.x[1 + n :]
     w_in = res_a.x[1 : 1 + n]
-    q_tilde = q_k + s1 * w_in
+    q_tilde = [a + s1 * b for a, b in zip(q_k, w_in)]
 
     # PHASE B: momentum transfer and post-impact discrete velocity.
     frame = boundary_frame(model, q_tilde)
     d2_pre = Ld.d2_w(q_k, w_in, s1)
     p_tilde = pullback_cotangent(frame, d2_pre)
     compat_residual = _norm(push_cotangent(frame, p_tilde) - d2_pre)
+    p_tilde = p_tilde.tolist()
     d3_pre = Ld.d3_w(q_k, w_in, s1)
     s2 = (1.0 - alpha) * h
     residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.E.T, p_tilde, d3_pre, s2)
@@ -461,7 +462,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     # constraint distribution and reflects in the kinetic metric, so the
     # solve lands in the reflecting root's basin
     w_law, lam_law, law_rate = _impact_law(model, frame, w_in)
-    res_b = newton_solve(residual_b, np.concatenate([w_law, lam_law]), opts, jac_b)
+    res_b = newton_solve(residual_b, np.concatenate([w_law, lam_law]).tolist(), opts, jac_b)
     _require_converged(res_b, "impact-B", k, t_k)
     w_out = res_b.x[:n]
     rate = float(frame.normal @ w_out)
@@ -479,7 +480,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
             f"(normal rate {rate:.3e}, law rate {law_rate:.3e}) at step {k}, t={t_k:.6g}"
         )
     lambda_b = res_b.x[n:]
-    v_tilde = q_tilde + s2 * w_out
+    v_tilde = [a + s2 * b for a, b in zip(q_tilde, w_out)]
     energy_jump = abs(d3_pre - Ld.d3_w(q_tilde, w_out, s2))
 
     # PHASE C: momentum and configuration after the second sub-step.
@@ -487,7 +488,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     q_next = v_tilde
 
     # PHASE D: full-step constrained solve from the post-impact node.
-    z0 = np.concatenate([v_tilde + h * w_out, lambda_b])
+    z0 = [a + h * b for a, b in zip(v_tilde, w_out)] + lambda_b
     new_state, res_d = _solve_step(Ld, model, q_next, p_next, h, z0, opts, "impact-D", k, t_k)
 
     event = ImpactEvent(
@@ -540,10 +541,10 @@ def _resolve_impact_impl(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
 def resolve_impact(
     Ld: DiscreteLagrangian,
     model: MechanicalModel,
-    q_k: np.ndarray,
-    p_k: np.ndarray,
+    q_k,
+    p_k,
     h: float,
-    rejected_q: np.ndarray,
+    rejected_q,
     opts: NewtonOptions = DEFAULT_NEWTON_OPTIONS,
     k: int = 0,
     t_k: float = 0.0,
@@ -558,8 +559,8 @@ def resolve_impact(
 def simulate(
     Ld: DiscreteLagrangian,
     model: MechanicalModel,
-    q0_cont: np.ndarray,
-    v0_cont: np.ndarray,
+    q0_cont,
+    v0_cont,
     t0: float,
     t_final: float,
     h: float,
@@ -572,6 +573,9 @@ def simulate(
     and the impact is resolved instead (at most one collision per step, with
     the phase-A node replacing the deleted v_k in the stored trajectory).
     The columns of the trajectory are allocated once, n_steps + 1 rows.
+    The nodes in between are lists of Python floats, from
+    `initial_discretize` on: past the dense solve of each Newton iteration,
+    numpy only receives each node once, as the row writes.
 
     A typed error (NhviError) raised by step k carries node k, as it stood
     before the step, as `exc.state`.
@@ -591,7 +595,7 @@ def simulate(
     v = np.empty((n_rows, model.n))
     p = np.empty((n_rows, model.n))
     lam = np.empty((n_rows, model.m_con))
-    state = State(k=0, t=t0, q=q0, v=v0, p=p0, lam=np.zeros(model.m_con))
+    state = State(k=0, t=t0, q=q0, v=v0, p=p0, lam=[0.0] * model.m_con)
     t[0], q[0], v[0], p[0], lam[0] = t0, q0, v0, p0, state.lam
     impacts: List[ImpactEvent] = []
     stats = SolverStats()

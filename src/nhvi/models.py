@@ -29,16 +29,17 @@ STAR_CORNER_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ParticleParams:
-    """Point-mass parameters.  Each record here owns its defaults and ranges:
-    a value out of range, NaN included, raises ParameterError naming the
-    field, and a configuration reports it at that field's key path."""
+    """Point-mass parameters.  Each record here owns its defaults and ranges,
+    and every numeric field is finite: a value out of range, NaN or infinity
+    included, raises ParameterError naming the field, and a configuration
+    reports it at that field's key path."""
 
     mass: float = 1.0
     gravity: float = 9.8  # zero allowed: free motion is a useful test case
 
     def __post_init__(self):
-        require(self, "mass", self.mass > 0, "mass > 0")
-        require(self, "gravity", self.gravity >= 0, "gravity >= 0")
+        require(self, "mass", 0 < self.mass < math.inf, "0 < mass < inf")
+        require(self, "gravity", 0 <= self.gravity < math.inf, "0 <= gravity < inf")
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class EllipseShape:
     b: float = 0.5
 
     def __post_init__(self):
-        require(self, "a", self.a > 0, "a > 0")
-        require(self, "b", self.b > 0, "b > 0")
+        require(self, "a", 0 < self.a < math.inf, "0 < a < inf")
+        require(self, "b", 0 < self.b < math.inf, "0 < b < inf")
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class StarShape:
     l: float = 1.0
 
     def __post_init__(self):
-        require(self, "l", self.l > 0, "l > 0")
+        require(self, "l", 0 < self.l < math.inf, "0 < l < inf")
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,15 @@ class Se2BodyParams:
     contact_frame: str = "vertical"
 
     def __post_init__(self):
-        require(self, "mass", self.mass > 0, "mass > 0")
-        require(self, "gravity", self.gravity > 0, "gravity > 0")
+        require(self, "mass", 0 < self.mass < math.inf, "0 < mass < inf")
+        require(self, "gravity", 0 < self.gravity < math.inf, "0 < gravity < inf")
         if self.inertia is None and isinstance(self.shape, EllipseShape):
+            # products, not **: a float power raises OverflowError, where an
+            # overflowing product is inf and fails the check below
             a, b = self.shape.a, self.shape.b
-            object.__setattr__(self, "inertia", self.mass * (a**2 + b**2) / 4.0)
-        ok = self.inertia is not None and self.inertia > 0
-        require(self, "inertia", ok, "inertia > 0 (a star has no default)")
+            object.__setattr__(self, "inertia", self.mass * (a * a + b * b) / 4.0)
+        ok = self.inertia is not None and 0 < self.inertia < math.inf
+        require(self, "inertia", ok, "0 < inertia < inf (a star has no default)")
         frames = ("vertical", "edge-slope")
         require(self, "contact_frame", self.contact_frame in frames, f"contact_frame in {frames}")
 
@@ -112,9 +115,9 @@ class PendulumParams:
     f: Callable[[float], float] = field(default=_default_constraint_gain)
 
     def __post_init__(self):
-        require(self, "mass", self.mass > 0, "mass > 0")
-        require(self, "gravity", self.gravity > 0, "gravity > 0")
-        require(self, "length", self.length > 0, "length > 0")
+        require(self, "mass", 0 < self.mass < math.inf, "0 < mass < inf")
+        require(self, "gravity", 0 < self.gravity < math.inf, "0 < gravity < inf")
+        require(self, "length", 0 < self.length < math.inf, "0 < length < inf")
         require(self, "radius", 0 < self.radius < self.length, "0 < radius < length")
         require(self, "f", abs(self.f(0.0) - self.f(math.pi)) <= 1e-9, "f(0) = f(pi)")
 
@@ -124,10 +127,9 @@ def make_particle(params: ParticleParams = ParticleParams()) -> MechanicalModel:
     m = params.mass
     g = params.gravity
     mg = m * g
-    lvv = np.array([[m, 0.0], [0.0, m]])
-    zero22 = np.zeros((2, 2))
-    dLdq_const = np.array([0.0, -mg])
-    empty_omega = np.empty((0, 2))
+    zero22 = ((0.0, 0.0), (0.0, 0.0))
+    hessian = (zero22, zero22, ((m, 0.0), (0.0, m)))
+    dLdq_const = (0.0, -mg)
     E = np.array([[1.0], [0.0]])
     P = np.array([[1.0, 0.0]])
     grad_c = np.array([0.0, 1.0])
@@ -139,14 +141,14 @@ def make_particle(params: ParticleParams = ParticleParams()) -> MechanicalModel:
         coordinate_names=("x", "y"),
         lagrangian=lambda q, v: 0.5 * m * (v[0] * v[0] + v[1] * v[1]) - mg * q[1],
         dL_dq=lambda q, v: dLdq_const,
-        dL_dv=lambda q, v: m * v,
-        omega=lambda q: empty_omega,
+        dL_dv=lambda q, v: (m * v[0], m * v[1]),
+        omega=lambda q: (),
         boundary_gap=lambda q: q[1],
         boundary_gap_grad=lambda q: grad_c,
         tangent_basis=lambda q: E,
         projection=lambda q: P,
         params=params,
-        d2L=lambda q, v: (zero22, zero22, lvv),
+        d2L=lambda q, v: hessian,
     )
 
 
@@ -195,11 +197,9 @@ def make_se2_body(params: Se2BodyParams = Se2BodyParams()) -> MechanicalModel:
         phi, phi_dot = _star_edge(params.shape.l)
 
     mg = m * g
-    dLdq_const = np.array([0.0, 0.0, -mg])
-    mass_diag = np.array([iph, m, m])
-    lvv = np.diag(mass_diag)
-    zero33 = np.zeros((3, 3))
-    empty_omega = np.empty((0, 3))
+    dLdq_const = (0.0, 0.0, -mg)
+    zero33 = ((0.0, 0.0, 0.0),) * 3
+    hessian = (zero33, zero33, ((iph, 0.0, 0.0), (0.0, m, 0.0), (0.0, 0.0, m)))
 
     if params.contact_frame == "edge-slope":
 
@@ -224,14 +224,14 @@ def make_se2_body(params: Se2BodyParams = Se2BodyParams()) -> MechanicalModel:
         + 0.5 * iph * v[0] * v[0]
         - mg * q[2],
         dL_dq=lambda q, v: dLdq_const,
-        dL_dv=lambda q, v: mass_diag * v,
-        omega=lambda q: empty_omega,
+        dL_dv=lambda q, v: (iph * v[0], m * v[1], m * v[2]),
+        omega=lambda q: (),
         boundary_gap=lambda q: q[2] - phi(q[0]),
         boundary_gap_grad=lambda q: np.array([-phi_dot(q[0]), 0.0, 1.0]),
         tangent_basis=tangent_basis,
         projection=lambda q: P,
         params=params,
-        d2L=lambda q, v: (zero33, zero33, lvv),
+        d2L=lambda q, v: hessian,
     )
 
 
@@ -250,33 +250,26 @@ def make_pendulum(params: PendulumParams = PendulumParams()) -> MechanicalModel:
     ml2 = m * length * length
     mgl = m * g * length
 
-    def _sin_cos(q):
-        """sin and cos of the polar angle."""
-        theta = float(q[0])
-        return math.sin(theta), math.cos(theta)
-
     def lagrangian(q, v):
-        s, c = _sin_cos(q)
-        v0, v1 = float(v[0]), float(v[1])
+        s, c = math.sin(q[0]), math.cos(q[0])
+        v0, v1 = v[0], v[1]
         return 0.5 * ml2 * (v0 * v0 + v1 * v1 * s * s) - mgl * c
 
     def dL_dq(q, v):
-        s, c = _sin_cos(q)
-        v1 = float(v[1])
-        return np.array([ml2 * v1 * v1 * s * c + mgl * s, 0.0])
+        s, c = math.sin(q[0]), math.cos(q[0])
+        v1 = v[1]
+        return (ml2 * v1 * v1 * s * c + mgl * s, 0.0)
 
     def dL_dv(q, v):
-        s, _ = _sin_cos(q)
-        return np.array([ml2 * float(v[0]), ml2 * s * s * float(v[1])])
+        s = math.sin(q[0])
+        return (ml2 * v[0], ml2 * s * s * v[1])
 
     def d2L(q, v):
-        s, c = _sin_cos(q)
-        v1 = float(v[1])
-        lqq = np.array(
-            [[ml2 * v1 * v1 * (c * c - s * s) + mgl * c, 0.0], [0.0, 0.0]]
-        )
-        lqv = np.array([[0.0, 2.0 * ml2 * v1 * s * c], [0.0, 0.0]])
-        lvv = np.array([[ml2, 0.0], [0.0, ml2 * s * s]])
+        s, c = math.sin(q[0]), math.cos(q[0])
+        v1 = v[1]
+        lqq = ((ml2 * v1 * v1 * (c * c - s * s) + mgl * c, 0.0), (0.0, 0.0))
+        lqv = ((0.0, 2.0 * ml2 * v1 * s * c), (0.0, 0.0))
+        lvv = ((ml2, 0.0), (0.0, ml2 * s * s))
         return lqq, lqv, lvv
 
     E = np.array([[0.0], [1.0]])
@@ -290,7 +283,7 @@ def make_pendulum(params: PendulumParams = PendulumParams()) -> MechanicalModel:
         lagrangian=lagrangian,
         dL_dq=dL_dq,
         dL_dv=dL_dv,
-        omega=lambda q: np.array([[f(q[0]), -1.0]]),
+        omega=lambda q: ((f(q[0]), -1.0),),
         # |sin| lifts the wall to the covering space: the cylinder constrains
         # the distance from the axis on both sides of the pole
         boundary_gap=lambda q: radius - length * abs(math.sin(q[0])),

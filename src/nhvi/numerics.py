@@ -1,18 +1,18 @@
 """Dense small-scale numerics: finite differences and a damped Newton solver.
 
-Every implicit system in the integrator is a handful of unknowns, so plain
-dense linear algebra on float64 arrays is the right tool.  Vectors and
-matrices are numpy arrays throughout.  On vectors this short a numpy call's
-fixed cost outweighs its arithmetic, so one Python-float pass (:func:`_norm`)
-is the residual norm and the finiteness check that Newton, `_solve_linear`
-and `fd_jacobian` share.
+Every implicit system in the integrator has at most four unknowns, where a
+numpy call's fixed cost outweighs its arithmetic.  So vectors are lists of
+Python floats and Jacobians lists of rows, which the functions here only
+index, iterate and zip; numpy arrays work too, at numpy's speed.  Besides
+`fd_jacobian` stacking its columns, the one numpy call of a Newton
+iteration is the dense solve in `_solve_linear`, which returns floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +37,9 @@ class NewtonOptions:
     number of step halvings tried before an iteration stalls: the trials are
     the steps 1, 1/2, ..., 2^-max_backtracks, and 0 means the full step must
     reduce the residual.  fd_eps is the base step for finite-difference
-    Jacobians (scaled per coordinate).  A value out of range, NaN included,
-    raises ParameterError naming the field.
+    Jacobians (scaled per coordinate).  Every field is finite: a value out
+    of range, NaN or infinity included, raises ParameterError naming the
+    field.
     """
 
     tol: float = 1e-10
@@ -47,10 +48,11 @@ class NewtonOptions:
     fd_eps: float = 1e-7
 
     def __post_init__(self):
-        require(self, "tol", self.tol > 0, "tol > 0")
-        require(self, "max_iter", self.max_iter >= 1, "max_iter >= 1")
-        require(self, "max_backtracks", self.max_backtracks >= 0, "max_backtracks >= 0")
-        require(self, "fd_eps", self.fd_eps > 0, "fd_eps > 0")
+        require(self, "tol", 0 < self.tol < math.inf, "0 < tol < inf")
+        require(self, "max_iter", 1 <= self.max_iter < math.inf, "1 <= max_iter < inf")
+        require(self, "max_backtracks", 0 <= self.max_backtracks < math.inf,
+                "0 <= max_backtracks < inf")
+        require(self, "fd_eps", 0 < self.fd_eps < math.inf, "0 < fd_eps < inf")
 
 
 DEFAULT_NEWTON_OPTIONS = NewtonOptions()
@@ -67,7 +69,7 @@ class NewtonResult:
     converged is residual_norm <= tol.
     """
 
-    x: np.ndarray
+    x: list
     residual_norm: float
     iterations: int
     converged: bool
@@ -75,16 +77,16 @@ class NewtonResult:
 
 
 def _norm(Fx) -> float:
-    """Infinity norm of the array Fx, or inf when any entry is NaN or
+    """Infinity norm of the vector Fx, or inf when any entry is NaN or
     infinite: the finiteness check of Newton, `_solve_linear` and
     `fd_jacobian`.
 
-    One pass over Python floats: an infinite entry wins the max, a NaN
-    returns at once.  The result is bitwise ``np.abs(Fx).max(initial=0.0)``
-    on finite input, at a fraction of its fixed cost on a few entries.
+    One pass over Python floats (a numpy array of any shape is flattened
+    first): an infinite entry wins the max, a NaN returns at once.  The
+    result is bitwise ``np.abs(Fx).max(initial=0.0)`` on finite input.
     """
     norm = 0.0
-    for v in Fx.ravel().tolist():
+    for v in Fx if isinstance(Fx, list) else np.ravel(Fx).tolist():
         a = abs(v)
         if a > norm:
             norm = a
@@ -93,22 +95,36 @@ def _norm(Fx) -> float:
     return norm
 
 
-def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x, eps: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian of F at x.
+def _dot(a, b) -> float:
+    """Sum of the products a_i b_i, left to right from 0.0.
+
+    numpy's small products fuse each multiply-add, so this equals numpy's
+    ``a @ b`` bitwise whenever every product but the first is exact, as in
+    the sparse constraint rows and Hessian blocks of the built-in models.
+    """
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
+def fd_jacobian(F: Callable[[list], Sequence[float]], x, eps: float = 1e-7) -> np.ndarray:
+    """Central-difference Jacobian of F at x, as a 2-D float64 array.
 
     Entry (i, j) is (F_i(x + e_j) - F_i(x - e_j)) / (2 e_j) with the step
     e_j = eps * max(1, |x_j|), balancing truncation against round-off.
-    F returns a numpy array; a non-finite entry on either side of x_j
-    raises EvaluationFailure naming coordinate j.
+    F takes a list of floats and returns a sequence of floats; a non-finite
+    entry on either side of x_j raises EvaluationFailure naming coordinate j.
+    The columns are built over floats and stacked once, into the array the
+    dense solve takes without converting it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x = np.asarray(x, dtype=float)
     cols = []
-    for j, xj in enumerate(x.tolist()):
+    for j, xj in enumerate(x):
         e = eps * max(1.0, abs(xj))
-        xp = x.copy()
-        xm = x.copy()
+        xp = list(x)
+        xm = list(x)
         xp[j] = xj + e
         xm[j] = xj - e
         fp = F(xp)
@@ -117,16 +133,17 @@ def fd_jacobian(F: Callable[[np.ndarray], np.ndarray], x, eps: float = 1e-7) -> 
             raise EvaluationFailure(
                 f"non-finite function value while differencing coordinate {j}"
             )
-        cols.append((fp - fm) / (2.0 * e))
+        d = 2.0 * e
+        cols.append([(a - b) / d for a, b in zip(fp, fm)])
     return np.array(cols).T if cols else np.empty((0, 0))
 
 
-def _solve_linear(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Solve J dx = F with one dense `np.linalg.solve`; a singular J
-    (`LinAlgError`) or a step with a NaN or infinite entry raises
-    SingularJacobian."""
+def _solve_linear(J, F) -> list:
+    """Solve J dx = F with one dense `np.linalg.solve` and return dx as a
+    list of floats; a singular J (`LinAlgError`) or a step with a NaN or
+    infinite entry raises SingularJacobian."""
     try:
-        dx = np.linalg.solve(J, F)
+        dx = np.linalg.solve(J, F).tolist()
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"linear solve failed: {exc}") from exc
     if _norm(dx) == math.inf:
@@ -135,15 +152,18 @@ def _solve_linear(J: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def newton_solve(
-    F: Callable[[np.ndarray], np.ndarray],
+    F: Callable[[list], Sequence[float]],
     x0,
     opts: NewtonOptions = DEFAULT_NEWTON_OPTIONS,
-    jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    jac: Optional[Callable[[list], Sequence[Sequence[float]]]] = None,
 ) -> NewtonResult:
     """Damped Newton iteration for F(x) = 0 with backtracking line search.
 
-    F maps a 1-D float array to a 1-D float array; `jac`, when supplied,
-    returns its Jacobian, otherwise :func:`fd_jacobian` differences F.
+    The iterate is a list of floats, starting from a copy of the sequence
+    x0; F maps it to a sequence of floats.  `jac`, when supplied, returns
+    its Jacobian as row sequences (or an array), otherwise
+    :func:`fd_jacobian` differences F.  Each iteration makes one dense
+    solve (:func:`_solve_linear`).
     A step that does not reduce the residual infinity norm is halved up to
     `opts.max_backtracks` times, and the first trial that reduces it is
     accepted.  When none does, the iteration has stalled: if the smallest
@@ -155,7 +175,7 @@ def newton_solve(
     tol = opts.tol
     max_iter = opts.max_iter
     max_backtracks = opts.max_backtracks
-    x = np.array(x0, dtype=float, ndmin=1)
+    x = list(x0)
     Fx = F(x)
     norm = _norm(Fx)
     if norm == math.inf:
@@ -169,13 +189,13 @@ def newton_solve(
         dx = _solve_linear(J, Fx)
 
         step = 1.0
-        x_new = x - dx
+        x_new = [a - b for a, b in zip(x, dx)]
         F_new = F(x_new)
         norm_new = _norm(F_new)
         tries = 0
         while norm_new >= norm and tries < max_backtracks:
             step *= 0.5
-            x_new = x - step * dx
+            x_new = [a - step * b for a, b in zip(x, dx)]
             F_new = F(x_new)
             norm_new = _norm(F_new)
             tries += 1

@@ -265,7 +265,7 @@ class TestValidate:
 
         def transposed(q, v):
             lqq, lqv, lvv = pendulum.d2L(q, v)
-            return lqq, lqv.T, lvv
+            return lqq, np.array(lqv).T, lvv
 
         [(_, ok, _)] = check_hessian(pendulum, rng)
         assert ok

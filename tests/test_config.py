@@ -129,7 +129,7 @@ class TestValidation:
         cfg = config_from_dict(minimal_config(model={"type": "particle", "gravity": 0}))
         assert cfg.model["gravity"] == 0.0
         model = build_model(cfg)
-        assert np.all(model.dL_dq(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 0.0)
+        assert np.all(np.array(model.dL_dq(np.array([0.0, 1.0]), np.array([1.0, 0.0]))) == 0.0)
 
     def test_particle_rejects_negative_gravity(self):
         with pytest.raises(SchemaError) as info:
@@ -164,7 +164,7 @@ class TestValidation:
             }
         )
         model = build_model(cfg)
-        assert model.omega(np.array([1.0, 0.0]))[0, 0] == 0.0
+        assert model.omega(np.array([1.0, 0.0]))[0][0] == 0.0
 
     def test_se2_contact_frame_validation(self):
         cfg = minimal_config()
@@ -210,6 +210,14 @@ def test_out_of_range_value_reported_at_its_key_path(overrides, key_path):
     with pytest.raises(SchemaError) as info:
         config_from_dict(minimal_config(**overrides))
     assert info.value.key_path == key_path
+
+
+def test_overflowing_default_inertia_reported_at_its_key_path():
+    # m (a^2 + b^2) / 4 overflows to inf, which the inertia rule rejects
+    shape = {"kind": "ellipse", "a": 1e200, "b": 1.0}
+    with pytest.raises(SchemaError) as info:
+        config_from_dict(minimal_config(model={**ELLIPSE, "shape": shape}))
+    assert info.value.key_path == "model.inertia"
 
 
 class TestRoundTrip:

@@ -143,7 +143,7 @@ def pole_start(model, i):
     phi0 = rng.uniform(0.0, 2.0 * math.pi)
     theta_dot = rng.uniform(-3.0, 3.0)
     q0 = np.array([theta0, phi0])
-    return q0, np.array([theta_dot, model.omega(q0)[0, 0] * theta_dot])
+    return q0, np.array([theta_dot, model.omega(q0)[0][0] * theta_dot])
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -189,7 +189,7 @@ def boundary_approach(model, kind, u, rate, spin, tau):
         normal = model.boundary_gap_grad(q_b)
         theta_dot = rate / normal[0]
         q0 = q_b - tau * np.array([theta_dot, 0.0])
-        return q0, np.array([theta_dot, model.omega(q0)[0, 0] * theta_dot])
+        return q0, np.array([theta_dot, model.omega(q0)[0][0] * theta_dot])
     else:
         q_b = np.array([2.0 * math.pi * u, 0.0, 0.0])
         q_b[2] -= model.boundary_gap(q_b)  # onto y = phi(theta)
@@ -219,7 +219,7 @@ def test_resolved_impacts_conserve_and_reenter(kind, rule, u, rate, spin, h, lea
     for ev in traj.impacts:
         s1, s2 = ev.alpha * h, (1.0 - ev.alpha) * h
         ET = np.asarray(model.tangent_basis(ev.q_tilde), dtype=float).T
-        om = model.omega(ev.q_tilde)
+        om = np.reshape(model.omega(ev.q_tilde), (model.m_con, model.n))
         assert ev.energy_jump <= TOL
         # boundary momentum E^T p before phase B equals the one after it
         p_before = ET @ Ld.d2_w(traj.q[ev.k], ev.w_in, s1)

@@ -135,7 +135,7 @@ class TestBuildReport:
         bad = traj.q[k].tobytes()
 
         def gap(q):
-            return math.nan if q.tobytes() == bad else particle.boundary_gap(q)
+            return math.nan if np.array(q).tobytes() == bad else particle.boundary_gap(q)
 
         # the builtin min skips a NaN that is not first: min([1.0, nan, 0.5]) is 0.5
         rep = build_report(traj, particle_mid, dataclasses.replace(particle, boundary_gap=gap))
@@ -148,7 +148,7 @@ class TestBuildReport:
                 assert rep.max_constraint_residual == 0.0
                 continue
             column = rep.state_columns["max_omega_residual"]
-            post = [float(np.abs(model.omega(ev.q_tilde) @ ev.w_out).max())
+            post = [float(np.abs(np.array(model.omega(ev.q_tilde)) @ ev.w_out).max())
                     for ev in traj.impacts]
             expected = max(0.0, *column[1:], *post)
             assert struct.pack("<d", rep.max_constraint_residual) == struct.pack("<d", expected)
@@ -226,9 +226,10 @@ class TestIntegratorHonesty:
             h = traj.h
             energies = energy_series(traj, Ld)[:, 1]
             for j, ev in enumerate(traj.impacts):
-                npt.assert_array_equal(ev.q_tilde, traj.q[ev.k] + (ev.alpha * h) * ev.w_in)
+                w_in, w_out = np.array(ev.w_in), np.array(ev.w_out)
+                npt.assert_array_equal(ev.q_tilde, traj.q[ev.k] + (ev.alpha * h) * w_in)
                 npt.assert_array_equal(
-                    ev.v_tilde, ev.q_tilde + ((1.0 - ev.alpha) * h) * ev.w_out
+                    ev.v_tilde, np.array(ev.q_tilde) + ((1.0 - ev.alpha) * h) * w_out
                 )
                 # node k sits after the j earlier impact samples
                 jump = abs(energies[ev.k + j + 1] - energies[ev.k + j])

@@ -33,7 +33,7 @@ from nhvi.integrator import (
 )
 from nhvi.models import sample_boundary_points
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS, fd_jacobian
-from tests.conftest import PENDULUM_Q0, PENDULUM_V0
+from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -69,9 +69,9 @@ class TestStepPlus:
         st = State(k=0, t=0.0, q=q0, v=v0, p=p0, lam=np.zeros(1))
         nxt = step_plus(pendulum_left, pendulum, st, h)
         r1 = (
-            pendulum_left.d1(nxt.q, nxt.v, h)
+            np.array(pendulum_left.d1(nxt.q, nxt.v, h))
             + nxt.p
-            - pendulum.omega(nxt.q).T @ nxt.lam
+            - np.array(pendulum.omega(nxt.q)).T @ nxt.lam
         )
         assert np.max(np.abs(r1)) <= 1e-10
         assert np.max(np.abs(omega_dplus(pendulum, nxt.q, nxt.v, h))) <= 1e-10
@@ -139,7 +139,7 @@ class TestStepMinus:
         for _ in range(100):
             q = rng.uniform(-1.0, 1.0, 2) + np.array([0.0, 3.0])
             v = q + 0.1 * rng.uniform(-1.0, 1.0, 2)
-            p = -particle_mid.d1(q, v, h)  # consistent node momentum
+            p = -np.array(particle_mid.d1(q, v, h))  # consistent node momentum
             st = State(k=0, t=0.0, q=q, v=v, p=p, lam=np.zeros(0))
             nxt = step_plus(particle_mid, particle, st, h)
             back = step_minus(particle_mid, particle, nxt.q, nxt.p, h)
@@ -241,15 +241,16 @@ class TestResolveImpact:
         traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, h)
         assert len(traj.impacts) == 1
         ev = traj.impacts[0]
-        w_in = (ev.q_tilde - traj.states[ev.k].q) / (ev.alpha * h)
-        w_out = (ev.v_tilde - ev.q_tilde) / ((1.0 - ev.alpha) * h)
+        q_tilde, v_tilde = np.array(ev.q_tilde), np.array(ev.v_tilde)
+        w_in = (q_tilde - traj.states[ev.k].q) / (ev.alpha * h)
+        w_out = (v_tilde - q_tilde) / ((1.0 - ev.alpha) * h)
         # both components change sign: the constraint couples them
         assert w_in[0] * w_out[0] < 0
         assert w_in[1] * w_out[1] < 0
         assert np.max(np.abs(omega_dplus(pendulum, ev.q_tilde, ev.v_tilde, (1 - ev.alpha) * h))) <= 1e-10
         # the constraint rows phases A and B solve, at their discrete velocities
-        assert np.max(np.abs(pendulum.omega(traj.q[ev.k]) @ ev.w_in)) <= 1e-10
-        assert np.max(np.abs(pendulum.omega(ev.q_tilde) @ ev.w_out)) <= 1e-10
+        assert np.max(np.abs(np.array(pendulum.omega(traj.q[ev.k])) @ ev.w_in)) <= 1e-10
+        assert np.max(np.abs(np.array(pendulum.omega(ev.q_tilde)) @ ev.w_out)) <= 1e-10
 
 
 IMPACT_MODELS = ["particle", "ellipse_body", "ellipse_body_edge_slope", "star_body", "pendulum"]
@@ -446,9 +447,9 @@ class TestSimulate:
         assert not traj.impacts
         for st in traj.states[1:]:
             r1 = (
-                pendulum_left.d1(st.q, st.v, h)
+                np.array(pendulum_left.d1(st.q, st.v, h))
                 + st.p
-                - pendulum.omega(st.q).T @ st.lam
+                - np.array(pendulum.omega(st.q)).T @ st.lam
             )
             assert np.max(np.abs(r1)) <= 1e-10
             assert np.max(np.abs(omega_dplus(pendulum, st.q, st.v, h))) <= 1e-10
@@ -493,7 +494,7 @@ class TestSimulate:
             assert (s1.p == s2.p).all() and (s1.lam == s2.lam).all()
         for e1, e2 in zip(t1.impacts, t2.impacts):
             assert e1.alpha == e2.alpha
-            assert (e1.v_tilde == e2.v_tilde).all()
+            assert (np.array(e1.v_tilde) == e2.v_tilde).all()
 
     def test_solver_stats_counted_per_step(self, particle, particle_mid):
         traj = simulate(
@@ -599,8 +600,9 @@ class TestEdgeSlopeVariant:
             assert ev.energy_jump <= 1e-7
         ev = traj.impacts[0]
         h = traj.h
-        w_in = (ev.q_tilde - traj.states[ev.k].q) / (ev.alpha * h)
-        w_out = (ev.v_tilde - ev.q_tilde) / ((1.0 - ev.alpha) * h)
+        q_tilde, v_tilde = np.array(ev.q_tilde), np.array(ev.v_tilde)
+        w_in = (q_tilde - traj.states[ev.k].q) / (ev.alpha * h)
+        w_out = (v_tilde - q_tilde) / ((1.0 - ev.alpha) * h)
         assert abs(w_out[0] - w_in[0]) > 0.1  # spin rate changed
         assert abs(w_out[1] - w_in[1]) < 1e-6  # horizontal rate preserved
 
@@ -646,6 +648,65 @@ class TestErrorPaths:
         npt.assert_array_equal(attempts[0][5], failure.value.state.v)
 
 
+# model fixture -> (q(0), v(0), h, t_final) of a run with an impact
+FLOAT_RUNS = {
+    "particle": ([0.0, 1.0], [2.0, 0.0], 1e-2, 1.0),
+    "ellipse_body": (ELLIPSE_Q0, ELLIPSE_V0, 1e-2, 2.0),
+    "ellipse_body_edge_slope": (ELLIPSE_Q0, ELLIPSE_V0, 1e-2, 2.0),
+    "star_body": ([0.3, 0.0, 2.0], [0.5, 0.0, 0.0], 1e-2, 1.0),
+    "pendulum": (PENDULUM_Q0, PENDULUM_V0, 1e-3, 1.5),
+}
+
+
+def float_node(traj, k):
+    """Row k of a trajectory as a State of Python floats."""
+    rows = (getattr(traj, name)[k].tolist() for name in ("q", "v", "p", "lam"))
+    return State(k, float(traj.t[k]), *rows)
+
+
+def all_floats(*vectors):
+    return all(type(x) is float for vec in vectors for x in vec)
+
+
+class TestPythonFloats:
+    """From Python-float nodes the step and the impact solves stay in Python
+    floats: no numpy scalar enters them, and each smooth Newton iteration
+    makes one dense solve, on a system of floats."""
+
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    @pytest.mark.parametrize("model_fixture", list(FLOAT_RUNS))
+    def test_step_and_impact_return_python_floats(self, model_fixture, rule, monkeypatch,
+                                                  request):
+        model = request.getfixturevalue(model_fixture)
+        Ld = make_discrete_lagrangian(model, rule)
+        q0, v0, h, t_final = FLOAT_RUNS[model_fixture]
+        k = simulate(Ld, model, q0, v0, 0.0, t_final, h).impacts[0].k
+        # stop before step k, so node k still holds the penetrating v_k
+        traj = simulate(Ld, model, q0, v0, 0.0, k * h, h)
+        before, node = float_node(traj, k - 1), float_node(traj, k)
+        assert model.boundary_gap(node.v) < 0
+
+        systems = []
+        real_solve = np.linalg.solve
+
+        def solve(J, F):
+            systems.append(all_floats(F, *J))
+            return real_solve(J, F)
+
+        monkeypatch.setattr(numerics.np.linalg, "solve", solve)
+        new, res = _step_plus_impl(Ld, model, before, h, DEFAULT_NEWTON_OPTIONS)
+        assert res.iterations >= 1
+        assert systems == [True] * res.iterations
+        assert all_floats([new.t, res.residual_norm], new.q, new.v, new.p, new.lam, res.x)
+
+        event, after = resolve_impact(Ld, model, node.q, node.p, h, node.v, k=k, t_k=node.t)
+        scalars = [event.alpha, event.t_impact, event.compat_residual, event.energy_jump]
+        vectors = (event.q_tilde, event.v_tilde, event.w_in, event.w_out, event.p_tilde,
+                   event.lambda_A, event.lambda_B)
+        assert all_floats(scalars, *vectors)
+        assert all_floats([after.t], after.q, after.v, after.p, after.lam)
+
+
 BALL = dict(
     name="ball1d",
     n=1,
@@ -660,6 +721,16 @@ BALL = dict(
     boundary_gap_grad=lambda q: np.array([1.0]),
     tangent_basis=lambda q: np.empty((1, 0)),
     projection=lambda q: np.empty((0, 1)),
+)
+
+
+# BALL with its callables returning floats, tuples and row tuples
+BALL_TUPLES = dict(
+    BALL,
+    dL_dq=lambda q, v: (-9.8,),
+    dL_dv=lambda q, v: (v[0],),
+    d2L=lambda q, v: (((0.0,),), ((0.0,),), ((1.0,),)),
+    omega=lambda q: (),
 )
 
 
@@ -682,4 +753,25 @@ class TestCustomModel:
         ev = traj.impacts[0]
         assert abs(ev.t_impact - np.sqrt(2.0 / 9.8)) <= 2e-3
         assert ev.energy_jump <= 1e-10
-        assert ev.p_tilde.shape == (0,)
+        assert len(ev.p_tilde) == 0
+
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    def test_numpy_and_tuple_callables_run_bitwise_equal(self, rule):
+        # the integrator only indexes, iterates and zips what a model returns
+        from nhvi import ImpactEvent, MechanicalModel
+
+        runs = []
+        for fields in (BALL, BALL_TUPLES):
+            ball = MechanicalModel(**fields)
+            Ld = make_discrete_lagrangian(ball, rule)
+            runs.append(simulate(Ld, ball, np.array([1.0]), np.zeros(1), 0.0, 1.0, 1e-3))
+        a, b = runs
+        (ev_a,), (ev_b,) = a.impacts, b.impacts
+        for name in ("t", "q", "v", "p", "lam"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for f in dataclasses.fields(ImpactEvent):
+            bits = [np.array(getattr(ev, f.name), dtype=float).tobytes() for ev in (ev_a, ev_b)]
+            assert bits[0] == bits[1], f.name
+        assert a.solver_stats.phases == b.solver_stats.phases
+        assert a.solver_stats.iterations == b.solver_stats.iterations
+        assert a.solver_stats.residuals.tobytes() == b.solver_stats.residuals.tobytes()

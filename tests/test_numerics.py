@@ -121,20 +121,20 @@ class TestFdJacobian:
 class TestNewtonSolve:
     def test_scalar_quadratic_root(self):
         res = newton_solve(
-            lambda x: x * x - 4.0, np.array([1.0]), NewtonOptions(tol=1e-12)
+            lambda x: np.square(x) - 4.0, np.array([1.0]), NewtonOptions(tol=1e-12)
         )
         assert res.converged
         npt.assert_allclose(res.x, [2.0], atol=1e-12)
 
     def test_linear_shift_one_iteration(self):
         res = newton_solve(
-            lambda x: x - 7.5, np.array([123.0]), jac=lambda x: np.eye(1)
+            lambda x: np.subtract(x, 7.5), np.array([123.0]), jac=lambda x: np.eye(1)
         )
         assert res.converged
         assert res.iterations == 1
         npt.assert_allclose(res.x, [7.5], atol=1e-12)
         # finite-difference Jacobian carries rounding noise but still converges
-        res_fd = newton_solve(lambda x: x - 7.5, np.array([123.0]))
+        res_fd = newton_solve(lambda x: np.subtract(x, 7.5), np.array([123.0]))
         assert res_fd.converged and res_fd.iterations <= 2
         npt.assert_allclose(res_fd.x, [7.5], atol=1e-10)
 
@@ -173,7 +173,7 @@ class TestNewtonSolve:
 
     def test_nonconvergence_returns_best_iterate(self):
         res = newton_solve(
-            lambda x: x * x + 1.0, np.array([0.7]), NewtonOptions(max_iter=8)
+            lambda x: np.square(x) + 1.0, np.array([0.7]), NewtonOptions(max_iter=8)
         )
         assert not res.converged
         assert res.iterations == 8
@@ -190,7 +190,7 @@ class TestNewtonSolve:
 
         def F(x):
             # finite only at the starting point, so every damped trial fails
-            return x * x - 4.0 if x[0] == x0[0] else np.array([np.inf])
+            return np.square(x) - 4.0 if x[0] == x0[0] else np.array([np.inf])
 
         with pytest.raises(EvaluationFailure, match="after exhausting backtracking"):
             newton_solve(F, x0, NewtonOptions(max_backtracks=4),
@@ -222,7 +222,9 @@ class TestNewtonSolve:
         # F has no root and its full step from near 0 overshoots; no damped
         # trial down to 2^-30 reduces |F| = 1, so the solve stops at x0
         x0 = np.array([1e-9])
-        res = newton_solve(lambda x: x * x + 1.0, x0, jac=lambda x: np.array([[2.0 * x[0]]]))
+        res = newton_solve(
+            lambda x: np.square(x) + 1.0, x0, jac=lambda x: np.array([[2.0 * x[0]]])
+        )
         assert not res.converged
         assert res.iterations == 0
         assert res.backtracks == 30

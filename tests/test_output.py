@@ -47,7 +47,7 @@ class TestTrajectoryCsv:
                 omega = np.max(np.abs(omega_dplus(model, st.q, st.v, traj.h)))
             else:
                 energy = -Ld.d3_w(st.q, ev.w_in, ev.alpha * traj.h)
-                omega = np.max(np.abs(model.omega(st.q) @ ev.w_in))
+                omega = np.max(np.abs(np.array(model.omega(st.q)) @ ev.w_in))
             assert row["E"] == _fmt(energy), st.k
             assert row["c"] == _fmt(model.boundary_gap(st.q)), st.k
             assert row["max_omega_residual"] == _fmt(omega), st.k
