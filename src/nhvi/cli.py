@@ -27,7 +27,7 @@ import numpy as np
 from .config import SimConfig, build_model, check_time_span, config_to_dict, parse_config
 from .diagnostics import build_report
 from .discretization import make_discrete_lagrangian
-from .errors import NewtonFailure, NhviError, NoElasticRebound, SchemaError
+from .errors import NhviError, SchemaError
 from .integrator import simulate
 from .output import (
     write_impacts_csv,
@@ -92,32 +92,35 @@ def _run_single(cfg: SimConfig, out_dir: Path) -> None:
         report.energy_drift_rel,
         elapsed,
     )
-    if cfg.outputs.csv:
-        write_trajectory_csv(out_dir / "trajectory.csv", traj, report, model)
-        write_impacts_csv(out_dir / "impacts.csv", traj, model)
-    if cfg.outputs.summary:
-        write_summary_json(out_dir / "summary.json", report, cfg)
-    if cfg.outputs.plots:
-        write_plots(out_dir, traj, Ld, model, cfg.outputs.plots)
+    try:
+        if cfg.outputs.csv:
+            write_trajectory_csv(out_dir / "trajectory.csv", traj, report, model)
+            write_impacts_csv(out_dir / "impacts.csv", traj, model)
+        if cfg.outputs.summary:
+            write_summary_json(out_dir / "summary.json", report, cfg)
+        if cfg.outputs.plots:
+            write_plots(out_dir, traj, Ld, model, cfg.outputs.plots)
+    except OSError as exc:
+        raise SchemaError(f"cannot write into output directory {out_dir}: {exc}", "out") from exc
+
+
+def _diagnostic(exc: NhviError) -> dict:
+    """The record of a failure: its type, message and context."""
+    return {"error": type(exc).__name__, "message": str(exc), **exc.context}
 
 
 def _fail_with_diagnostic(exc: NhviError, out_dir: Path, cfg: SimConfig | None) -> int:
-    diagnostic = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, NewtonFailure):
-        diagnostic.update(
-            {"k": exc.k, "t": exc.t, "residual_norm": exc.residual_norm, "phase": exc.phase}
-        )
-    elif isinstance(exc, NoElasticRebound):
-        diagnostic.update({"k": exc.k, "t": exc.t, "law_rate": exc.law_rate})
-    if exc.state is not None:
-        # the last good node; JSON floats round-trip exactly, so the failing
-        # step can be replayed from it
-        st = exc.state
-        diagnostic["state"] = {
-            "k": st.k,
-            "t": st.t,
-            **{name: list(getattr(st, name)) for name in ("q", "v", "p", "lam")},
-        }
+    diagnostic = _diagnostic(exc)
+    for name in ("state", "prev"):
+        # the last good node and, after a smooth step, the one before it; JSON
+        # floats round-trip exactly, so the failing step replays from them
+        node = getattr(exc, name)
+        if node is not None:
+            diagnostic[name] = {
+                "k": node.k,
+                "t": node.t,
+                **{key: list(getattr(node, key)) for key in ("q", "v", "p", "lam")},
+            }
     if cfg is not None:
         # the resolved configuration, overrides applied: it rebuilds the
         # model, h and solver options the replay needs
@@ -221,8 +224,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NhviError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+        print(json.dumps(_diagnostic(exc)), file=sys.stderr)
         return 2
 
 

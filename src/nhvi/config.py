@@ -35,7 +35,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +43,7 @@ from typing import Tuple
 from .discretization import RULES
 from .errors import DimensionMismatch, ParameterError, SchemaError
 from .geometry import MechanicalModel
+from .integrator import step_count
 from .models import (
     EllipseShape,
     ParticleParams,
@@ -141,7 +141,8 @@ def _record(make, fields: dict, path: str):
     try:
         return make(**fields)
     except ParameterError as exc:
-        raise SchemaError(exc.detail, key_path=f"{path}.{exc.field}") from exc
+        key_path = f"{path}.{exc.field}" if path else exc.field
+        raise SchemaError(exc.detail, key_path=key_path) from exc
 
 
 def _params(model: dict, path: str = "model"):
@@ -206,21 +207,9 @@ def _parse_model(d, path="model") -> dict:
 
 
 def check_time_span(t0: float, t_final: float, h: float) -> None:
-    """Reject a time span `simulate` cannot run: h must be finite and
-    positive, t_final finite and past t0, and the span must hold at least
-    one step (`simulate` runs round((t_final - t0) / h) of them).
-    """
-    if not (math.isfinite(h) and h > 0):
-        raise SchemaError(f"must be finite and positive, got {h}", key_path="h")
-    if not (math.isfinite(t_final) and t_final > t0):
-        raise SchemaError(f"t_final={t_final} must be finite and exceed t0={t0}", key_path="t_final")
-    steps = (t_final - t0) / h
-    if not (math.isfinite(steps) and round(steps) >= 1):
-        raise SchemaError(
-            f"h={h} gives {steps:.6g} steps over the time span [{t0}, {t_final}]; "
-            f"at least one, and finitely many, are required",
-            key_path="h",
-        )
+    """`integrator.step_count`'s rule for the time span, a break of it a
+    SchemaError at the key it names."""
+    _record(step_count, {"t0": t0, "t_final": t_final, "h": h}, "")
 
 
 def config_from_dict(d: dict) -> SimConfig:

@@ -4,11 +4,20 @@
 class NhviError(Exception):
     """Base class for all errors raised by this package.
 
-    `state` is the last good trajectory node (an integrator `State`) when
-    `simulate` raised the error from one of its steps, and None otherwise.
+    The keyword arguments are the error's `context`, each also an attribute;
+    a type with a `template` formats its message from them.  When `simulate`
+    raised it from step k, `state` is node k as it stood before the step and
+    `prev` node k - 1 if step k - 1 was smooth; both are None otherwise.
     """
 
+    template = ""
     state = None
+    prev = None
+
+    def __init__(self, message=None, **context):
+        super().__init__(self.template.format(**context) if message is None else message)
+        self.context = context
+        self.__dict__.update(context)
 
 
 class EvaluationFailure(NhviError):
@@ -22,12 +31,7 @@ class SingularJacobian(NhviError):
 class NewtonFailure(NhviError):
     """An implicit solve did not converge; carries context about the step."""
 
-    def __init__(self, message, k=None, t=None, residual_norm=None, phase=None):
-        super().__init__(message)
-        self.k = k
-        self.t = t
-        self.residual_norm = residual_norm
-        self.phase = phase
+    template = "{phase} solve stalled at residual {residual_norm:.3e} (step {k}, t={t:.6g})"
 
 
 class NotOnBoundary(NhviError):
@@ -45,14 +49,23 @@ class InvalidInitialState(NhviError):
 class AlphaOutOfRange(NhviError):
     """Impact fraction solved outside the open interval (0, 1)."""
 
+    template = "impact fraction {alpha:.6g} outside (0, 1) at step {k}, t={t:.6g}"
+
 
 class PersistentPenetration(NhviError):
     """Post-impact state still penetrates; aborting the run."""
+
+    template = "post-impact configuration still penetrates (step {k}, t={t:.6g}, gap {gap:.3e})"
 
 
 class RootSelectionAmbiguous(NhviError):
     """Energy-matching solve converged to a root that does not re-enter the
     admissible set, although the model's impact law re-enters."""
+
+    template = (
+        "post-impact root does not re-enter the admissible set "
+        "(normal rate {rate:.3e}, law rate {law_rate:.3e}) at step {k}, t={t:.6g}"
+    )
 
 
 class NoElasticRebound(NhviError):
@@ -65,19 +78,17 @@ class NoElasticRebound(NhviError):
     property of the model data, not a solver failure.
     """
 
-    def __init__(self, message, law_rate=None, k=None, t=None):
-        super().__init__(message)
-        self.law_rate = law_rate
-        self.k = k
-        self.t = t
+    template = (
+        "impact law admits no elastic rebound (law normal rate {law_rate:.3e}) "
+        "at step {k}, t={t:.6g}"
+    )
 
 
 class SchemaError(NhviError):
     """Configuration file violates the documented schema."""
 
     def __init__(self, message, key_path=""):
-        self.key_path = key_path
-        super().__init__(f"{key_path}: {message}" if key_path else message)
+        super().__init__(f"{key_path}: {message}" if key_path else message, key_path=key_path)
 
 
 class DimensionMismatch(NhviError):
@@ -88,9 +99,7 @@ class ParameterError(NhviError, ValueError):
     """A parameter record's `field` breaks its rule; `detail` says how."""
 
     def __init__(self, field, detail):
-        super().__init__(f"{field} {detail}")
-        self.field = field
-        self.detail = detail
+        super().__init__(f"{field} {detail}", field=field, detail=detail)
 
 
 def require(record, field: str, ok: bool, rule: str) -> None:

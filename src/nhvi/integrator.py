@@ -62,6 +62,7 @@ from .errors import (
     NewtonFailure,
     NhviError,
     NoElasticRebound,
+    ParameterError,
     PersistentPenetration,
     RootSelectionAmbiguous,
 )
@@ -202,14 +203,7 @@ class MinusStepResult(NamedTuple):
 
 def _require_converged(res, phase: str, k: int, t: float):
     if not res.converged:
-        raise NewtonFailure(
-            f"{phase} solve stalled at residual {res.residual_norm:.3e} "
-            f"(step {k}, t={t:.6g})",
-            k=k,
-            t=t,
-            residual_norm=res.residual_norm,
-            phase=phase,
-        )
+        raise NewtonFailure(phase=phase, residual_norm=res.residual_norm, k=k, t=t)
 
 
 def _columns(rows, n: int) -> list:
@@ -290,9 +284,14 @@ def step_plus(
     state: State,
     h: float,
     opts: NewtonOptions = DEFAULT_NEWTON_OPTIONS,
+    prev: State | None = None,
 ) -> State:
-    """Advance one smooth forward step; raises NewtonFailure on stall."""
-    new_state, _ = _step_plus_impl(Ld, model, state, h, opts)
+    """Advance one smooth forward step; raises NewtonFailure on stall.
+
+    `prev`, the node before `state`, selects the quadratic seed `simulate`
+    uses after a smooth step; without it Newton starts from the linear seed.
+    """
+    new_state, _ = _step_plus_impl(Ld, model, state, h, opts, prev)
     return new_state
 
 
@@ -441,9 +440,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     _require_converged(res_a, "impact-A", k, t_k)
     alpha = res_a.x[0]
     if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(
-            f"impact fraction {alpha:.6g} outside (0, 1) at step {k}, t={t_k:.6g}"
-        )
+        raise AlphaOutOfRange(alpha=alpha, k=k, t=t_k)
     s1 = alpha * h
     lambda_a = res_a.x[1 + n :]
     w_in = res_a.x[1 : 1 + n]
@@ -468,17 +465,8 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     rate = float(frame.normal @ w_out)
     if rate <= 0.0:
         if law_rate <= 0.0:
-            raise NoElasticRebound(
-                f"impact law admits no elastic rebound (law normal rate "
-                f"{law_rate:.3e}) at step {k}, t={t_k:.6g}",
-                law_rate=law_rate,
-                k=k,
-                t=t_k,
-            )
-        raise RootSelectionAmbiguous(
-            f"post-impact root does not re-enter the admissible set "
-            f"(normal rate {rate:.3e}, law rate {law_rate:.3e}) at step {k}, t={t_k:.6g}"
-        )
+            raise NoElasticRebound(law_rate=law_rate, k=k, t=t_k)
+        raise RootSelectionAmbiguous(rate=rate, law_rate=law_rate, k=k, t=t_k)
     lambda_b = res_b.x[n:]
     v_tilde = [a + s2 * b for a, b in zip(q_tilde, w_out)]
     energy_jump = abs(d3_pre - Ld.d3_w(q_tilde, w_out, s2))
@@ -521,11 +509,9 @@ def _resolve_impact_impl(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     event, state, records = _attempt_impact(
         Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k
     )
-    if model.boundary_gap(state.q) < -GRAZING_TOL:
-        raise PersistentPenetration(
-            f"post-impact configuration still penetrates "
-            f"(step {k}, t={t_k:.6g}, gap {model.boundary_gap(state.q):.3e})"
-        )
+    gap = model.boundary_gap(state.q)
+    if gap < -GRAZING_TOL:
+        raise PersistentPenetration(k=k, t=t_k, gap=gap)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "impact at k=%d: alpha=%.6f t=%.6g energy_jump=%.3e compat=%.3e",
@@ -556,6 +542,23 @@ def resolve_impact(
     return event, state
 
 
+def step_count(t0: float, t_final: float, h: float) -> int:
+    """The number of steps `simulate` runs, round((t_final - t0) / h); a
+    time span it cannot run is a ParameterError naming "h" or "t_final"."""
+    if not (math.isfinite(h) and h > 0):
+        raise ParameterError("h", f"must be finite and positive, got {h}")
+    if not (math.isfinite(t_final) and t_final > t0):
+        raise ParameterError("t_final", f"must be finite and exceed t0={t0}, got {t_final}")
+    steps = (t_final - t0) / h
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise ParameterError(
+            "h",
+            f"must give at least one, and finitely many, steps over the time span "
+            f"[{t0}, {t_final}], got {h} ({steps:.6g} steps)",
+        )
+    return round(steps)
+
+
 def simulate(
     Ld: DiscreteLagrangian,
     model: MechanicalModel,
@@ -578,15 +581,10 @@ def simulate(
     numpy only receives each node once, as the row writes.
 
     A typed error (NhviError) raised by step k carries node k, as it stood
-    before the step, as `exc.state`.
+    before the step, as `exc.state`, and node k - 1 as `exc.prev` when step
+    k - 1 was smooth (None at k = 0 and after an impact).
     """
-    if t_final <= t0:
-        raise ValueError("t_final must exceed t0")
-    if h <= 0:
-        raise ValueError("timestep must be positive")
-    n_steps = round((t_final - t0) / h)
-    if n_steps < 1:
-        raise ValueError("time span must cover at least one step")
+    n_steps = step_count(t0, t_final, h)
 
     q0, v0, p0 = initial_discretize(model, Ld.rule, q0_cont, v0_cont, h)
     n_rows = n_steps + 1
@@ -630,8 +628,9 @@ def simulate(
             lam[i] = new_state.lam
             state = new_state
     except NhviError as exc:
-        # the last good node, as it stood before the failing step
+        # the nodes the failing step started from
         exc.state = state
+        exc.prev = prev
         raise
 
     return Trajectory(t, q, v, p, lam, impacts, h, stats)

@@ -35,6 +35,21 @@ def write_bad_config(tmp_path):
     return cfg
 
 
+# node 1 lies 5e-13 below the floor, inside the admissible tolerance; step 1
+# penetrates, and its impact fraction solves to a negative root
+GRAZING_PARTICLE = {
+    "model": {"type": "particle"},
+    "rule": "midpoint",
+    "q0": [0.0, 5e-13],
+    "v0": [0.0, -2e-10],
+    "t_final": 0.1,
+    "h": 0.01,
+}
+
+# the keys error.json adds to the failure's own record
+NODES_AND_CONFIG = ("state", "prev", "config")
+
+
 @pytest.fixture(scope="module")
 def particle_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo_particle")
@@ -119,10 +134,15 @@ class TestRun:
         (121, "ellipse-vertical", "NoElasticRebound"),  # step 7, law rate < 0
         (9, "ellipse-vertical", "NewtonFailure"),  # impact-B at step 34
         (383, "star", "PersistentPenetration"),  # first impact, step 1
+        (269, "ellipse-vertical", "RootSelectionAmbiguous"),  # step 44
+        (None, "particle", "AlphaOutOfRange"),  # GRAZING_PARTICLE, step 1
     ])
     def test_failed_step_replays_from_error_json(self, tmp_path, index, body, error):
-        kind, doc = workloads.bounce_config(1, index)
-        assert kind == body
+        if index is None:
+            doc = GRAZING_PARTICLE
+        else:
+            kind, doc = workloads.bounce_config(1, index)
+            assert kind == body
         path = tmp_path / "member.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -150,23 +170,50 @@ class TestRun:
         with pytest.raises(getattr(nhvi, error)) as replay:
             nhvi.resolve_impact(Ld, model, q, p, cfg.h, v, cfg.solver, node["k"], node["t"])
         assert str(replay.value) == diagnostic["message"]
+        # the rest of error.json is the error's context: each key is the
+        # replayed error's attribute, bit for bit
+        context = {key: value for key, value in diagnostic.items()
+                   if key not in ("error", "message", *NODES_AND_CONFIG)}
+        assert context == replay.value.context
+        for key, value in context.items():
+            assert value == getattr(replay.value, key)
+        assert (diagnostic["k"], diagnostic["t"]) == (node["k"], node["t"])
         if error == "NoElasticRebound":
-            # the typed cause reaches error.json: the law's normal rate and the step
-            assert diagnostic["law_rate"] == replay.value.law_rate <= 0.0
-            assert (diagnostic["k"], diagnostic["t"]) == (node["k"], node["t"])
+            assert diagnostic["law_rate"] <= 0.0
+        elif error == "RootSelectionAmbiguous":
+            assert diagnostic["rate"] <= 0.0 < diagnostic["law_rate"]
+        elif error == "AlphaOutOfRange":
+            assert diagnostic["alpha"] < 0.0
+
+    def test_failed_smooth_step_replays_from_its_two_nodes(self, tmp_path):
+        # two Newton iterations are too few for step 30, which Newton starts
+        # from the quadratic extrapolation of nodes 29 and 30
+        doc = json.loads(bundled_config_path("pendulum").read_text())
+        doc.update(h=0.02, t_final=1.0, solver={"max_iter": 2})
+        path = tmp_path / "pendulum.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        diagnostic = json.loads((out / "error.json").read_text())
+        assert (diagnostic["error"], diagnostic["phase"], diagnostic["k"]) == (
+            "NewtonFailure", "step", 30)
+        node, prev = (nhvi.State(**diagnostic[name]) for name in ("state", "prev"))
+        assert (prev.k, node.k) == (29, 30)
+        cfg = nhvi.config_from_dict(diagnostic["config"])
+        model = nhvi.build_model(cfg)
+        Ld = nhvi.make_discrete_lagrangian(model, cfg.rule)
+        with pytest.raises(nhvi.NewtonFailure) as replay:
+            nhvi.step_plus(Ld, model, node, cfg.h, cfg.solver, prev)
+        assert str(replay.value) == diagnostic["message"]
+        assert replay.value.residual_norm == diagnostic["residual_norm"]
+        # from the linear seed alone the same step stalls elsewhere
+        with pytest.raises(nhvi.NewtonFailure) as linear:
+            nhvi.step_plus(Ld, model, node, cfg.h, cfg.solver)
+        assert str(linear.value) != diagnostic["message"]
 
     def test_grazing_node_reaches_impact_resolution(self, tmp_path):
-        # node 1 lies 5e-13 below the floor, inside the admissible tolerance;
-        # step 1 penetrates, and its impact fails as a typed error
         path = tmp_path / "grazing.json"
-        path.write_text(json.dumps({
-            "model": {"type": "particle"},
-            "rule": "midpoint",
-            "q0": [0.0, 5e-13],
-            "v0": [0.0, -2e-10],
-            "t_final": 0.1,
-            "h": 0.01,
-        }))
+        path.write_text(json.dumps(GRAZING_PARTICLE))
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         diagnostic = json.loads((out / "error.json").read_text())
@@ -213,6 +260,25 @@ class TestRun:
         local.write_text(bundled_config_path("particle").read_text())
         assert main(["run", "--sweep", str(local), "--out", str(taken)]) == 2
         assert taken.read_text() == "not a directory"
+
+    def test_unwritable_output_is_a_schema_error(self, tmp_path):
+        # a directory where a writer expects its file
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+        assert main(["demo", "particle", "--t-final", "0.1", "--out", str(out)]) == 2
+        diagnostic = json.loads((out / "error.json").read_text())
+        assert (diagnostic["error"], diagnostic["key_path"]) == ("SchemaError", "out")
+        # in a sweep it fails that member only
+        for stem in ("blocked", "free"):
+            (tmp_path / f"{stem}.json").write_text(bundled_config_path("particle").read_text())
+        sweep = tmp_path / "sweep"
+        (sweep / "blocked" / "trajectory.csv").mkdir(parents=True)
+        code = main(["run", "--sweep", str(tmp_path / "blocked.json"), str(tmp_path / "free.json"),
+                     "--t-final", "0.1", "--out", str(sweep)])
+        assert code == 2
+        diagnostic = json.loads((sweep / "blocked" / "error.json").read_text())
+        assert (diagnostic["error"], diagnostic["key_path"]) == ("SchemaError", "out")
+        assert (sweep / "free" / "summary.json").exists()
 
     def test_sweep_runs_isolated_outputs(self, tmp_path):
         cfg = bundled_config_path("particle")

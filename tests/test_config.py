@@ -212,6 +212,43 @@ def test_out_of_range_value_reported_at_its_key_path(overrides, key_path):
     assert info.value.key_path == key_path
 
 
+def without(key):
+    cfg = minimal_config()
+    del cfg[key]
+    return cfg
+
+
+# each JSON-shape rule of config.py, broken once
+SHAPE_ERRORS = [
+    pytest.param(without("model"), "model", id="missing-model"),
+    pytest.param(without("rule"), "rule", id="missing-rule"),
+    pytest.param(without("q0"), "q0", id="missing-q0"),
+    pytest.param(minimal_config(solver={"max_iter": 2.5}), "solver.max_iter", id="max_iter-float"),
+    pytest.param(minimal_config(outputs={"csv": 1}), "outputs.csv", id="csv-int"),
+    pytest.param(minimal_config(rule=3), "rule", id="rule-int"),
+    pytest.param(minimal_config(q0=[]), "q0", id="empty-q0"),
+    pytest.param(minimal_config(model=[]), "model", id="model-array"),
+    pytest.param(minimal_config(model={**ELLIPSE, "shape": "ellipse"}), "model.shape",
+                 id="shape-string"),
+    pytest.param(minimal_config(solver=[]), "solver", id="solver-array"),
+    pytest.param(minimal_config(outputs=[]), "outputs", id="outputs-array"),
+    pytest.param([], "", id="top-level-array"),
+    pytest.param(minimal_config(model={"type": "rocket"}), "model.type", id="unknown-type"),
+    pytest.param(minimal_config(model={**ELLIPSE, "shape": {"kind": "square"}}),
+                 "model.shape.kind", id="unknown-shape-kind"),
+    pytest.param(minimal_config(outputs={"plots": "energy"}), "outputs.plots",
+                 id="plots-string"),
+]
+
+
+@pytest.mark.parametrize("doc, key_path", SHAPE_ERRORS)
+def test_json_shape_error_reported_at_its_key_path(doc, key_path):
+    with pytest.raises(SchemaError) as info:
+        config_from_dict(doc)
+    assert info.value.key_path == key_path
+    assert info.value.context == {"key_path": key_path}
+
+
 def test_overflowing_default_inertia_reported_at_its_key_path():
     # m (a^2 + b^2) / 4 overflows to inf, which the inertia rule rejects
     shape = {"kind": "ellipse", "a": 1e200, "b": 1.0}

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from nhvi import (
+    DimensionMismatch,
+    EvaluationFailure,
     InvalidInitialState,
     discrete_energy,
     initial_discretize,
@@ -235,3 +239,12 @@ class TestInitialDiscretize:
             initial_discretize(
                 particle, "midpoint", np.array([0.0, 0.01]), np.array([0.0, 5.0]), 0.1
             )
+
+    @pytest.mark.parametrize("q0, v0, error, match", [
+        ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], DimensionMismatch, "model dimension"),
+        ([[0.0, 1.0]], [[0.0, 0.0]], ValueError, "one-dimensional"),
+        ([0.0, 1.0], [math.inf, 0.0], EvaluationFailure, "non-finite"),
+    ], ids=["wrong-length", "2-D", "non-finite"])
+    def test_malformed_initial_conditions_rejected(self, particle, q0, v0, error, match):
+        with pytest.raises(error, match=match):
+            initial_discretize(particle, "midpoint", np.array(q0), np.array(v0), 0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,18 @@ class TestFrameExamples:
         )
         with pytest.raises(DegenerateFrame):
             boundary_frame(model, np.array([0.0, 0.0, 1.0]))
+
+
+    @pytest.mark.parametrize("E, P, match", [
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], "frame shapes"),
+        ([[1.0], [0.0]], [[2.0, 0.0]], "not a left inverse"),
+    ], ids=["square-E", "P.E-not-identity"])
+    def test_inconsistent_frame_is_degenerate(self, particle, E, P, match):
+        model = dataclasses.replace(
+            particle, tangent_basis=lambda q: np.array(E), projection=lambda q: np.array(P)
+        )
+        with pytest.raises(DegenerateFrame, match=match):
+            boundary_frame(model, np.array([3.0, 0.0]))
 
 
 class TestCotangentTransfer:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -23,7 +24,7 @@ from nhvi import (
 from nhvi import integrator, numerics
 from nhvi.cli import bundled_config_path
 from nhvi.config import build_model, config_from_dict, parse_config
-from nhvi.errors import NoElasticRebound, PersistentPenetration
+from nhvi.errors import NoElasticRebound, ParameterError, PersistentPenetration
 from nhvi.geometry import BoundaryFrame, boundary_frame
 from nhvi.integrator import (
     _impact_b_system,
@@ -440,6 +441,18 @@ class TestSimulate:
             simulate(particle_mid, particle, q0, np.zeros(2), 0.0, 1.0, -1e-2)
         with pytest.raises(ValueError):
             simulate(particle_mid, particle, q0, np.zeros(2), 0.0, 1e-4, 1e-2)
+
+    @pytest.mark.parametrize("t_final, h, field", [
+        (math.inf, 1e-2, "t_final"),
+        (1e300, 1e-300, "h"),  # the step count overflows a float
+        (1.0, math.nan, "h"),
+    ])
+    def test_time_span_outside_the_rule_names_its_field(self, particle, particle_mid,
+                                                        t_final, h, field):
+        q0 = np.array([0.0, 1.0])
+        with pytest.raises(ParameterError) as info:
+            simulate(particle_mid, particle, q0, np.zeros(2), 0.0, t_final, h)
+        assert info.value.field == field
 
     def test_smooth_step_residuals_reassertable(self, pendulum, pendulum_left):
         h = 1e-3

@@ -72,6 +72,16 @@ def test_records_reject_infinities_naming_the_field(record, field, value):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("changes, match", [
+    ({"n": 0}, "at least 1"),
+    ({"m_con": -1}, "non-negative"),
+    ({"coordinate_names": ("x",)}, "length n"),
+], ids=["n-below-1", "negative-m_con", "coordinate_names-length"])
+def test_mechanical_model_rejects_inconsistent_dimensions(particle, changes, match):
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(particle, **changes)
+
+
 class TestParticle:
     def test_lagrangian_value(self, particle):
         assert particle.lagrangian(np.array([0.0, 1.0]), np.zeros(2)) == -9.8

@@ -27,6 +27,8 @@ and outcome: `ok` with its impact count, or the type of the error it
 raised.  It stays equal when rounding moves the solution lines but every
 run ends the same way, with the same number of impacts.  Each demo
 contributes its exit code and the name and bytes of every file it wrote.
+The two bounce lines that count unsolved runs also count them by error
+type; those counts are printed only, not hashed.
 
 Run it from a checkout, and once more against another checkout to compare:
 
@@ -45,6 +47,7 @@ import json
 import struct
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +163,12 @@ def digest_demos(d: Digest, cli, names) -> int:
     return files
 
 
+def breakdown(unsolved: Counter) -> str:
+    """"N unsolved", then each error type's count, the most frequent first."""
+    types = ", ".join(f"{name} {count}" for name, count in unsolved.most_common())
+    return f"{sum(unsolved.values())} unsolved" + (f": {types}" if types else "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -168,7 +177,8 @@ def main(argv=None) -> int:
     nhvi, workloads = import_checkout(args.root.resolve())
 
     bounce, bounce_derived, outcomes = Digest(), Digest(), Digest()
-    members = unsolved = runs = runs_unsolved = 0
+    members = runs = 0
+    unsolved, runs_unsolved = Counter(), Counter()
     for seed in SEEDS:
         for index in range(workloads.BOUNCE_MEMBERS):
             kind, doc = workloads.bounce_config(seed, index)
@@ -176,7 +186,8 @@ def main(argv=None) -> int:
                 d.text(f"member {seed} {index}")
             outcome = digest_run(bounce, bounce_derived, nhvi, doc)
             members += 1
-            unsolved += not outcome.startswith("ok ")
+            if not outcome.startswith("ok "):
+                unsolved[outcome] += 1
             rule_outcomes = [("midpoint", outcome)]
             if kind != "particle":
                 rule_outcomes.append(
@@ -184,10 +195,12 @@ def main(argv=None) -> int:
             for rule, outcome in rule_outcomes:
                 outcomes.text(f"member {seed} {index} {kind} {rule} {outcome}")
                 runs += 1
-                runs_unsolved += not outcome.startswith("ok ")
-    print(f"bounce-solution    {bounce.hexdigest()}  ({members} members, {unsolved} unsolved)")
+                if not outcome.startswith("ok "):
+                    runs_unsolved[outcome] += 1
+    print(f"bounce-solution    {bounce.hexdigest()}  "
+          f"({members} members, {breakdown(unsolved)})")
     print(f"bounce-derived     {bounce_derived.hexdigest()}")
-    print(f"bounce-outcomes    {outcomes.hexdigest()}  ({runs} runs, {runs_unsolved} unsolved)")
+    print(f"bounce-outcomes    {outcomes.hexdigest()}  ({runs} runs, {breakdown(runs_unsolved)})")
 
     pendulum, pendulum_derived = Digest(), Digest()
     outcome = digest_run(pendulum, pendulum_derived, nhvi, workloads.pendulum_config())
