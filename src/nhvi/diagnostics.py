@@ -86,31 +86,41 @@ def _omega_residual(model: MechanicalModel, q, w) -> float:
     return worst
 
 
-def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> np.ndarray:
-    """Discrete energy -d3 at every trajectory node, impact nodes included.
+def energy_samples(traj: Trajectory, Ld: DiscreteLagrangian, energies) -> np.ndarray:
+    """The (t, E) rows of the energy series from the node energies.
 
-    Returns an (N + impacts, 2) float64 array of (t, E) rows in time order.
-    Node k is -d3(q_k, v_k, h), or -d3_w(q_k, w_in, alpha h) when its step
-    held a collision; then the boundary node adds the sample
-    -d3_w(q~, w_out, (1-alpha) h) at the impact time, right after node k.
+    `energies` holds one value per node (the report's "E" column); after
+    the node of each impact step this inserts the boundary sample
+    -d3_w(q~, w_out, (1-alpha) h) at the impact time.  Returns an
+    (N + impacts, 2) float64 array in time order.
     """
-    n = len(traj.t)
-    if not n:
-        raise ValueError("trajectory has no states")
-    h = traj.h
     impacts = traj.impacts
-    energies = np.fromiter(
-        map(discrete_energy, repeat(Ld), _rows(traj.q), _rows(traj.v), repeat(h)), float, n
-    )
-    series = np.empty((n + len(impacts), 2))
+    series = np.empty((len(traj.t) + len(impacts), 2))
     for j, ev in enumerate(impacts):
-        energies[ev.k] = -Ld.d3_w(traj.q[ev.k].tolist(), ev.w_in, ev.alpha * h)
-        e_out = -Ld.d3_w(ev.q_tilde, ev.w_out, (1.0 - ev.alpha) * h)
+        e_out = -Ld.d3_w(ev.q_tilde, ev.w_out, (1.0 - ev.alpha) * traj.h)
         series[ev.k + j + 1] = ev.t_impact, e_out
     nodes = _node_samples(traj)
     series[nodes, 0] = traj.t
     series[nodes, 1] = energies
     return series
+
+
+def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> np.ndarray:
+    """Discrete energy -d3 at every trajectory node, impact nodes included.
+
+    Node k is -d3(q_k, v_k, h), or -d3_w(q_k, w_in, alpha h) when its step
+    held a collision; `energy_samples` adds the boundary nodes.
+    """
+    n = len(traj.t)
+    if not n:
+        raise ValueError("trajectory has no states")
+    h = traj.h
+    energies = np.fromiter(
+        map(discrete_energy, repeat(Ld), _rows(traj.q), _rows(traj.v), repeat(h)), float, n
+    )
+    for ev in traj.impacts:
+        energies[ev.k] = -Ld.d3_w(traj.q[ev.k].tolist(), ev.w_in, ev.alpha * h)
+    return energy_samples(traj, Ld, energies)
 
 
 def build_report(

@@ -19,6 +19,18 @@ class NhviError(Exception):
         self.context = context
         self.__dict__.update(context)
 
+    def __reduce__(self):
+        # rebuilt from the message through this __init__, so a subclass whose
+        # own __init__ takes other arguments (ParameterError) unpickles too;
+        # the instance dict carries the context, state and prev
+        return _rebuild, (type(self), str(self)), self.__dict__
+
+
+def _rebuild(cls, message):
+    exc = cls.__new__(cls)
+    NhviError.__init__(exc, message)
+    return exc
+
 
 class EvaluationFailure(NhviError):
     """A user-supplied map returned NaN/Inf during a numeric evaluation."""

@@ -14,7 +14,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .config import SimConfig, config_to_dict
-from .diagnostics import RunReport, energy_series
+from .diagnostics import RunReport, energy_samples
+# bench/spans.py wraps nhvi.output.energy_series by name, so it stays importable
+from .diagnostics import energy_series  # noqa: F401
 from .discretization import DiscreteLagrangian
 from .geometry import MechanicalModel
 from .integrator import Trajectory
@@ -25,8 +27,10 @@ _CSV_BLOCK = 4096
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _row_template(cols: int) -> str:
+    """One CSV row: the integer k, then `cols` cells of 17 significant digits
+    ("%.17g" % x equals format(x, ".17g") for every Python float)."""
+    return "%d," + ",".join(["%.17g"] * cols) + "\r\n"
 
 
 def write_trajectory_csv(
@@ -50,14 +54,12 @@ def write_trajectory_csv(
     )
     blocks = [traj.t[:, None], traj.q, traj.v, traj.p, traj.lam]
     blocks += [c[:, None] for c in columns.values()]
+    template = _row_template(len(header) - 1)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(traj.t), _CSV_BLOCK):
             rows = np.hstack([b[start : start + _CSV_BLOCK] for b in blocks]).tolist()
-            fh.write("".join(
-                f"{k},{','.join([_fmt(x) for x in row])}\r\n"
-                for k, row in enumerate(rows, start)
-            ))
+            fh.write("".join([template % (k, *row) for k, row in enumerate(rows, start)]))
 
 
 def write_impacts_csv(path, traj: Trajectory, model: MechanicalModel) -> None:
@@ -69,17 +71,13 @@ def write_impacts_csv(path, traj: Trajectory, model: MechanicalModel) -> None:
         + [f"p_tilde{i}" for i in range(n - 1)]
         + ["compat_residual", "energy_jump"]
     )
-    lines = [",".join(header)]
-    for ev in traj.impacts:
-        cells = (
-            [str(ev.k), _fmt(ev.alpha), _fmt(ev.t_impact)]
-            + [_fmt(x) for x in ev.q_tilde]
-            + [_fmt(x) for x in ev.v_tilde]
-            + [_fmt(x) for x in ev.p_tilde]
-            + [_fmt(ev.compat_residual), _fmt(ev.energy_jump)]
-        )
-        lines.append(",".join(cells))
-    Path(path).write_text("\r\n".join(lines) + "\r\n")
+    template = _row_template(len(header) - 1)
+    rows = [
+        template % (ev.k, ev.alpha, ev.t_impact, *ev.q_tilde, *ev.v_tilde, *ev.p_tilde,
+                    ev.compat_residual, ev.energy_jump)
+        for ev in traj.impacts
+    ]
+    Path(path).write_text(",".join(header) + "\r\n" + "".join(rows))
 
 
 def write_summary_json(path, report: RunReport, cfg: SimConfig | None = None) -> None:
@@ -182,7 +180,7 @@ def svg_line_chart(
         # same order per element, so the pixels equal the per-point values
         px = sx(np.asarray(xs, dtype=float)).tolist()
         py = sy(np.asarray(ys, dtype=float)).tolist()
-        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(px, py)])
+        pts = " ".join(["%.2f,%.2f" % xy for xy in zip(px, py)])
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
@@ -210,12 +208,16 @@ def write_plots(
     Ld: DiscreteLagrangian,
     model: MechanicalModel,
     kinds: Sequence[str],
+    *,
+    report: RunReport,
 ) -> List[Path]:
+    """Write one `<kind>.svg` per plot kind; the energy plot draws the
+    report's node energies (its "E" column) and the impact samples."""
     out_dir = Path(out_dir)
     written = []
     for kind in kinds:
         if kind == "energy":
-            pts = energy_series(traj, Ld)
+            pts = energy_samples(traj, Ld, report.state_columns["E"])
             svg = svg_line_chart(
                 [("", pts[:, 0], pts[:, 1])], "Discrete energy", "t [s]", "E", width=720
             )

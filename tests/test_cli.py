@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import logging
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +92,15 @@ class TestDemo:
             assert text.rstrip().endswith("</svg>")
             assert "nan" not in text.lower()
             assert "polyline" in text
+
+    def test_info_log_times_simulate_report_and_writers(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="nhvi.cli")
+        assert main(["demo", "particle", "--t-final", "0.5", "--out", str(tmp_path)]) == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "nhvi.cli"]
+        assert len(messages) == 2
+        assert re.fullmatch(r"particle: 500 steps, \d+ impacts, .*, \d+\.\d\d s", messages[0])
+        assert re.fullmatch(r"particle: build_report \d+\.\d{3} s, writers \d+\.\d{3} s",
+                            messages[1])
 
 
 class TestRun:
