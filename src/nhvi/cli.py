@@ -18,7 +18,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -165,6 +164,9 @@ def cmd_run(args) -> int:
                               f"each member needs its own output directory")
         out_dirs = [out_root / stem for stem in stems]
         workers = min(len(paths), os.cpu_count() or 1)
+        # imported here: the process pool costs a single run half its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return max(pool.map(_run_config, paths, [args] * len(paths), out_dirs))
     return _run_config(args.config, args, Path(args.out or "nhvi_out"))

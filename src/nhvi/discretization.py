@@ -46,7 +46,8 @@ class DiscreteLagrangian:
     Everything is written over Python floats: the vector partials return
     sequences of floats, `d3`/`d3_w` a float, and the Jacobians lists of
     row lists.  The dL/dv . w of `d3_w` stays numpy's `np.dot`, whose fused
-    multiply-adds a left-to-right Python sum does not reproduce.
+    multiply-adds a left-to-right Python sum does not reproduce; it is the
+    one numpy call of a phase-B residual, whose E^T rows are Python sums.
     """
 
     def __init__(self, model: MechanicalModel, rule: str):

@@ -42,10 +42,11 @@ class MechanicalModel:
     of floats (`dL_dq`, `dL_dv`), m row tuples (`omega`) and the Hessian
     blocks (Lqq, Lqv, Lvv) as tuples of row tuples (`d2L`), where
     Lqv[i, j] = d(dL/dq_i)/dv_j.  The integrator only indexes, iterates and
-    zips them, so numpy arrays work too, at numpy's cost per call; the
-    boundary-frame callables return arrays.  The Newton Jacobians of the
-    smooth steps and phase B come from `d2L`, and phase B is seeded with
-    the kinetic metric Lvv.  `params` is the record a built-in model was
+    zips them, so numpy arrays work too, at numpy's cost per call.  The
+    boundary-frame callables return arrays; an impact builds one frame and
+    reads its E^T rows and normal as floats once.  The Newton Jacobians of
+    the smooth steps and phase B come from `d2L`, and phase B is seeded
+    with the kinetic metric Lvv.  `params` is the record a built-in model was
     made from (`ParticleParams`, `Se2BodyParams` or `PendulumParams`);
     custom models may leave it None.
     """

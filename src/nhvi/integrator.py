@@ -333,10 +333,21 @@ def _impact_a_system(Ld, model, q_k, p_k, h):
     """Residual of the phase-A equations (module doc) over the unknown
     z = [alpha, w_in, lambda_A]; the solver's and the records' one copy."""
     n = model.n
-    om_k = model.omega(q_k)
-    omT_k = _columns(om_k, n)
     gap = model.boundary_gap
     d1_w = Ld.d1_w
+    if not model.m_con:
+
+        def residual_a(z):
+            s = z[0] * h
+            w = z[1:]
+            r = [f + p for f, p in zip(d1_w(q_k, w, s), p_k)]
+            r.append(gap([a + s * b for a, b in zip(q_k, w)]))
+            return r
+
+        return residual_a
+
+    om_k = model.omega(q_k)
+    omT_k = _columns(om_k, n)
 
     def residual_a(z):
         s = z[0] * h
@@ -353,37 +364,52 @@ def _impact_a_system(Ld, model, q_k, p_k, h):
 def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
     """Residual and analytic Jacobian of the phase-B equations (module doc)
     over the unknown z = [w_out, lambda_B], on the second sub-step
-    s2 = (1 - alpha) h.  The boundary restriction E^T stays a numpy product
-    with the frame's E, so the Jacobian is an array."""
+    s2 = (1 - alpha) h.  `ET` holds the n - 1 rows of the boundary
+    restriction E^T as float sequences (`frame.E.T.tolist()`), so the
+    residual and the Jacobian rows are lists of floats."""
     n = model.n
     m = model.m_con
-    om_t = model.omega(q_tilde)
-    omT_t = _columns(om_t, n)
     d1_w = Ld.d1_w
     d3_w = Ld.d3_w
+    d13_dw = Ld.d13_dw
+    if not m:
+
+        def residual_b(z):
+            force = d1_w(q_tilde, z, s2)
+            r = [d3_pre - d3_w(q_tilde, z, s2)]
+            r += [_dot(e, force) + p for e, p in zip(ET, p_tilde)]
+            return r
+
+        def jac_b(z):
+            dd1, dd3 = d13_dw(q_tilde, z, s2)
+            cols = list(zip(*dd1))
+            return [[-x for x in dd3]] + [[_dot(e, c) for c in cols] for e in ET]
+
+        return residual_b, jac_b
+
+    om_t = model.omega(q_tilde)
+    omT_t = _columns(om_t, n)
 
     def residual_b(z):
         u = z[:n]
         lam = z[n:]
         force = [f - _dot(col, lam) for f, col in zip(d1_w(q_tilde, u, s2), omT_t)]
         r = [d3_pre - d3_w(q_tilde, u, s2)]
-        r += (ET @ force + p_tilde).tolist()
+        r += [_dot(e, force) + p for e, p in zip(ET, p_tilde)]
         r += [_dot(row, u) for row in om_t]
         return r
 
-    d13_dw = Ld.d13_dw
     # the lambda columns and constraint rows are constant over the solve
-    om_arr = np.reshape(np.array(om_t, dtype=float), (m, n))
-    J0 = np.zeros((n + m, n + m))
-    J0[1:n, n:] = -(ET @ om_arr.T)
-    J0[n:, :n] = om_arr
+    right = [[-_dot(e, row) for row in om_t] for e in ET]
+    bottom = [list(row) + [0.0] * m for row in om_t]
+    top_right = [0.0] * m
 
     def jac_b(z):
         dd1, dd3 = d13_dw(q_tilde, z[:n], s2)
-        J = J0.copy()
-        J[0, :n] = [-x for x in dd3]
-        J[1:n, :n] = ET @ dd1
-        return J
+        cols = list(zip(*dd1))
+        J = [[-x for x in dd3] + top_right]
+        J += [[_dot(e, c) for c in cols] + r for e, r in zip(ET, right)]
+        return J + bottom
 
     return residual_b, jac_b
 
@@ -391,36 +417,38 @@ def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
 def _impact_law(model, frame, w_in):
     """The model's elastic impact law at the boundary point frame.q_tilde.
 
-    Returns (w, lam, law_rate): the post-impact velocity w_in + mu d, the
-    multipliers mu l, and the normal rate grad c . w of the law (module doc).
-    The kernel line comes from one square solve: the row [grad c^T, 0] with
-    right-hand side 1 normalises grad c . d = 1, so law_rate is
-    grad c . w_in + mu.  When that bordered system is singular no kernel
-    direction crosses the boundary, so the law keeps the incoming normal
-    rate, and (w_in, 0, grad c . w_in) is returned.
+    Returns (w, lam, law_rate) as lists of floats and a float: the
+    post-impact velocity w_in + mu d, the multipliers mu l, and the normal
+    rate grad c . w of the law (module doc).  The kernel line comes from one
+    square solve: the row [grad c^T, 0] with right-hand side 1 normalises
+    grad c . d = 1, so law_rate is grad c . w_in + mu.  The bordered system
+    is assembled over floats from the frame's rows; that solve is the law's
+    one numpy call.  When it is singular no kernel direction crosses the
+    boundary, so the law keeps the incoming normal rate, and
+    (w_in, zeros, grad c . w_in) is returned.
     """
     n = model.n
     m = model.m_con
-    q_tilde = frame.q_tilde
-    M = np.array(model.d2L(q_tilde, w_in)[2], dtype=float)
-    om = np.reshape(np.array(model.omega(q_tilde), dtype=float), (m, n))
-    ET = frame.E.T
-    K = np.zeros((n + m, n + m))
-    K[: n - 1, :n] = ET @ M
-    K[: n - 1, n:] = ET @ om.T
-    K[n - 1 : n - 1 + m, :n] = om
-    K[-1, :n] = frame.normal
-    rhs = np.zeros(n + m)
+    q_tilde = frame.q_tilde.tolist()
+    M = model.d2L(q_tilde, w_in)[2]
+    om = model.omega(q_tilde)
+    normal = frame.normal.tolist()
+    pad = [0.0] * m
+    K = [[_dot(e, c) for c in zip(*M)] + [_dot(e, row) for row in om]
+         for e in frame.E.T.tolist()]
+    K += [list(row) + pad for row in om]
+    K.append(normal + pad)
+    rhs = [0.0] * (n + m)
     rhs[-1] = 1.0
-    rate_in = float(frame.normal @ w_in)
+    rate_in = _dot(normal, w_in)
     try:
-        kernel = np.linalg.solve(K, rhs)
+        kernel = np.linalg.solve(K, rhs).tolist()
     except np.linalg.LinAlgError:
-        return w_in, np.zeros(m), rate_in
+        return list(w_in), pad, rate_in
     d = kernel[:n]
-    Md = M @ d
-    mu = -2.0 * float(Md @ w_in) / float(Md @ d)
-    return w_in + mu * d, mu * kernel[n:], rate_in + mu
+    Md = [_dot(row, d) for row in M]
+    mu = -2.0 * _dot(Md, w_in) / _dot(Md, d)
+    return [a + mu * b for a, b in zip(w_in, d)], [mu * x for x in kernel[n:]], rate_in + mu
 
 
 def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
@@ -454,15 +482,17 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     p_tilde = p_tilde.tolist()
     d3_pre = Ld.d3_w(q_k, w_in, s1)
     s2 = (1.0 - alpha) * h
-    residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.E.T, p_tilde, d3_pre, s2)
+    residual_b, jac_b = _impact_b_system(
+        Ld, model, q_tilde, frame.E.T.tolist(), p_tilde, d3_pre, s2
+    )
     # one solve from the model's impact law: its jump already lies in the
     # constraint distribution and reflects in the kinetic metric, so the
     # solve lands in the reflecting root's basin
     w_law, lam_law, law_rate = _impact_law(model, frame, w_in)
-    res_b = newton_solve(residual_b, np.concatenate([w_law, lam_law]).tolist(), opts, jac_b)
+    res_b = newton_solve(residual_b, w_law + lam_law, opts, jac_b)
     _require_converged(res_b, "impact-B", k, t_k)
     w_out = res_b.x[:n]
-    rate = float(frame.normal @ w_out)
+    rate = _dot(frame.normal.tolist(), w_out)
     if rate <= 0.0:
         if law_rate <= 0.0:
             raise NoElasticRebound(law_rate=law_rate, k=k, t=t_k)

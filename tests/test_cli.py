@@ -358,3 +358,11 @@ def test_console_script_installed(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_process_pool_out():
+    # only a sweep needs the process pool; importing the CLI must not load it
+    code = "import sys, nhvi.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -3,6 +3,7 @@ import gc
 import math
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from nhvi.integrator import (
     _step_plus_impl,
 )
 from nhvi.models import sample_boundary_points
-from nhvi.numerics import DEFAULT_NEWTON_OPTIONS, fd_jacobian
+from nhvi.numerics import DEFAULT_NEWTON_OPTIONS, _dot, fd_jacobian
 from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -266,15 +267,17 @@ class TestImpactJacobians:
         n, m = model.n, model.m_con
         worst = 0.0
         for q_tilde in sample_boundary_points(model, 20, rng):
-            ET = np.asarray(model.tangent_basis(q_tilde), dtype=float).T
+            # E^T as float rows and float vectors, as the impact solver passes them
+            ET = np.asarray(model.tangent_basis(q_tilde), dtype=float).T.tolist()
             s2 = float(10.0 ** rng.uniform(-7.0, -2.0))
-            p_tilde = rng.normal(size=n - 1)
+            p_tilde = rng.normal(size=n - 1).tolist()
             residual_b, jac_b = _impact_b_system(
-                Ld, model, q_tilde, ET, p_tilde, float(rng.normal()), s2
+                Ld, model, q_tilde.tolist(), ET, p_tilde, float(rng.normal()), s2
             )
-            z = rng.uniform(-3.0, 3.0, n + m)
+            z = rng.uniform(-3.0, 3.0, n + m).tolist()
             fd = fd_jacobian(residual_b, z)
-            worst = max(worst, np.max(np.abs(jac_b(z) - fd)) / max(1.0, np.max(np.abs(fd))))
+            err = np.abs(np.array(jac_b(z)) - fd)
+            worst = max(worst, np.max(err) / max(1.0, np.max(np.abs(fd))))
         assert worst <= 1e-6
 
     @staticmethod
@@ -318,14 +321,46 @@ class TestImpactJacobians:
 
 def incoming_velocity(model, frame, rng):
     """A random discrete velocity at frame.q_tilde that crosses the boundary
-    outward, inside the constraint distribution there."""
+    outward, inside the constraint distribution there, as a list of floats
+    like the phase-A solution the impact solver passes on."""
     while True:
         w = rng.uniform(-3.0, 3.0, model.n)
         if model.m_con:
-            om = model.omega(frame.q_tilde)
+            om = np.array(model.omega(frame.q_tilde))
             w = w - np.linalg.pinv(om) @ (om @ w)
         if frame.normal @ w < -0.1:
-            return w
+            return w.tolist()
+
+
+def bordered_kernel_system(model, frame, w_in):
+    """The law's bordered system as a numpy matrix, and the metric M = Lvv:
+    the rows [[E^T M, E^T omega^T], [omega, 0]] over [jump, lambda], then the
+    normalising row [grad c^T, 0]."""
+    n, m = model.n, model.m_con
+    M = np.array(model.d2L(frame.q_tilde, w_in)[2], dtype=float)
+    om = np.reshape(np.array(model.omega(frame.q_tilde), dtype=float), (m, n))
+    ET = frame.E.T
+    K = np.zeros((n + m, n + m))
+    K[: n - 1, :n] = ET @ M
+    K[: n - 1, n:] = ET @ om.T
+    K[n - 1 : n - 1 + m, :n] = om
+    K[-1, :n] = frame.normal
+    return K, M
+
+
+def numpy_impact_law(model, frame, w_in):
+    """The impact law written with numpy matrix products, as a reference
+    for the float implementation (a regular bordered system assumed)."""
+    n = model.n
+    K, M = bordered_kernel_system(model, frame, w_in)
+    rhs = np.zeros(n + model.m_con)
+    rhs[-1] = 1.0
+    kernel = np.linalg.solve(K, rhs)
+    w_in = np.array(w_in)
+    d = kernel[:n]
+    Md = M @ d
+    mu = -2.0 * float(Md @ w_in) / float(Md @ d)
+    return w_in + mu * d, mu * kernel[n:], float(frame.normal @ w_in) + mu
 
 
 class TestImpactLaw:
@@ -333,10 +368,9 @@ class TestImpactLaw:
 
     def test_particle_seed_flips_only_vertical_rate(self, particle):
         frame = boundary_frame(particle, np.array([0.3, 0.0]))
-        w_in = np.array([1.7, -2.3])
-        w, lam, law_rate = _impact_law(particle, frame, w_in)
-        npt.assert_array_equal(w, [1.7, 2.3])
-        assert lam.shape == (0,)
+        w, lam, law_rate = _impact_law(particle, frame, [1.7, -2.3])
+        assert w == [1.7, 2.3]
+        assert lam == []
         assert law_rate == 2.3
 
     def test_singular_bordered_system_keeps_incoming_velocity(self, monkeypatch, particle):
@@ -348,7 +382,7 @@ class TestImpactLaw:
             P=np.array([[0.0, 1.0]]),
             normal=np.array([0.0, 1.0]),
         )
-        w_in = np.array([1.7, -2.3])
+        w_in = [1.7, -2.3]
         raised = []
         real_solve = np.linalg.solve
 
@@ -362,9 +396,9 @@ class TestImpactLaw:
         monkeypatch.setattr(integrator.np.linalg, "solve", solve)
         w, lam, law_rate = _impact_law(particle, frame, w_in)
         assert len(raised) == 1
-        npt.assert_array_equal(w, w_in)
-        assert lam.shape == (0,)
-        assert law_rate == frame.normal @ w_in
+        assert w == w_in
+        assert lam == []
+        assert law_rate == -2.3
 
     def test_vertical_ellipse_seed_flips_only_vertical_rate(self, ellipse_body, rng):
         for q_tilde in sample_boundary_points(ellipse_body, 20, rng):
@@ -380,10 +414,72 @@ class TestImpactLaw:
             frame = boundary_frame(pendulum, q_tilde)
             w_in = incoming_velocity(pendulum, frame, rng)
             w, _, law_rate = _impact_law(pendulum, frame, w_in)
-            M = pendulum.d2L(q_tilde, w_in)[2]
-            assert abs(pendulum.omega(q_tilde) @ w).max() <= 1e-12 * np.abs(w).max()
+            w, w_in = np.array(w), np.array(w_in)
+            M = np.array(pendulum.d2L(q_tilde, w_in)[2])
+            assert abs(np.array(pendulum.omega(q_tilde)) @ w).max() <= 1e-12 * np.abs(w).max()
             assert w @ M @ w == pytest.approx(w_in @ M @ w_in, rel=1e-12)
             assert law_rate > 0
+
+    @pytest.mark.parametrize("model_fixture", ["ellipse_body_edge_slope", "star_body"])
+    def test_seed_jump_in_kernel_keeps_kinetic_energy(self, model_fixture, rng, request):
+        model = request.getfixturevalue(model_fixture)
+        for q_tilde in sample_boundary_points(model, 20, rng):
+            frame = boundary_frame(model, q_tilde)
+            w_in = incoming_velocity(model, frame, rng)
+            w, lam, law_rate = _impact_law(model, frame, w_in)
+            K, M = bordered_kernel_system(model, frame, w_in)
+            jump = [a - b for a, b in zip(w, w_in)]
+            x = np.array(jump + lam)
+            assert np.abs(K[:-1] @ x).max() <= 1e-12 * max(1.0, np.abs(x).max())
+            w, w_in_arr = np.array(w), np.array(w_in)
+            assert w @ M @ w == pytest.approx(w_in_arr @ M @ w_in_arr, rel=1e-12)
+            # grad c . d = 1, so the law's mu is the normal part of the jump
+            normal = frame.normal.tolist()
+            mu = _dot(normal, jump)
+            assert law_rate == pytest.approx(_dot(normal, w_in) + mu, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("model_fixture", IMPACT_MODELS)
+    def test_float_law_matches_numpy_products(self, model_fixture, rng, request):
+        model = request.getfixturevalue(model_fixture)
+        for q_tilde in sample_boundary_points(model, 20, rng):
+            frame = boundary_frame(model, q_tilde)
+            w_in = incoming_velocity(model, frame, rng)
+            w, lam, law_rate = _impact_law(model, frame, w_in)
+            w_ref, lam_ref, rate_ref = numpy_impact_law(model, frame, w_in)
+            scale = max(1.0, np.abs(w_ref).max())
+            npt.assert_allclose(w, w_ref, rtol=1e-12, atol=1e-12 * scale)
+            npt.assert_allclose(lam, lam_ref, rtol=1e-12, atol=1e-12 * scale)
+            assert law_rate == pytest.approx(rate_ref, rel=1e-12, abs=1e-12 * scale)
+            assert all(type(x) is float for x in [*w, *lam, law_rate])
+
+    @pytest.mark.parametrize("model_fixture", IMPACT_MODELS)
+    def test_law_and_phase_b_make_one_numpy_call(self, model_fixture, rng, monkeypatch,
+                                                 request):
+        # the integrator's numpy namespace reduced to np.linalg.solve: the
+        # law solves once, and the phase-B residual and Jacobian never reach it
+        model = request.getfixturevalue(model_fixture)
+        Ld = make_discrete_lagrangian(model, "midpoint")
+        q_tilde = sample_boundary_points(model, 1, rng)[0]
+        frame = boundary_frame(model, q_tilde)
+        w_in = incoming_velocity(model, frame, rng)
+        ET = frame.E.T.tolist()
+        p_tilde = rng.normal(size=model.n - 1).tolist()
+        solves = []
+
+        def solve(K, rhs):
+            solves.append(all_floats(rhs, *K))
+            return np.linalg.solve(K, rhs)
+
+        linalg = types.SimpleNamespace(solve=solve, LinAlgError=np.linalg.LinAlgError)
+        monkeypatch.setattr(integrator, "np", types.SimpleNamespace(linalg=linalg))
+        w, lam, law_rate = _impact_law(model, frame, w_in)
+        assert solves == [True]
+        residual_b, jac_b = _impact_b_system(
+            Ld, model, q_tilde.tolist(), ET, p_tilde, 0.5, 1e-3
+        )
+        z = w + lam
+        assert all_floats([law_rate], z, residual_b(z), *jac_b(z))
+        assert solves == [True]
 
     def test_pendulum_phase_b_solves_once_per_attempt(self, monkeypatch, pendulum):
         # criterion-4 configuration up to just past its first impact (t = 1.23)
