@@ -43,8 +43,9 @@ class MechanicalModel:
     blocks (Lqq, Lqv, Lvv) as tuples of row tuples (`d2L`), where
     Lqv[i, j] = d(dL/dq_i)/dv_j.  The integrator only indexes, iterates and
     zips them, so numpy arrays work too, at numpy's cost per call.  The
-    boundary-frame callables return arrays; an impact builds one frame and
-    reads its E^T rows and normal as floats once.  The Newton Jacobians of
+    boundary-frame callables return arrays; an impact builds one frame, and
+    phase B and the impact law each read its E^T rows and normal as floats
+    once per impact, not per Newton iteration.  The Newton Jacobians of
     the smooth steps and phase B come from `d2L`, and phase B is seeded
     with the kinetic metric Lvv.  `params` is the record a built-in model was
     made from (`ParticleParams`, `Se2BodyParams` or `PendulumParams`);

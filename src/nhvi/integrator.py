@@ -335,6 +335,8 @@ def _impact_a_system(Ld, model, q_k, p_k, h):
     n = model.n
     gap = model.boundary_gap
     d1_w = Ld.d1_w
+    # Without constraints the general systems of phases A and B give the
+    # same bits, but their empty multiplier sums cost bounce_sweep ~7%.
     if not model.m_con:
 
         def residual_a(z):
@@ -372,6 +374,7 @@ def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
     d1_w = Ld.d1_w
     d3_w = Ld.d3_w
     d13_dw = Ld.d13_dw
+    # as in phase A: the same bits as the general system, without its empty sums
     if not m:
 
         def residual_b(z):

@@ -2,9 +2,7 @@ import dataclasses
 import gc
 import math
 import struct
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -19,15 +17,10 @@ from nhvi import (
     make_discrete_lagrangian,
     simulate,
 )
-from nhvi.config import build_model, config_from_dict
 from nhvi.diagnostics import PHASE_MEANS, recompute_solve_residuals
 from nhvi.integrator import SolverStats
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
 from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-
-import workloads  # noqa: E402
 
 
 def single_state_trajectory(Ld, q, h):
@@ -195,18 +188,9 @@ class TestBuildReport:
         }
 
 
-def star_member():
-    """(Ld, model, q0, v0, h) of bounce corpus member 3 of seed 1: a star
-    under the midpoint rule, solved with six impacts in its 2 s."""
-    _, doc = workloads.bounce_config(1, 3)
-    cfg = config_from_dict(doc)
-    model = build_model(cfg)
-    return make_discrete_lagrangian(model, cfg.rule), model, cfg.q0, cfg.v0, cfg.h
-
-
 @pytest.fixture
 def impact_runs(pendulum, pendulum_left, particle, particle_mid, ellipse_body,
-                ellipse_body_edge_slope):
+                ellipse_body_edge_slope, star_body):
     """(traj, Ld, model) of a pendulum, a particle, a vertical-frame and an
     edge-slope ellipse and a star run, each with impacts: every impact kind
     the corpus resolves."""
@@ -218,7 +202,8 @@ def impact_runs(pendulum, pendulum_left, particle, particle_mid, ellipse_body,
         (particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]), 1e-3),
         (ellipse_mid, ellipse_body, ELLIPSE_Q0, ELLIPSE_V0, 1e-2),
         (edge_mid, ellipse_body_edge_slope, ELLIPSE_Q0, ELLIPSE_V0, 1e-2),
-        star_member(),
+        (make_discrete_lagrangian(star_body, "midpoint"), star_body, [0.3, 0.0, 2.0],
+         [0.5, 0.0, 0.0], 1e-2),
     ):
         traj = simulate(Ld, model, q0, v0, 0.0, 2.0, h)
         assert traj.impacts
