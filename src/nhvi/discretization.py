@@ -45,9 +45,8 @@ class DiscreteLagrangian:
 
     Everything is written over Python floats: the vector partials return
     sequences of floats, `d3`/`d3_w` a float, and the Jacobians lists of
-    row lists.  The dL/dv . w of `d3_w` stays numpy's `np.dot`, whose fused
-    multiply-adds a left-to-right Python sum does not reproduce; it is the
-    one numpy call of a phase-B residual, whose E^T rows are Python sums.
+    row lists.  No partial calls numpy: the dL/dv . w of `d3_w`, like every
+    row of `d13_dw`, is the left-to-right sum `numerics._dot`.
     """
 
     def __init__(self, model: MechanicalModel, rule: str):
@@ -79,7 +78,7 @@ class DiscreteLagrangian:
             def _d3_w(q, w, h):
                 half = 0.5 * h
                 mid = [a + half * b for a, b in zip(q, w)]
-                return L(mid, w) - float(np.dot(Lv(mid, w), w))
+                return L(mid, w) - _dot(Lv(mid, w), w)
 
             def _d1_dv(q, v, h):
                 half = 0.5 * h
@@ -119,7 +118,7 @@ class DiscreteLagrangian:
                 return Lv(q, w)
 
             def _d3_w(q, w, h):
-                return L(q, w) - float(np.dot(Lv(q, w), w))
+                return L(q, w) - _dot(Lv(q, w), w)
 
             def _d1_dv(q, v, h):
                 lqq, lqv, lvv = hess(q, [(b - a) / h for a, b in zip(q, v)])

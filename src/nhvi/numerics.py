@@ -5,8 +5,7 @@ numpy call's fixed cost outweighs its arithmetic.  So vectors are lists of
 Python floats and Jacobians lists of rows, which the functions here only
 index, iterate and zip; numpy arrays work too, at numpy's speed.  A Newton
 iteration's numpy calls are the dense solve in `_solve_linear`, which
-returns floats, `fd_jacobian` stacking its columns (phase A only) and the
-`np.dot` inside `DiscreteLagrangian.d3_w` (phase B's energy row only).
+returns floats, and `fd_jacobian` stacking its columns (phase A only).
 """
 
 from __future__ import annotations

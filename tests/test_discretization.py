@@ -15,6 +15,7 @@ from nhvi import (
     omega_dplus,
 )
 from nhvi.models import sample_interior_points
+from nhvi.numerics import _dot
 from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
 
 
@@ -195,6 +196,23 @@ class TestDiscreteEnergy:
             w = (v - q) / h
             expected = float(pendulum.dL_dv(q, w) @ w) - pendulum.lagrangian(q, w)
             assert abs(pendulum_left.d3(q, v, h) + expected) <= 1e-9
+
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    @pytest.mark.parametrize("model_fixture", ["particle", "ellipse_body", "star_body", "pendulum"])
+    def test_d3_w_sums_left_to_right_in_python_floats(self, model_fixture, rule, rng, request):
+        # d3_w = L(x, w) - dL/dv(x, w) . w at the rule's point x, the dot
+        # product summed by numerics._dot: the energy of every report node
+        # and the phase-B energy row, bit for bit
+        model = request.getfixturevalue(model_fixture)
+        Ld = make_discrete_lagrangian(model, rule)
+        for q in sample_interior_points(model, 100, rng).tolist():
+            w = rng.uniform(-3.0, 3.0, model.n).tolist()
+            h = float(rng.uniform(1e-4, 1e-1))
+            half = 0.5 * h
+            x = [a + half * b for a, b in zip(q, w)] if rule == "midpoint" else q
+            d3 = Ld.d3_w(q, w, h)
+            assert type(d3) is float
+            assert d3 == model.lagrangian(x, w) - _dot(model.dL_dv(x, w), w)
 
     def test_midpoint_kinetic_symmetry(self, free_particle):
         Ld = make_discrete_lagrangian(free_particle, "midpoint")

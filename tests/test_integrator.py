@@ -1,9 +1,11 @@
 import dataclasses
 import gc
+import json
 import math
 import sys
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,15 @@ from nhvi import (
     step_minus,
     step_plus,
 )
-from nhvi import integrator, numerics
+from nhvi import discretization, integrator, numerics
 from nhvi.cli import bundled_config_path
 from nhvi.config import build_model, config_from_dict, parse_config
-from nhvi.errors import NoElasticRebound, ParameterError, PersistentPenetration
+from nhvi.errors import (
+    EvaluationFailure,
+    NoElasticRebound,
+    ParameterError,
+    PersistentPenetration,
+)
 from nhvi.geometry import BoundaryFrame, boundary_frame
 from nhvi.integrator import (
     _impact_b_system,
@@ -455,8 +462,10 @@ class TestImpactLaw:
     @pytest.mark.parametrize("model_fixture", IMPACT_MODELS)
     def test_law_and_phase_b_make_one_numpy_call(self, model_fixture, rng, monkeypatch,
                                                  request):
-        # the integrator's numpy namespace reduced to np.linalg.solve: the
-        # law solves once, and the phase-B residual and Jacobian never reach it
+        # the integrator's numpy namespace reduced to np.linalg.solve and the
+        # discrete Lagrangian's to nothing: the law solves once, and the
+        # phase-B residual (its energy row through d3_w) and Jacobian make
+        # no numpy call
         model = request.getfixturevalue(model_fixture)
         Ld = make_discrete_lagrangian(model, "midpoint")
         q_tilde = sample_boundary_points(model, 1, rng)[0]
@@ -472,6 +481,7 @@ class TestImpactLaw:
 
         linalg = types.SimpleNamespace(solve=solve, LinAlgError=np.linalg.LinAlgError)
         monkeypatch.setattr(integrator, "np", types.SimpleNamespace(linalg=linalg))
+        monkeypatch.setattr(discretization, "np", types.SimpleNamespace())
         w, lam, law_rate = _impact_law(model, frame, w_in)
         assert solves == [True]
         residual_b, jac_b = _impact_b_system(
@@ -755,6 +765,22 @@ class TestErrorPaths:
         assert len(attempts) == 1
         # keyed to the candidate the step rejected
         npt.assert_array_equal(attempts[0][5], failure.value.state.v)
+
+    @pytest.mark.parametrize("gravity", [1e300, 1e200])
+    def test_overflowing_energy_is_a_typed_failure(self, gravity):
+        # the bundled particle under an absurd gravity: the first impact's
+        # energy overflows, which must surface as an NhviError, not as a
+        # numpy warning (raised here as an error)
+        doc = json.loads(bundled_config_path("particle").read_text())
+        doc["model"]["gravity"] = gravity
+        doc["t_final"] = doc["t0"] + 20 * doc["h"]
+        cfg = config_from_dict(doc)
+        model = build_model(cfg)
+        Ld = make_discrete_lagrangian(model, cfg.rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFailure):
+                simulate(Ld, model, cfg.q0, cfg.v0, cfg.t0, cfg.t_final, cfg.h, cfg.solver)
 
 
 # model fixture -> (q(0), v(0), h, t_final) of a run with an impact
