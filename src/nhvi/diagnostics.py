@@ -14,7 +14,7 @@ from typing import Dict, List
 import numpy as np
 
 from .discretization import DiscreteLagrangian, discrete_energy
-from .geometry import MechanicalModel
+from .geometry import MechanicalModel, boundary_frame
 from .integrator import Trajectory, _impact_a_system, _impact_b_system, _step_system
 from .numerics import _dot, _norm
 
@@ -226,7 +226,7 @@ def recompute_solve_residuals(
             out[i] = _norm(residual([ev.alpha, *ev.w_in, *ev.lambda_A]))
         elif phase == "impact-B":
             ev = events[k]
-            ET = np.asarray(model.tangent_basis(ev.q_tilde), dtype=float).T.tolist()
+            ET = boundary_frame(model, ev.q_tilde).ET
             d3_pre = Ld.d3_w(q[k].tolist(), ev.w_in, ev.alpha * h)
             s2 = (1.0 - ev.alpha) * h
             residual, _ = _impact_b_system(Ld, model, ev.q_tilde, ET, ev.p_tilde, d3_pre, s2)

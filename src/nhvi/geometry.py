@@ -13,7 +13,9 @@ only the diagnostic `compat_residual`, through push_cotangent, so another
 left inverse of the same E leaves every trajectory unchanged.  Boundary
 covectors are stored as coefficient tuples against the dual basis of E's
 columns, which makes the cotangent transfer maps plain matrix transposes:
-pull-back is E^T and push-forward is P^T.
+pull-back is E^T and push-forward is P^T.  A frame holds Python floats, and
+`boundary_frame` alone turns the model's callables into one; pull-back and
+push-forward are `_dot` sums over its rows, with no numpy call.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateFrame, NotOnBoundary
+from .numerics import _columns, _dot
 
 # c(q) >= -GRAZING_TOL counts as admissible; avoids impact solves on round-off
 GRAZING_TOL = 1e-12
@@ -41,15 +44,16 @@ class MechanicalModel:
     The built-in ones return a float (`lagrangian`, `boundary_gap`), tuples
     of floats (`dL_dq`, `dL_dv`), m row tuples (`omega`) and the Hessian
     blocks (Lqq, Lqv, Lvv) as tuples of row tuples (`d2L`), where
-    Lqv[i, j] = d(dL/dq_i)/dv_j.  The integrator only indexes, iterates and
-    zips them, so numpy arrays work too, at numpy's cost per call.  The
-    boundary-frame callables return arrays; an impact builds one frame, and
-    phase B and the impact law each read its E^T rows and normal as floats
-    once per impact, not per Newton iteration.  The Newton Jacobians of
-    the smooth steps and phase B come from `d2L`, and phase B is seeded
-    with the kinetic metric Lvv.  `params` is the record a built-in model was
-    made from (`ParticleParams`, `Se2BodyParams` or `PendulumParams`);
-    custom models may leave it None.
+    Lqv[i, j] = d(dL/dq_i)/dv_j.  The boundary-frame callables return the
+    gap gradient as a tuple (`boundary_gap_grad`), E as its n row tuples
+    (`tangent_basis`) and P as its n - 1 row tuples (`projection`).  The
+    integrator only indexes, iterates and zips them, so numpy arrays work
+    too, at numpy's cost per call.  An impact builds one frame, whose E^T
+    rows and normal phase B and the impact law read as they are.  The
+    Newton Jacobians of the smooth steps and phase B come from `d2L`, and
+    phase B is seeded with the kinetic metric Lvv.  `params` is the record
+    a built-in model was made from (`ParticleParams`, `Se2BodyParams` or
+    `PendulumParams`); custom models may leave it None.
     """
 
     name: str
@@ -62,9 +66,9 @@ class MechanicalModel:
     d2L: Callable[[Sequence[float], Sequence[float]], tuple]
     omega: Callable[[Sequence[float]], Sequence[Sequence[float]]]
     boundary_gap: Callable[[Sequence[float]], float]
-    boundary_gap_grad: Callable[[np.ndarray], np.ndarray]
-    tangent_basis: Callable[[np.ndarray], np.ndarray]
-    projection: Callable[[np.ndarray], np.ndarray]
+    boundary_gap_grad: Callable[[Sequence[float]], Sequence[float]]
+    tangent_basis: Callable[[Sequence[float]], Sequence[Sequence[float]]]
+    projection: Callable[[Sequence[float]], Sequence[Sequence[float]]]
     params: Any = None
 
     def __post_init__(self):
@@ -78,70 +82,69 @@ class MechanicalModel:
 
 @dataclass(frozen=True)
 class BoundaryFrame:
-    """Tangent basis, projection and outward data at one boundary point."""
+    """Tangent basis, projection and outward data at one boundary point,
+    as Python floats: `boundary_frame` is the one place that shapes them."""
 
-    q_tilde: np.ndarray
-    E: np.ndarray  # n x (n-1), columns span the boundary tangent space
-    P: np.ndarray  # (n-1) x n, left inverse of E
-    normal: np.ndarray  # gradient of the gap function at q_tilde
+    q_tilde: list
+    ET: list  # the n-1 columns of E (n x (n-1)): tuples spanning the tangent space
+    P: list  # (n-1) x n as row tuples, a left inverse of E
+    normal: tuple  # gradient of the gap function at q_tilde
 
 
-def boundary_frame(model: MechanicalModel, q_tilde: np.ndarray) -> BoundaryFrame:
-    """Assemble and validate the boundary frame at q_tilde.
+def boundary_frame(model: MechanicalModel, q_tilde: Sequence[float]) -> BoundaryFrame:
+    """Assemble and validate the boundary frame at q_tilde, calling float()
+    on every entry the model returns (numpy arrays give the same frame).
 
     Raises NotOnBoundary if |c(q_tilde)| exceeds the frame tolerance and
-    DegenerateFrame if P.E differs from the identity (e.g. at a star-shape
-    corner where the edge function is not differentiable).
+    DegenerateFrame if a shape is wrong or P.E differs from the identity
+    (e.g. at a star-shape corner where the edge function is not
+    differentiable).
     """
-    q_tilde = np.asarray(q_tilde, dtype=float)
+    q_tilde = [float(x) for x in q_tilde]
     c = model.boundary_gap(q_tilde)
     if abs(c) > FRAME_GAP_TOL:
         raise NotOnBoundary(
             f"gap {c:.3e} at {q_tilde} exceeds boundary tolerance {FRAME_GAP_TOL:.0e}"
         )
-    E = np.asarray(model.tangent_basis(q_tilde), dtype=float)
-    P = np.asarray(model.projection(q_tilde), dtype=float)
+    E = [tuple(map(float, row)) for row in model.tangent_basis(q_tilde)]
+    P = [tuple(map(float, row)) for row in model.projection(q_tilde)]
     n = model.n
-    if E.shape != (n, n - 1) or P.shape != (n - 1, n):
+    shapes = [len(row) for row in E], [len(row) for row in P]
+    if shapes != ([n - 1] * n, [n] * (n - 1)):
         raise DegenerateFrame(
-            f"frame shapes E{E.shape}, P{P.shape} inconsistent with n={n}"
+            f"frame shapes inconsistent with n={n}: row lengths E{shapes[0]}, P{shapes[1]}"
         )
-    pe = P @ E
-    if pe.size and np.max(np.abs(pe - np.eye(n - 1))) > FRAME_IDENTITY_TOL:
+    ET = _columns(E, n - 1)
+    if any(abs(_dot(row, col) - (i == j)) > FRAME_IDENTITY_TOL
+           for i, row in enumerate(P) for j, col in enumerate(ET)):
         raise DegenerateFrame(
             f"projection is not a left inverse of the tangent basis at {q_tilde}"
         )
-    return BoundaryFrame(
-        q_tilde=q_tilde,
-        E=E,
-        P=P,
-        normal=np.asarray(model.boundary_gap_grad(q_tilde), dtype=float),
-    )
+    normal = tuple(map(float, model.boundary_gap_grad(q_tilde)))
+    return BoundaryFrame(q_tilde=q_tilde, ET=ET, P=P, normal=normal)
 
 
-def pullback_cotangent(frame: BoundaryFrame, p: np.ndarray) -> np.ndarray:
+def pullback_cotangent(frame: BoundaryFrame, p: Sequence[float]) -> list:
     """Restrict a configuration-space covector to the boundary: E^T p.
 
-    The result is the coefficient tuple of the restricted covector against
+    The result is the coefficient list of the restricted covector against
     the dual basis of E's columns.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (frame.E.shape[0],):
-        raise ValueError(f"covector length {p.shape} does not match n={frame.E.shape[0]}")
-    return frame.E.T @ p
+    if len(p) != len(frame.q_tilde):
+        raise ValueError(f"covector length {len(p)} does not match n={len(frame.q_tilde)}")
+    return [_dot(e, p) for e in frame.ET]
 
 
-def push_cotangent(frame: BoundaryFrame, p_tilde: np.ndarray) -> np.ndarray:
+def push_cotangent(frame: BoundaryFrame, p_tilde: Sequence[float]) -> list:
     """Extend a boundary covector to configuration space: P^T p_tilde.
 
     pullback_cotangent(frame, push_cotangent(frame, p)) is the identity.
     """
-    p_tilde = np.asarray(p_tilde, dtype=float)
-    if p_tilde.shape != (frame.P.shape[0],):
+    if len(p_tilde) != len(frame.P):
         raise ValueError(
-            f"boundary covector length {p_tilde.shape} does not match n-1={frame.P.shape[0]}"
+            f"boundary covector length {len(p_tilde)} does not match n-1={len(frame.P)}"
         )
-    return frame.P.T @ p_tilde
+    return [_dot(col, p_tilde) for col in _columns(frame.P, len(frame.q_tilde))]
 
 
 def omega_rank_deficiency(model: MechanicalModel, q: np.ndarray, tol: float = 1e-10) -> int:
@@ -159,6 +162,7 @@ def transversality_margin(model: MechanicalModel, frame: BoundaryFrame) -> float
     A margin near zero means the level set is tangent to its own tangent
     basis, i.e. the boundary data is inconsistent.
     """
-    coeffs, *_ = np.linalg.lstsq(frame.E, frame.normal, rcond=None)
-    residual = frame.normal - frame.E @ coeffs
+    E = np.reshape(frame.ET, (-1, len(frame.normal))).T
+    coeffs, *_ = np.linalg.lstsq(E, frame.normal, rcond=None)
+    residual = frame.normal - E @ coeffs
     return float(np.linalg.norm(residual))

@@ -73,7 +73,7 @@ from .geometry import (
     pullback_cotangent,
     push_cotangent,
 )
-from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _dot, _norm, newton_solve
+from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _columns, _dot, _norm, newton_solve
 
 log = logging.getLogger("nhvi.integrator")
 
@@ -204,12 +204,6 @@ class MinusStepResult(NamedTuple):
 def _require_converged(res, phase: str, k: int, t: float):
     if not res.converged:
         raise NewtonFailure(phase=phase, residual_norm=res.residual_norm, k=k, t=t)
-
-
-def _columns(rows, n: int) -> list:
-    """The n columns of an m x n matrix given by its rows: n empty tuples
-    when m = 0, so a column-wise sum over no constraints is 0.0."""
-    return list(zip(*rows)) or [()] * n
 
 
 def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base, h):
@@ -367,8 +361,8 @@ def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
     """Residual and analytic Jacobian of the phase-B equations (module doc)
     over the unknown z = [w_out, lambda_B], on the second sub-step
     s2 = (1 - alpha) h.  `ET` holds the n - 1 rows of the boundary
-    restriction E^T as float sequences (`frame.E.T.tolist()`), so the
-    residual and the Jacobian rows are lists of floats."""
+    restriction E^T as float sequences (`frame.ET`), so the residual and
+    the Jacobian rows are lists of floats."""
     n = model.n
     m = model.m_con
     d1_w = Ld.d1_w
@@ -425,25 +419,22 @@ def _impact_law(model, frame, w_in):
     rate grad c . w of the law (module doc).  The kernel line comes from one
     square solve: the row [grad c^T, 0] with right-hand side 1 normalises
     grad c . d = 1, so law_rate is grad c . w_in + mu.  The bordered system
-    is assembled over floats from the frame's rows; that solve is the law's
-    one numpy call.  When it is singular no kernel direction crosses the
+    is assembled from the frame's float rows; that solve is the law's one
+    numpy call.  When it is singular no kernel direction crosses the
     boundary, so the law keeps the incoming normal rate, and
     (w_in, zeros, grad c . w_in) is returned.
     """
     n = model.n
     m = model.m_con
-    q_tilde = frame.q_tilde.tolist()
-    M = model.d2L(q_tilde, w_in)[2]
-    om = model.omega(q_tilde)
-    normal = frame.normal.tolist()
+    M = model.d2L(frame.q_tilde, w_in)[2]
+    om = model.omega(frame.q_tilde)
     pad = [0.0] * m
-    K = [[_dot(e, c) for c in zip(*M)] + [_dot(e, row) for row in om]
-         for e in frame.E.T.tolist()]
+    K = [[_dot(e, c) for c in zip(*M)] + [_dot(e, row) for row in om] for e in frame.ET]
     K += [list(row) + pad for row in om]
-    K.append(normal + pad)
+    K.append([*frame.normal, *pad])
     rhs = [0.0] * (n + m)
     rhs[-1] = 1.0
-    rate_in = _dot(normal, w_in)
+    rate_in = _dot(frame.normal, w_in)
     try:
         kernel = np.linalg.solve(K, rhs).tolist()
     except np.linalg.LinAlgError:
@@ -481,13 +472,10 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     frame = boundary_frame(model, q_tilde)
     d2_pre = Ld.d2_w(q_k, w_in, s1)
     p_tilde = pullback_cotangent(frame, d2_pre)
-    compat_residual = _norm(push_cotangent(frame, p_tilde) - d2_pre)
-    p_tilde = p_tilde.tolist()
+    compat_residual = _norm([a - b for a, b in zip(push_cotangent(frame, p_tilde), d2_pre)])
     d3_pre = Ld.d3_w(q_k, w_in, s1)
     s2 = (1.0 - alpha) * h
-    residual_b, jac_b = _impact_b_system(
-        Ld, model, q_tilde, frame.E.T.tolist(), p_tilde, d3_pre, s2
-    )
+    residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.ET, p_tilde, d3_pre, s2)
     # one solve from the model's impact law: its jump already lies in the
     # constraint distribution and reflects in the kinetic metric, so the
     # solve lands in the reflecting root's basin
@@ -495,7 +483,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     res_b = newton_solve(residual_b, w_law + lam_law, opts, jac_b)
     _require_converged(res_b, "impact-B", k, t_k)
     w_out = res_b.x[:n]
-    rate = _dot(frame.normal.tolist(), w_out)
+    rate = _dot(frame.normal, w_out)
     if rate <= 0.0:
         if law_rate <= 0.0:
             raise NoElasticRebound(law_rate=law_rate, k=k, t=t_k)

@@ -130,9 +130,9 @@ def make_particle(params: ParticleParams = ParticleParams()) -> MechanicalModel:
     zero22 = ((0.0, 0.0), (0.0, 0.0))
     hessian = (zero22, zero22, ((m, 0.0), (0.0, m)))
     dLdq_const = (0.0, -mg)
-    E = np.array([[1.0], [0.0]])
-    P = np.array([[1.0, 0.0]])
-    grad_c = np.array([0.0, 1.0])
+    E = ((1.0,), (0.0,))
+    P = ((1.0, 0.0),)
+    grad_c = (0.0, 1.0)
 
     return MechanicalModel(
         name="particle",
@@ -205,15 +205,15 @@ def make_se2_body(params: Se2BodyParams = Se2BodyParams()) -> MechanicalModel:
 
         def tangent_basis(q):
             pd = phi_dot(q[0])
-            return np.array([[0.0, 1.0], [1.0, 0.0], [0.0, pd]])
+            return ((0.0, 1.0), (1.0, 0.0), (0.0, pd))
 
     else:
-        E_vertical = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        E_vertical = ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0))
 
         def tangent_basis(q):
             return E_vertical
 
-    P = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    P = ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
 
     return MechanicalModel(
         name="se2_body",
@@ -227,7 +227,7 @@ def make_se2_body(params: Se2BodyParams = Se2BodyParams()) -> MechanicalModel:
         dL_dv=lambda q, v: (iph * v[0], m * v[1], m * v[2]),
         omega=lambda q: (),
         boundary_gap=lambda q: q[2] - phi(q[0]),
-        boundary_gap_grad=lambda q: np.array([-phi_dot(q[0]), 0.0, 1.0]),
+        boundary_gap_grad=lambda q: (-phi_dot(q[0]), 0.0, 1.0),
         tangent_basis=tangent_basis,
         projection=lambda q: P,
         params=params,
@@ -272,8 +272,8 @@ def make_pendulum(params: PendulumParams = PendulumParams()) -> MechanicalModel:
         lvv = ((ml2, 0.0), (0.0, ml2 * s * s))
         return lqq, lqv, lvv
 
-    E = np.array([[0.0], [1.0]])
-    P = np.array([[0.0, 1.0]])
+    E = ((0.0,), (1.0,))
+    P = ((0.0, 1.0),)
 
     return MechanicalModel(
         name="pendulum",
@@ -287,8 +287,8 @@ def make_pendulum(params: PendulumParams = PendulumParams()) -> MechanicalModel:
         # |sin| lifts the wall to the covering space: the cylinder constrains
         # the distance from the axis on both sides of the pole
         boundary_gap=lambda q: radius - length * abs(math.sin(q[0])),
-        boundary_gap_grad=lambda q: np.array(
-            [-length * math.copysign(1.0, math.sin(q[0])) * math.cos(q[0]), 0.0]
+        boundary_gap_grad=lambda q: (
+            -length * math.copysign(1.0, math.sin(q[0])) * math.cos(q[0]), 0.0
         ),
         tangent_basis=lambda q: E,
         projection=lambda q: P,

@@ -108,6 +108,12 @@ def _dot(a, b) -> float:
     return s
 
 
+def _columns(rows, n: int) -> list:
+    """The n columns of an m x n matrix given by its rows: n empty tuples
+    when m = 0, so a column-wise sum over no rows is 0.0."""
+    return list(zip(*rows)) or [()] * n
+
+
 def fd_jacobian(F: Callable[[list], Sequence[float]], x, eps: float = 1e-7) -> np.ndarray:
     """Central-difference Jacobian of F at x, as a 2-D float64 array.
 

@@ -32,17 +32,19 @@ CheckResult = Tuple[str, bool, str]
 def check_boundary_frames(
     model: MechanicalModel, rng: np.random.Generator, count: int = 100
 ) -> List[CheckResult]:
+    n = model.n
     worst_pe = 0.0
     worst_round = 0.0
     worst_trans = np.inf
     for q in sample_boundary_points(model, count, rng):
         frame = boundary_frame(model, q)
-        pe = np.max(np.abs(frame.P @ frame.E - np.eye(model.n - 1)))
+        E = np.reshape(frame.ET, (n - 1, n)).T
+        P = np.reshape(frame.P, (n - 1, n))
+        pe = np.abs(P @ E - np.eye(n - 1)).max(initial=0.0)
         worst_pe = max(worst_pe, float(pe))
-        p_tilde = rng.standard_normal(model.n - 1)
-        back = pullback_cotangent(frame, push_cotangent(frame, p_tilde))
-        if p_tilde.size:
-            worst_round = max(worst_round, float(np.max(np.abs(back - p_tilde))))
+        p_tilde = rng.standard_normal(n - 1)
+        back = pullback_cotangent(frame, push_cotangent(frame, p_tilde.tolist()))
+        worst_round = max(worst_round, float(np.abs(back - p_tilde).max(initial=0.0)))
         worst_trans = min(worst_trans, transversality_margin(model, frame))
     return [
         ("frame left-inverse P.E = I", worst_pe <= 1e-12, f"max deviation {worst_pe:.3e}"),

@@ -159,7 +159,8 @@ def test_criterion_08_geometry_suite(particle, ellipse_body, ellipse_body_edge_s
             eye = np.eye(model.n - 1)
             for q in sample_boundary_points(model, 100, rng):
                 frame = boundary_frame(model, q)
-                assert np.max(np.abs(frame.P @ frame.E - eye)) <= 1e-12
+                P, E = np.array(frame.P), np.transpose(frame.ET)
+                assert np.max(np.abs(P @ E - eye)) <= 1e-12
                 p_tilde = rng.standard_normal(model.n - 1)
                 back = pullback_cotangent(frame, push_cotangent(frame, p_tilde))
                 assert np.max(np.abs(back - p_tilde)) <= 1e-12

@@ -308,4 +308,4 @@ def test_resolved_impacts_conserve_and_reenter(kind, rule, u, rate, spin, h, lea
         p_after = ET @ (om.T @ ev.lambda_B - Ld.d1_w(ev.q_tilde, ev.w_out, s2))
         assert np.abs(p_after - p_before).max(initial=0.0) <= 2 * TOL
         assert np.abs(om @ ev.w_out).max(initial=0.0) <= TOL
-        assert model.boundary_gap_grad(ev.q_tilde) @ ev.w_out > 0
+        assert np.dot(model.boundary_gap_grad(ev.q_tilde), ev.w_out) > 0

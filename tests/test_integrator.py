@@ -24,7 +24,7 @@ from nhvi import (
     step_minus,
     step_plus,
 )
-from nhvi import discretization, integrator, numerics
+from nhvi import discretization, geometry, integrator, numerics
 from nhvi.cli import bundled_config_path
 from nhvi.config import build_model, config_from_dict, parse_config
 from nhvi.errors import (
@@ -33,7 +33,7 @@ from nhvi.errors import (
     ParameterError,
     PersistentPenetration,
 )
-from nhvi.geometry import BoundaryFrame, boundary_frame
+from nhvi.geometry import BoundaryFrame, boundary_frame, pullback_cotangent, push_cotangent
 from nhvi.integrator import (
     _impact_b_system,
     _impact_law,
@@ -275,7 +275,7 @@ class TestImpactJacobians:
         worst = 0.0
         for q_tilde in sample_boundary_points(model, 20, rng):
             # E^T as float rows and float vectors, as the impact solver passes them
-            ET = np.asarray(model.tangent_basis(q_tilde), dtype=float).T.tolist()
+            ET = boundary_frame(model, q_tilde).ET
             s2 = float(10.0 ** rng.uniform(-7.0, -2.0))
             p_tilde = rng.normal(size=n - 1).tolist()
             residual_b, jac_b = _impact_b_system(
@@ -346,7 +346,7 @@ def bordered_kernel_system(model, frame, w_in):
     n, m = model.n, model.m_con
     M = np.array(model.d2L(frame.q_tilde, w_in)[2], dtype=float)
     om = np.reshape(np.array(model.omega(frame.q_tilde), dtype=float), (m, n))
-    ET = frame.E.T
+    ET = np.array(frame.ET)
     K = np.zeros((n + m, n + m))
     K[: n - 1, :n] = ET @ M
     K[: n - 1, n:] = ET @ om.T
@@ -384,10 +384,7 @@ class TestImpactLaw:
         # a tangent basis that contains the normal: the rows [E^T M] and
         # [grad c^T, 0] are parallel, so no kernel direction crosses the boundary
         frame = BoundaryFrame(
-            q_tilde=np.array([0.3, 0.0]),
-            E=np.array([[0.0], [1.0]]),
-            P=np.array([[0.0, 1.0]]),
-            normal=np.array([0.0, 1.0]),
+            q_tilde=[0.3, 0.0], ET=[(0.0, 1.0)], P=[(0.0, 1.0)], normal=(0.0, 1.0)
         )
         w_in = [1.7, -2.3]
         raised = []
@@ -414,7 +411,7 @@ class TestImpactLaw:
             w, _, law_rate = _impact_law(ellipse_body, frame, w_in)
             npt.assert_array_equal(w[:2], w_in[:2])
             npt.assert_allclose(w[2], -w_in[2], rtol=1e-15, atol=1e-15)
-            assert law_rate == pytest.approx(frame.normal @ w, rel=1e-12, abs=1e-12)
+            assert law_rate == pytest.approx(np.dot(frame.normal, w), rel=1e-12, abs=1e-12)
 
     def test_pendulum_seed_in_constraint_kernel_keeps_kinetic_energy(self, pendulum, rng):
         for q_tilde in sample_boundary_points(pendulum, 20, rng):
@@ -441,7 +438,7 @@ class TestImpactLaw:
             w, w_in_arr = np.array(w), np.array(w_in)
             assert w @ M @ w == pytest.approx(w_in_arr @ M @ w_in_arr, rel=1e-12)
             # grad c . d = 1, so the law's mu is the normal part of the jump
-            normal = frame.normal.tolist()
+            normal = frame.normal
             mu = _dot(normal, jump)
             assert law_rate == pytest.approx(_dot(normal, w_in) + mu, rel=1e-12, abs=1e-12)
 
@@ -462,17 +459,16 @@ class TestImpactLaw:
     @pytest.mark.parametrize("model_fixture", IMPACT_MODELS)
     def test_law_and_phase_b_make_one_numpy_call(self, model_fixture, rng, monkeypatch,
                                                  request):
-        # the integrator's numpy namespace reduced to np.linalg.solve and the
-        # discrete Lagrangian's to nothing: the law solves once, and the
-        # phase-B residual (its energy row through d3_w) and Jacobian make
-        # no numpy call
+        # the integrator's numpy namespace reduced to np.linalg.solve, and the
+        # discrete Lagrangian's and the geometry's to nothing: the boundary
+        # frame and the cotangent maps make no numpy call, the law solves
+        # once, and the phase-B residual (its energy row through d3_w) and
+        # Jacobian make no numpy call
         model = request.getfixturevalue(model_fixture)
         Ld = make_discrete_lagrangian(model, "midpoint")
-        q_tilde = sample_boundary_points(model, 1, rng)[0]
-        frame = boundary_frame(model, q_tilde)
-        w_in = incoming_velocity(model, frame, rng)
-        ET = frame.E.T.tolist()
-        p_tilde = rng.normal(size=model.n - 1).tolist()
+        q_tilde = sample_boundary_points(model, 1, rng)[0].tolist()
+        w_in = incoming_velocity(model, boundary_frame(model, q_tilde), rng)
+        p = rng.normal(size=model.n).tolist()
         solves = []
 
         def solve(K, rhs):
@@ -482,11 +478,14 @@ class TestImpactLaw:
         linalg = types.SimpleNamespace(solve=solve, LinAlgError=np.linalg.LinAlgError)
         monkeypatch.setattr(integrator, "np", types.SimpleNamespace(linalg=linalg))
         monkeypatch.setattr(discretization, "np", types.SimpleNamespace())
+        monkeypatch.setattr(geometry, "np", types.SimpleNamespace())
+        frame = boundary_frame(model, q_tilde)
+        p_tilde = pullback_cotangent(frame, p)
+        p_back = push_cotangent(frame, p_tilde)
+        assert all_floats(frame.q_tilde, frame.normal, *frame.ET, *frame.P, p_tilde, p_back)
         w, lam, law_rate = _impact_law(model, frame, w_in)
         assert solves == [True]
-        residual_b, jac_b = _impact_b_system(
-            Ld, model, q_tilde.tolist(), ET, p_tilde, 0.5, 1e-3
-        )
+        residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.ET, p_tilde, 0.5, 1e-3)
         z = w + lam
         assert all_floats([law_rate], z, residual_b(z), *jac_b(z))
         assert solves == [True]

@@ -30,6 +30,10 @@ contributes its exit code and the name and bytes of every file it wrote.
 The two bounce lines that count unsolved runs also count them by error
 type; those counts are printed only, not hashed.
 
+After the six lines, one `bounce-solution[<kind>]` line per body kind of
+bench/workloads.py `BOUNCE_KINDS` hashes the solution of that kind's
+members alone, so a change whose rounding moves one body kind shows which.
+
 Run it from a checkout, and once more against another checkout to compare:
 
     python3 tools/digest.py
@@ -76,22 +80,36 @@ class Digest:
     def __init__(self):
         self.h = hashlib.sha256()
 
+    def update(self, b: bytes) -> None:
+        self.h.update(b)
+
     def blob(self, b: bytes) -> None:
-        self.h.update(struct.pack("<q", len(b)) + b)
+        self.update(struct.pack("<q", len(b)) + b)
 
     def text(self, s: str) -> None:
         self.blob(s.encode())
 
     def floats(self, values) -> None:
         a = np.ascontiguousarray(values, dtype=np.float64)
-        self.h.update(struct.pack("<q", a.size) + a.tobytes())
+        self.update(struct.pack("<q", a.size) + a.tobytes())
 
     def ints(self, values) -> None:
         a = np.ascontiguousarray(values, dtype=np.int64)
-        self.h.update(struct.pack("<q", a.size) + a.tobytes())
+        self.update(struct.pack("<q", a.size) + a.tobytes())
 
     def hexdigest(self) -> str:
         return self.h.hexdigest()
+
+
+class Tee(Digest):
+    """Feeds every value into each of `digests`."""
+
+    def __init__(self, *digests: Digest):
+        self.digests = digests
+
+    def update(self, b: bytes) -> None:
+        for d in self.digests:
+            d.update(b)
 
 
 def simulate_doc(nhvi, doc: dict):
@@ -177,17 +195,23 @@ def main(argv=None) -> int:
     nhvi, workloads = import_checkout(args.root.resolve())
 
     bounce, bounce_derived, outcomes = Digest(), Digest(), Digest()
+    by_kind = {kind: Digest() for kind in workloads.BOUNCE_KINDS}
+    kind_members = Counter()
     members = runs = 0
     unsolved, runs_unsolved = Counter(), Counter()
+    kind_unsolved = {kind: Counter() for kind in workloads.BOUNCE_KINDS}
     for seed in SEEDS:
         for index in range(workloads.BOUNCE_MEMBERS):
             kind, doc = workloads.bounce_config(seed, index)
-            for d in (bounce, bounce_derived):
-                d.text(f"member {seed} {index}")
-            outcome = digest_run(bounce, bounce_derived, nhvi, doc)
+            solution = Tee(bounce, by_kind[kind])
+            solution.text(f"member {seed} {index}")
+            bounce_derived.text(f"member {seed} {index}")
+            outcome = digest_run(solution, bounce_derived, nhvi, doc)
             members += 1
+            kind_members[kind] += 1
             if not outcome.startswith("ok "):
                 unsolved[outcome] += 1
+                kind_unsolved[kind][outcome] += 1
             rule_outcomes = [("midpoint", outcome)]
             if kind != "particle":
                 rule_outcomes.append(
@@ -210,6 +234,10 @@ def main(argv=None) -> int:
     demos = Digest()
     files = digest_demos(demos, nhvi.cli, workloads.DEMOS)
     print(f"demos              {demos.hexdigest()}  ({len(workloads.DEMOS)} demos, {files} files)")
+
+    for kind, d in by_kind.items():
+        print(f"bounce-solution[{kind}]  {d.hexdigest()}  "
+              f"({kind_members[kind]} members, {breakdown(kind_unsolved[kind])})")
     return 0
 
 
