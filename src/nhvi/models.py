@@ -176,7 +176,7 @@ def _star_edge(l: float):
             raise DegenerateFrame(
                 f"star edge slope undefined at corner angle theta={theta}"
             )
-        return l * (math.copysign(c, s) - math.copysign(s, c))
+        return l * (math.copysign(1.0, s) * c - math.copysign(1.0, c) * s)
 
     return phi, phi_dot
 

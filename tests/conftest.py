@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,29 @@ PENDULUM_Q0 = np.array([0.75 * np.pi, 0.0])
 PENDULUM_V0 = np.array([0.25 * np.pi, 0.25 * (np.pi + 0.5) * np.pi])
 ELLIPSE_Q0 = np.array([np.pi / 2, 0.0, 3.5])
 ELLIPSE_V0 = np.array([-3.0, 2.0, 0.0])
+
+# `valley_particle` puts a particle over the valley floor y = x^2.  It keeps
+# the particle's tangent d/dx, so a bounce reflects only the vertical rate.
+# Run from VALLEY_DOC, its first impact, at step 1, re-enters, but within the
+# rest of that step the floor rises past the particle: the post-impact node
+# lies 0.022 below it.  A PersistentPenetration outside the bounce corpus.
+VALLEY_DOC = {
+    "model": {"type": "particle"},
+    "rule": "midpoint",
+    "q0": [-0.1, 0.06],
+    "v0": [5.0, -1.0],
+    "t_final": 0.5,
+    "h": 0.05,
+}
+
+
+def valley_particle(particle):
+    return dataclasses.replace(
+        particle,
+        name="valley",
+        boundary_gap=lambda q: q[1] - q[0] * q[0],
+        boundary_gap_grad=lambda q: (-2.0 * q[0], 1.0),
+    )
 
 
 @pytest.fixture

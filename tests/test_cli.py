@@ -13,6 +13,7 @@ import pytest
 
 import nhvi
 from nhvi.cli import bundled_config_path, main
+from tests.conftest import VALLEY_DOC, valley_particle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -144,12 +145,18 @@ class TestRun:
     @pytest.mark.parametrize("index, body, error", [
         (121, "ellipse-vertical", "NoElasticRebound"),  # step 7, law rate < 0
         (9, "ellipse-vertical", "NewtonFailure"),  # impact-B at step 34
-        (383, "star", "PersistentPenetration"),  # first impact, step 1
+        (None, "valley", "PersistentPenetration"),  # VALLEY_DOC, first impact, step 1
         (269, "ellipse-vertical", "RootSelectionAmbiguous"),  # step 44
         (None, "particle", "AlphaOutOfRange"),  # GRAZING_PARTICLE, step 1
     ])
-    def test_failed_step_replays_from_error_json(self, tmp_path, index, body, error):
-        if index is None:
+    def test_failed_step_replays_from_error_json(self, tmp_path, monkeypatch, index, body,
+                                                 error):
+        if body == "valley":
+            # the particle document, run over the valley floor
+            doc = VALLEY_DOC
+            monkeypatch.setattr(nhvi.cli, "build_model",
+                                lambda cfg: valley_particle(nhvi.build_model(cfg)))
+        elif index is None:
             doc = GRAZING_PARTICLE
         else:
             kind, doc = workloads.bounce_config(1, index)
@@ -166,7 +173,7 @@ class TestRun:
         # error.json alone rebuilds the model, h and solver options
         cfg = nhvi.config_from_dict(diagnostic["config"])
         assert cfg == nhvi.parse_config(path)
-        model = nhvi.build_model(cfg)
+        model = nhvi.cli.build_model(cfg)
         Ld = nhvi.make_discrete_lagrangian(model, cfg.rule)
         with pytest.raises(getattr(nhvi, error)) as failure:
             nhvi.simulate(Ld, model, np.array(cfg.q0), np.array(cfg.v0),

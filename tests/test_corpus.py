@@ -43,41 +43,37 @@ FAILURES = {
     ("ellipse-vertical", "midpoint", "NoElasticRebound"): 44,
     ("ellipse-vertical", "midpoint", "RootSelectionAmbiguous"): 2,
     ("star", "midpoint", "AlphaOutOfRange"): 1,
-    ("star", "midpoint", "NewtonFailure"): 1,
-    ("star", "midpoint", "NoElasticRebound"): 25,
-    ("star", "midpoint", "PersistentPenetration"): 11,
-    ("star", "midpoint", "RootSelectionAmbiguous"): 1,
+    ("star", "midpoint", "NewtonFailure"): 2,
+    ("star", "midpoint", "NoElasticRebound"): 19,
     ("ellipse-edge-slope", "retraction-left", "NewtonFailure"): 1,
     ("ellipse-vertical", "retraction-left", "AlphaOutOfRange"): 2,
     ("ellipse-vertical", "retraction-left", "NewtonFailure"): 15,
     ("ellipse-vertical", "retraction-left", "NoElasticRebound"): 30,
-    ("star", "retraction-left", "NewtonFailure"): 3,
-    ("star", "retraction-left", "NoElasticRebound"): 24,
-    ("star", "retraction-left", "PersistentPenetration"): 11,
+    ("star", "retraction-left", "AlphaOutOfRange"): 1,
+    ("star", "retraction-left", "NewtonFailure"): 4,
+    ("star", "retraction-left", "NoElasticRebound"): 17,
 }
 
 # (rule, seed) -> indices of the members that are not solved; every other
 # member of the corpus is solved and must stay so
 UNSOLVED = {
     ("midpoint", 1): (
-        9, 17, 31, 43, 47, 51, 55, 57, 61, 65, 67, 69, 75, 121, 125, 135, 159, 169,
-        171, 197, 205, 207, 209, 221, 227, 231, 245, 247, 251, 263, 269, 273, 277,
-        291, 301, 303, 307, 311, 317, 325, 347, 353, 361, 365, 367, 371, 383,
+        9, 17, 47, 55, 57, 61, 65, 69, 75, 121, 125, 135, 159, 169, 197, 205, 209, 221,
+        231, 245, 247, 263, 269, 273, 277, 291, 301, 303, 311, 317, 325, 347, 353, 361,
+        365, 367, 371, 383,
     ),
     ("midpoint", 2): (
-        3, 23, 35, 47, 65, 77, 83, 91, 101, 103, 109, 129, 131, 145, 153, 157, 187,
-        189, 205, 213, 217, 221, 229, 233, 241, 247, 257, 259, 267, 273, 289, 293,
-        295, 297, 301, 309, 349, 353, 355, 367,
+        23, 47, 65, 77, 83, 91, 101, 103, 109, 129, 145, 153, 157, 187, 189, 205, 213,
+        217, 221, 229, 233, 241, 257, 273, 289, 293, 297, 301, 309, 349, 353, 367,
     ),
     ("retraction-left", 1): (
-        9, 17, 31, 43, 47, 51, 55, 57, 61, 65, 67, 69, 75, 121, 125, 135, 159, 169,
-        171, 190, 197, 205, 207, 209, 221, 227, 231, 245, 247, 251, 263, 269, 273,
-        277, 291, 301, 303, 307, 311, 317, 325, 347, 353, 365, 367, 371, 383,
+        9, 17, 47, 55, 57, 61, 65, 69, 75, 121, 125, 135, 159, 169, 190, 197, 205, 209,
+        221, 231, 245, 247, 263, 269, 273, 277, 291, 301, 303, 311, 317, 325, 347, 353,
+        365, 367, 371, 383,
     ),
     ("retraction-left", 2): (
-        3, 23, 47, 65, 77, 83, 91, 101, 103, 109, 129, 131, 145, 153, 157, 187, 189,
-        205, 213, 217, 221, 229, 233, 241, 247, 257, 259, 267, 273, 285, 289, 293,
-        295, 297, 301, 309, 349, 355, 367,
+        23, 47, 65, 77, 83, 91, 101, 103, 109, 129, 145, 153, 157, 187, 189, 205, 213,
+        217, 221, 229, 233, 241, 257, 273, 285, 289, 293, 297, 301, 309, 349, 367,
     ),
 }
 
@@ -145,6 +141,17 @@ def test_solved_set_does_not_shrink(outcomes):
     assert not lost, f"members that were solved now fail: {lost}"
 
 
+def test_solved_impacts_arrive_inward(runs):
+    # every impact of a solved member meets the boundary moving out of the
+    # admissible set: grad c(q~) . w_in < 0.  With the star's edge slope wrong
+    # in three quadrants, 50 star impacts broke this and were bounced anyway.
+    outward = [(seed, index, rule, ev.k)
+               for (seed, index, rule), run in runs.items() if run.traj is not None
+               for ev in run.traj.impacts
+               if np.dot(run.model.boundary_gap_grad(ev.q_tilde), ev.w_in) >= 0]
+    assert not outward, f"impacts whose incoming velocity leaves the boundary: {outward}"
+
+
 # --- reversibility through impacts ---------------------------------------------
 # The midpoint discrete Lagrangian is self-adjoint and every corpus Lagrangian
 # is even in velocity, so the discrete flow, impacts included, is time-
@@ -157,14 +164,9 @@ def test_solved_set_does_not_shrink(outcomes):
 
 REVERSAL_NODE_TOL = 1e-6
 REVERSAL_ALPHA_TOL = 1e-5
-# (seed, index) -> error of the solved members whose reversed run fails: stars,
-# where `models._star_edge.phi_dot` has the wrong sign in three quadrants, so
-# the reversed impact sees a wrong normal.  Fixing the slope empties this.
-REVERSAL_FAILURES = dict.fromkeys(
-    [(1, 87), (1, 131), (1, 151), (1, 199), (1, 315), (1, 351), (1, 363),
-     (2, 99), (2, 143), (2, 163), (2, 251), (2, 327), (2, 331)],
-    "NoElasticRebound",
-)
+# (seed, index) -> error of the solved members whose reversed run fails; none
+# does since the star's edge slope was corrected (13 stars failed before)
+REVERSAL_FAILURES = {}
 
 
 def reversal_problem(run: Run) -> Optional[str]:
@@ -308,4 +310,6 @@ def test_resolved_impacts_conserve_and_reenter(kind, rule, u, rate, spin, h, lea
         p_after = ET @ (om.T @ ev.lambda_B - Ld.d1_w(ev.q_tilde, ev.w_out, s2))
         assert np.abs(p_after - p_before).max(initial=0.0) <= 2 * TOL
         assert np.abs(om @ ev.w_out).max(initial=0.0) <= TOL
-        assert np.dot(model.boundary_gap_grad(ev.q_tilde), ev.w_out) > 0
+        normal = model.boundary_gap_grad(ev.q_tilde)
+        assert np.dot(normal, ev.w_in) < 0
+        assert np.dot(normal, ev.w_out) > 0

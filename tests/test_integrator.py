@@ -42,7 +42,14 @@ from nhvi.integrator import (
 )
 from nhvi.models import sample_boundary_points
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS, _dot, fd_jacobian
-from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
+from tests.conftest import (
+    ELLIPSE_Q0,
+    ELLIPSE_V0,
+    PENDULUM_Q0,
+    PENDULUM_V0,
+    VALLEY_DOC,
+    valley_particle,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -742,12 +749,11 @@ class TestErrorPaths:
             )
 
     def test_persistent_penetration_after_one_attempt(self, monkeypatch):
-        # a midpoint star whose first impact, at step 1, leaves a corner
-        # below the floor: the collision is attempted once, then the run aborts
-        kind, doc = workloads.bounce_config(1, 383)
-        assert kind == "star"
-        cfg = config_from_dict(doc)
-        model = build_model(cfg)
+        # a particle over a valley floor whose first impact, at step 1, lands
+        # below the rising floor: the collision is attempted once, then the
+        # run aborts
+        cfg = config_from_dict(VALLEY_DOC)
+        model = valley_particle(build_model(cfg))
         Ld = make_discrete_lagrangian(model, cfg.rule)
         attempts = []
         real_attempt = integrator._attempt_impact

@@ -24,6 +24,7 @@ from nhvi import (
 )
 from nhvi.integrator import _step_system
 from nhvi.models import sample_boundary_points
+from nhvi.validation import run_all_checks
 
 
 @pytest.mark.parametrize("make, params", [
@@ -80,6 +81,30 @@ def test_records_reject_infinities_naming_the_field(record, field, value):
 def test_mechanical_model_rejects_inconsistent_dimensions(particle, changes, match):
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(particle, **changes)
+
+
+STAR = StarShape(l=1.0)
+# every built-in model variant: `nhvi validate` covers only the bundled
+# configurations, and a wrong star edge slope once hid outside them
+VARIANTS = {
+    "particle": (make_particle, ParticleParams()),
+    "ellipse-vertical": (make_se2_body, Se2BodyParams()),
+    "ellipse-edge-slope": (make_se2_body, Se2BodyParams(contact_frame="edge-slope")),
+    "star-vertical": (make_se2_body, Se2BodyParams(shape=STAR, inertia=0.5)),
+    "star-edge-slope": (make_se2_body, Se2BodyParams(shape=STAR, inertia=0.5,
+                                                     contact_frame="edge-slope")),
+    "pendulum": (make_pendulum, PendulumParams()),
+    "pendulum-constant-gain": (make_pendulum, PendulumParams(f=lambda theta: 0.5)),
+}
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_built_in_variant_validates(variant, rule):
+    make, params = VARIANTS[variant]
+    failed = [(name, detail) for name, passed, detail in run_all_checks(make(params), rule)
+              if not passed]
+    assert not failed
 
 
 class TestParticle:
