@@ -143,8 +143,8 @@ def test_solved_set_does_not_shrink(outcomes):
 
 def test_solved_impacts_arrive_inward(runs):
     # every impact of a solved member meets the boundary moving out of the
-    # admissible set: grad c(q~) . w_in < 0.  With the star's edge slope wrong
-    # in three quadrants, 50 star impacts broke this and were bounced anyway.
+    # admissible set: grad c(q~) . w_in < 0.  A wrong gap gradient shows here,
+    # as a bounce of a body that was already leaving the contact face.
     outward = [(seed, index, rule, ev.k)
                for (seed, index, rule), run in runs.items() if run.traj is not None
                for ev in run.traj.impacts
@@ -164,8 +164,7 @@ def test_solved_impacts_arrive_inward(runs):
 
 REVERSAL_NODE_TOL = 1e-6
 REVERSAL_ALPHA_TOL = 1e-5
-# (seed, index) -> error of the solved members whose reversed run fails; none
-# does since the star's edge slope was corrected (13 stars failed before)
+# (seed, index) -> error of the solved members whose reversed run fails
 REVERSAL_FAILURES = {}
 
 

@@ -84,8 +84,8 @@ def test_mechanical_model_rejects_inconsistent_dimensions(particle, changes, mat
 
 
 STAR = StarShape(l=1.0)
-# every built-in model variant: `nhvi validate` covers only the bundled
-# configurations, and a wrong star edge slope once hid outside them
+# every built-in model variant; `nhvi validate` is tested only on the bundled
+# configurations, which have no star
 VARIANTS = {
     "particle": (make_particle, ParticleParams()),
     "ellipse-vertical": (make_se2_body, Se2BodyParams()),
