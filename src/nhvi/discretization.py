@@ -30,6 +30,9 @@ from .geometry import GRAZING_TOL, MechanicalModel
 from .numerics import _dot, as_vector
 
 RULES = ("midpoint", "retraction-left")
+# the fraction c of a sub-step where the discrete velocity is the true one
+# under constant acceleration (`DiscreteLagrangian.velocity_point`)
+VELOCITY_POINT = {"midpoint": 0.5, "retraction-left": 1.0}
 
 
 class DiscreteLagrangian:
@@ -47,12 +50,18 @@ class DiscreteLagrangian:
     sequences of floats, `d3`/`d3_w` a float, and the Jacobians lists of
     row lists.  No partial calls numpy: the dL/dv . w of `d3_w`, like every
     row of `d13_dw`, is the left-to-right sum `numerics._dot`.
+
+    `velocity_point` is the fraction c of a sub-step [t, t + s] at which
+    the rule's discrete velocity equals the true velocity under constant
+    acceleration, w = u(t + c s): 1/2 for midpoint, 1 for retraction-left.
+    The impact solver extrapolates the pre-impact arc with it.
     """
 
     def __init__(self, model: MechanicalModel, rule: str):
         if rule not in RULES:
             raise ValueError(f"unknown discretization rule {rule!r}; expected one of {RULES}")
         self.rule = rule
+        self.velocity_point = VELOCITY_POINT[rule]
 
         L = model.lagrangian
         Lq = model.dL_dq

@@ -20,6 +20,7 @@ push-forward are `_dot` sums over its rows, with no numpy call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -96,9 +97,10 @@ def boundary_frame(model: MechanicalModel, q_tilde: Sequence[float]) -> Boundary
     on every entry the model returns (numpy arrays give the same frame).
 
     Raises NotOnBoundary if |c(q_tilde)| exceeds the frame tolerance and
-    DegenerateFrame if a shape is wrong or P.E differs from the identity
+    DegenerateFrame if a shape is wrong, P.E differs from the identity
     (e.g. at a star-shape corner where the edge function is not
-    differentiable).
+    differentiable) or is not finite, or the gap gradient has a non-finite
+    entry.
     """
     q_tilde = [float(x) for x in q_tilde]
     c = model.boundary_gap(q_tilde)
@@ -115,12 +117,15 @@ def boundary_frame(model: MechanicalModel, q_tilde: Sequence[float]) -> Boundary
             f"frame shapes inconsistent with n={n}: row lengths E{shapes[0]}, P{shapes[1]}"
         )
     ET = _columns(E, n - 1)
-    if any(abs(_dot(row, col) - (i == j)) > FRAME_IDENTITY_TOL
+    # written so that a NaN entry of E or P fails the test
+    if any(not abs(_dot(row, col) - (i == j)) <= FRAME_IDENTITY_TOL
            for i, row in enumerate(P) for j, col in enumerate(ET)):
         raise DegenerateFrame(
             f"projection is not a left inverse of the tangent basis at {q_tilde}"
         )
     normal = tuple(map(float, model.boundary_gap_grad(q_tilde)))
+    if not all(map(math.isfinite, normal)):
+        raise DegenerateFrame(f"gap gradient {normal} at {q_tilde} is not finite")
     return BoundaryFrame(q_tilde=q_tilde, ET=ET, P=P, normal=normal)
 
 

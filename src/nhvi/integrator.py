@@ -32,16 +32,36 @@ closed-form assignment above, and the discarded normal component is recorded
 on the event as `compat_residual`.
 
 The energy equation in phase B is quadratic-like with a penetrating and a
-reflecting root.  One Newton solve looks for the reflecting root, seeded by
-the model's own elastic impact law, the s2 -> 0 limit of phase B: with
-M = Lvv(q~, w_in) and E, omega at q~, the jump w_out - w_in = mu d, lambda_B
-= mu l lies on the line (d, l) spanning the kernel of
-[[E^T M, E^T omega^T], [omega, 0]], and kinetic-energy equality picks the
-nonzero root mu = -2 (d^T M w_in) / (d^T M d).  The converged root is
-accepted only if the post-impact direction re-enters the interior; when it
-does not, the law's own normal rate tells a contact where the model admits
-no elastic bounce (NoElasticRebound) from a solve that found the other root
-(RootSelectionAmbiguous).
+reflecting root.  One Newton solve looks for the reflecting root.  Both of
+its seeds build on the model's own elastic impact law, the s2 -> 0 limit
+of phase B: with M = Lvv(q~, w_in) and E, omega at q~, the jump
+w_out - w_in = mu d, lambda_B = mu l lies on the line (d, l) spanning the
+kernel of [[E^T M, E^T omega^T], [omega, 0]], and kinetic-energy equality
+picks the nonzero root mu = -2 (d^T M w_in) / (d^T M d).
+
+When node k - 1 is known (step k - 1 was smooth), phases B and D start
+from the pre-impact arc instead.  Its constant acceleration is
+a = (w_in - w_prev) / ((1 - c) h + c s1), with w_prev = (q_k - q_{k-1}) / h,
+s1 = alpha h, s2 = (1 - alpha) h and c the rule's velocity point
+(`DiscreteLagrangian.velocity_point`: a discrete velocity over [t, t + s]
+is the true one at t + c s).  Phase B starts on the law's line through the
+impact-instant velocity u- = w_in + (1 - c) s1 a, at
+w = u- + mu d + c s2 a, lambda = mu l, where mu is the larger root of the
+quadratic through three samples of the energy row along that line.  Phase
+D starts from w_out + ((1 - c) s2 + c h) a.  For a constant metric, a
+linear potential and no constraints (every built-in body but the
+pendulum) the momentum rows vanish on the whole line and the energy row is
+exactly quadratic on it, so these seeds are the roots and both solves take
+no iteration.  Where the arc is unknown (k = 0, or an impact at step
+k - 1), phase B starts from the law's own w and phase D from w_out; phase
+B does so too on a singular law or when the samples have no real root.
+Newton decides either way: the residuals, the tolerance and the error
+typing are the same.
+
+The converged root is accepted only if the post-impact direction re-enters
+the interior; when it does not, the law's own normal rate (at w_in) tells a
+contact where the model admits no elastic bounce (NoElasticRebound) from a
+solve that found the other root (RootSelectionAmbiguous).
 """
 
 from __future__ import annotations
@@ -411,18 +431,16 @@ def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
     return residual_b, jac_b
 
 
-def _impact_law(model, frame, w_in):
-    """The model's elastic impact law at the boundary point frame.q_tilde.
+def _law_line(model, frame, w_in):
+    """The line of the model's elastic impact law at frame.q_tilde.
 
-    Returns (w, lam, law_rate) as lists of floats and a float: the
-    post-impact velocity w_in + mu d, the multipliers mu l, and the normal
-    rate grad c . w of the law (module doc).  The kernel line comes from one
-    square solve: the row [grad c^T, 0] with right-hand side 1 normalises
-    grad c . d = 1, so law_rate is grad c . w_in + mu.  The bordered system
-    is assembled from the frame's float rows; that solve is the law's one
-    numpy call.  When it is singular no kernel direction crosses the
-    boundary, so the law keeps the incoming normal rate, and
-    (w_in, zeros, grad c . w_in) is returned.
+    Returns (d, l, Md) as lists of floats: the kernel direction (d, l) of
+    the bordered system [[E^T M, E^T omega^T], [omega, 0]] (module doc),
+    with M = Lvv(q~, w_in), and Md = M d.  The kernel comes from one square
+    solve: the row [grad c^T, 0] with right-hand side 1 normalises
+    grad c . d = 1.  The bordered system is assembled from the frame's
+    float rows; that solve is the law's one numpy call.  When it is
+    singular no kernel direction crosses the boundary, and None is returned.
     """
     n = model.n
     m = model.m_con
@@ -434,18 +452,74 @@ def _impact_law(model, frame, w_in):
     K.append([*frame.normal, *pad])
     rhs = [0.0] * (n + m)
     rhs[-1] = 1.0
-    rate_in = _dot(frame.normal, w_in)
     try:
         kernel = np.linalg.solve(K, rhs).tolist()
     except np.linalg.LinAlgError:
-        return list(w_in), pad, rate_in
+        return None
     d = kernel[:n]
-    Md = [_dot(row, d) for row in M]
-    mu = -2.0 * _dot(Md, w_in) / _dot(Md, d)
-    return [a + mu * b for a, b in zip(w_in, d)], [mu * x for x in kernel[n:]], rate_in + mu
+    return d, kernel[n:], [_dot(row, d) for row in M]
 
 
-def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
+def _law_mu(line, u):
+    """The law's jump coefficient at velocity u: kinetic-energy equality
+    on the line u + mu d gives mu = -2 (Md . u) / (d . Md)."""
+    d, _, Md = line
+    return -2.0 * _dot(Md, u) / _dot(Md, d)
+
+
+def _law_on_line(line, frame, w_in, m):
+    """The law's post-impact velocity w_in + mu d, its multipliers mu l and
+    its normal rate grad c . w = grad c . w_in + mu, as lists of floats and
+    a float; on a singular law (line None), (w_in, zeros, grad c . w_in)."""
+    rate_in = _dot(frame.normal, w_in)
+    if line is None:
+        return list(w_in), [0.0] * m, rate_in
+    d, l, _ = line
+    mu = _law_mu(line, w_in)
+    return [a + mu * b for a, b in zip(w_in, d)], [mu * x for x in l], rate_in + mu
+
+
+def _arc_seed_b(Ld, frame, line, d3_pre, u_minus, drift, s2):
+    """The phase-B seed on the law's line through the impact-instant
+    velocity u_minus: w = u_minus + mu d + drift, lambda = mu l.
+
+    `drift` is the pre-impact arc's velocity change over the part of the
+    second sub-step before its velocity point.  The energy row
+    d3_pre - d3_w(q~, w, s2) is sampled at mu = 0, mu_c / 2 and mu_c, where
+    mu_c is the continuous law's coefficient at u_minus, and mu is the
+    larger root of the quadratic through the three samples: the one with
+    the larger normal rate, as grad c . d = 1.  (The root nearer mu_c can be
+    the penetrating one: near grazing, the O(h) energy terms of the
+    sub-steps move both roots by as much as mu_c.)  Returns [w, lambda] as
+    a list of floats, or None when the samples have no real root.
+    """
+    d, l, _ = line
+    mu_c = _law_mu(line, u_minus)
+    if not math.isfinite(mu_c):
+        return None
+    base = [a + b for a, b in zip(u_minus, drift)]
+    q_tilde = frame.q_tilde
+    d3_w = Ld.d3_w
+
+    def energy(x):
+        mu = x * mu_c
+        return d3_pre - d3_w(q_tilde, [a + mu * b for a, b in zip(base, d)], s2)
+
+    # e(x) = A x^2 + B x + C over x = mu / mu_c through x = 0, 1/2, 1
+    c0, e_half, e_one = energy(0.0), energy(0.5), energy(1.0)
+    A = 2.0 * (e_one - 2.0 * e_half + c0)
+    B = e_one - c0 - A
+    disc = B * B - 4.0 * A * c0
+    # written so that a NaN sample, or no real root, returns None
+    if not (disc >= 0.0 and A != 0.0):
+        return None
+    big = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    roots = (big / A, c0 / big) if big else (big / A,)
+    mu = max(x * mu_c for x in roots)
+    return [a + mu * b for a, b in zip(base, d)] + [mu * x for x in l]
+
+
+def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None):
     n = model.n
     m = model.m_con
     gap = model.boundary_gap
@@ -467,6 +541,16 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     lambda_a = res_a.x[1 + n :]
     w_in = res_a.x[1 : 1 + n]
     q_tilde = [a + s1 * b for a, b in zip(q_k, w_in)]
+    s2 = (1.0 - alpha) * h
+
+    # The pre-impact arc: with node k - 1 known, the velocity moves from
+    # w_prev = (q_k - q_{k-1}) / h to w_in, whose velocity points lie
+    # (1 - c) h + c s1 apart, so its constant acceleration is acc.
+    c = Ld.velocity_point
+    acc = None
+    if prev is not None:
+        lag = (1.0 - c) * h + c * s1
+        acc = [(w - (a - b) / h) / lag for w, a, b in zip(w_in, q_k, prev.q)]
 
     # PHASE B: momentum transfer and post-impact discrete velocity.
     frame = boundary_frame(model, q_tilde)
@@ -474,13 +558,20 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     p_tilde = pullback_cotangent(frame, d2_pre)
     compat_residual = _norm([a - b for a, b in zip(push_cotangent(frame, p_tilde), d2_pre)])
     d3_pre = Ld.d3_w(q_k, w_in, s1)
-    s2 = (1.0 - alpha) * h
     residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.ET, p_tilde, d3_pre, s2)
-    # one solve from the model's impact law: its jump already lies in the
-    # constraint distribution and reflects in the kinetic metric, so the
-    # solve lands in the reflecting root's basin
-    w_law, lam_law, law_rate = _impact_law(model, frame, w_in)
-    res_b = newton_solve(residual_b, w_law + lam_law, opts, jac_b)
+    line = _law_line(model, frame, w_in)
+    w_law, lam_law, law_rate = _law_on_line(line, frame, w_in, m)
+    z0 = None
+    if acc is not None and line is not None:
+        # on the law's line through the arc's velocity at the impact instant
+        u_minus = [w + (1.0 - c) * s1 * x for w, x in zip(w_in, acc)]
+        z0 = _arc_seed_b(Ld, frame, line, d3_pre, u_minus, [c * s2 * x for x in acc], s2)
+    if z0 is None:
+        # the model's impact law: its jump already lies in the constraint
+        # distribution and reflects in the kinetic metric, so the solve
+        # lands in the reflecting root's basin
+        z0 = w_law + lam_law
+    res_b = newton_solve(residual_b, z0, opts, jac_b)
     _require_converged(res_b, "impact-B", k, t_k)
     w_out = res_b.x[:n]
     rate = _dot(frame.normal, w_out)
@@ -496,8 +587,13 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     p_next = Ld.d2_w(q_tilde, w_out, s2)
     q_next = v_tilde
 
-    # PHASE D: full-step constrained solve from the post-impact node.
-    z0 = [a + h * b for a, b in zip(v_tilde, w_out)] + lambda_b
+    # PHASE D: full-step constrained solve from the post-impact node, whose
+    # velocity point lies (1 - c) s2 + c h past w_out's on the arc.
+    w_next = w_out
+    if acc is not None:
+        lead = (1.0 - c) * s2 + c * h
+        w_next = [w + lead * x for w, x in zip(w_out, acc)]
+    z0 = [a + h * b for a, b in zip(v_tilde, w_next)] + lambda_b
     new_state, res_d = _solve_step(Ld, model, q_next, p_next, h, z0, opts, "impact-D", k, t_k)
 
     event = ImpactEvent(
@@ -522,13 +618,13 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
     return event, new_state, records
 
 
-def _resolve_impact_impl(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k):
+def _resolve_impact_impl(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None):
     if model.boundary_gap(rejected_q) >= 0:
         raise ValueError("rejected configuration does not penetrate the boundary")
     if model.boundary_gap(q_k) < -GRAZING_TOL:
         raise ValueError("impact resolution requires an admissible pre-impact node")
     event, state, records = _attempt_impact(
-        Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k
+        Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev
     )
     gap = model.boundary_gap(state.q)
     if gap < -GRAZING_TOL:
@@ -555,10 +651,19 @@ def resolve_impact(
     opts: NewtonOptions = DEFAULT_NEWTON_OPTIONS,
     k: int = 0,
     t_k: float = 0.0,
+    prev: State | None = None,
 ):
-    """Resolve one elastic collision; returns (ImpactEvent, next State)."""
+    """Resolve one elastic collision; returns (ImpactEvent, next State).
+
+    `prev`, the node before (q_k, p_k), selects the seeds `simulate` uses
+    after a smooth step: phases B and D start from the constant-acceleration
+    arc through q_{k-1}, q_k and the phase-A solution (module doc).  Without
+    it phase B starts from the model's impact law and phase D from the
+    outgoing discrete velocity.  The seeds change only where Newton starts;
+    only `prev.q` is read.
+    """
     event, state, _ = _resolve_impact_impl(
-        Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k
+        Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev
     )
     return event, state
 
@@ -619,15 +724,16 @@ def simulate(
     impacts: List[ImpactEvent] = []
     stats = SolverStats()
     gap = model.boundary_gap
-    # node k - 1 when step k - 1 was smooth, for the quadratic seed; None at
-    # k = 0 and after an impact, which rewrote that node's v and lam
+    # node k - 1 when step k - 1 was smooth, for the quadratic seed and the
+    # arc seeds of an impact; None at k = 0 and after an impact, which
+    # rewrote that node's v and lam
     prev = None
 
     try:
         for k in range(n_steps):
             if gap(state.v) < -GRAZING_TOL:
                 event, new_state, records = _resolve_impact_impl(
-                    Ld, model, state.q, state.p, h, state.v, opts, k, state.t
+                    Ld, model, state.q, state.p, h, state.v, opts, k, state.t, prev
                 )
                 # the penetrating v_k is deleted; the phase-A boundary node
                 # is the actual trajectory value of this slot

@@ -185,8 +185,11 @@ class TestRun:
             npt.assert_array_equal(a, getattr(st, name))
         # v is the penetrating candidate the failed impact resolution deleted
         assert model.boundary_gap(v) < 0
+        # node k - 1, present after a smooth step, selects the arc seeds
+        prev = nhvi.State(**diagnostic["prev"]) if "prev" in diagnostic else None
         with pytest.raises(getattr(nhvi, error)) as replay:
-            nhvi.resolve_impact(Ld, model, q, p, cfg.h, v, cfg.solver, node["k"], node["t"])
+            nhvi.resolve_impact(Ld, model, q, p, cfg.h, v, cfg.solver, node["k"], node["t"],
+                                prev)
         assert str(replay.value) == diagnostic["message"]
         # the rest of error.json is the error's context: each key is the
         # replayed error's attribute, bit for bit

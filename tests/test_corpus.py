@@ -152,6 +152,66 @@ def test_solved_impacts_arrive_inward(runs):
     assert not outward, f"impacts whose incoming velocity leaves the boundary: {outward}"
 
 
+def test_arc_seeds_are_the_roots_of_corpus_bounces(runs):
+    # Every corpus body has a constant metric and a linear potential, so the
+    # pre-impact arc through node k - 1 is exact: after a smooth step,
+    # phases B and D start on their roots and take no Newton iteration.
+    iterating = []
+    for (seed, index, rule), run in runs.items():
+        if run.traj is None:
+            continue
+        stats = run.traj.solver_stats
+        after_impact = False
+        for k, phase, iters in zip(stats.ks, stats.phases, stats.iterations):
+            if phase == "impact-A":
+                seeded = k > 0 and not after_impact
+            elif phase in ("impact-B", "impact-D") and seeded and iters:
+                iterating.append((seed, index, rule, k, phase, iters))
+            after_impact = phase == "impact-D"
+    assert not iterating, f"arc-seeded solves that iterated: {iterating}"
+
+
+SAME_ROOT_TOL = 1e-9
+
+
+def resolved_end(run, node, seed_node):
+    """How `resolve_impact` from `node`, with node k - 1 `seed_node` or
+    None, ends: ("ok", [w_out, lambda_B]) or (error type, None)."""
+    try:
+        event, _ = nhvi.resolve_impact(run.Ld, run.model, node.q, node.p, run.traj.h, node.v,
+                                       run.opts, node.k, node.t, seed_node)
+    except nhvi.NhviError as exc:
+        return type(exc).__name__, None
+    return "ok", np.array([*event.w_out, *event.lambda_B])
+
+
+def test_arc_seed_finds_the_law_seeds_root(runs):
+    # With node k - 1 known, phases B and D start from the pre-impact arc;
+    # without it, from the impact law and w_out.  Every impact after a
+    # smooth step is resolved again from node k both ways, and Newton must
+    # end the same way, on the same root.
+    differ = []
+    impacts = 0
+    for (seed, index, rule), run in runs.items():
+        if run.traj is None:
+            continue
+        impact_steps = {ev.k for ev in run.traj.impacts}
+        for k in sorted(impact_steps):
+            if k == 0 or k - 1 in impact_steps:
+                continue  # simulate knows no node k - 1 there
+            prev = run.traj.states[k - 1]
+            before = run.traj.states[k - 2] if k >= 2 and k - 2 not in impact_steps else None
+            # node k as step k - 1 made it, with the candidate v_k it rejected
+            node = nhvi.step_plus(run.Ld, run.model, prev, run.traj.h, run.opts, before)
+            arc, arc_x = resolved_end(run, node, prev)
+            law, law_x = resolved_end(run, node, None)
+            impacts += 1
+            if arc != law or (arc_x is not None and np.abs(arc_x - law_x).max() > SAME_ROOT_TOL):
+                differ.append((seed, index, rule, k, arc, law))
+    assert impacts >= 5000
+    assert not differ, f"impacts whose arc and law seeds end differently: {differ}"
+
+
 # --- reversibility through impacts ---------------------------------------------
 # The midpoint discrete Lagrangian is self-adjoint and every corpus Lagrangian
 # is even in velocity, so the discrete flow, impacts included, is time-

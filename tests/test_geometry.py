@@ -81,6 +81,18 @@ class TestFrameExamples:
         with pytest.raises(DegenerateFrame, match=match):
             boundary_frame(model, np.array([3.0, 0.0]))
 
+    @pytest.mark.parametrize("patch, match", [
+        ({"tangent_basis": lambda q: ((math.nan,), (0.0,))}, "not a left inverse"),
+        ({"projection": lambda q: ((1.0, math.nan),)}, "not a left inverse"),
+        ({"boundary_gap_grad": lambda q: (0.0, math.nan)}, "gap gradient"),
+    ], ids=["nan-in-E", "nan-in-P", "nan-in-gradient"])
+    def test_non_finite_frame_is_degenerate(self, particle, patch, match):
+        # a NaN compares False with every tolerance, so it must fail the
+        # checks rather than slip past them
+        model = dataclasses.replace(particle, **patch)
+        with pytest.raises(DegenerateFrame, match=match):
+            boundary_frame(model, np.array([3.0, 0.0]))
+
 
 class TestCotangentTransfer:
     def test_se2_pullback_matches_edge_formula(self, ellipse_body_edge_slope):

@@ -35,8 +35,10 @@ from nhvi.errors import (
 )
 from nhvi.geometry import BoundaryFrame, boundary_frame, pullback_cotangent, push_cotangent
 from nhvi.integrator import (
+    _arc_seed_b,
     _impact_b_system,
-    _impact_law,
+    _law_line,
+    _law_on_line,
     _resolve_impact_impl,
     _step_plus_impl,
 )
@@ -98,18 +100,23 @@ class TestPredictor:
     last three nodes, except at k = 0 and on the first step after an impact,
     which fall back to the linear seed 2 v_k - q_k."""
 
-    @pytest.mark.parametrize("demo", ["particle", "ellipse"])
-    def test_free_flight_seed_is_exact(self, demo):
-        # midpoint free flight is exactly quadratic in the nodes, so the
-        # quadratic seed already solves the step
+    @pytest.mark.parametrize("demo, rule", [
+        ("particle", "midpoint"), ("ellipse", "midpoint"), ("particle", "retraction-left"),
+    ], ids=["particle", "ellipse", "particle-retraction-left"])
+    def test_free_flight_seed_is_exact(self, demo, rule):
+        # free flight is exactly quadratic in the nodes under both rules, so
+        # the quadratic seed already solves the step; constant metric and
+        # gravity make the pre-impact arc exact too, so phases B and D start
+        # on their roots
         cfg = parse_config(bundled_config_path(demo))
-        assert cfg.rule == "midpoint"
         model = build_model(cfg)
-        Ld = make_discrete_lagrangian(model, cfg.rule)
+        Ld = make_discrete_lagrangian(model, rule)
         traj = simulate(Ld, model, cfg.q0, cfg.v0, cfg.t0, cfg.t_final, cfg.h, cfg.solver)
         stats = traj.solver_stats
         linear = 0
         for i, (phase, iters) in enumerate(zip(stats.phases, stats.iterations)):
+            if phase in ("impact-B", "impact-D"):
+                assert iters == 0, (stats.ks[i], phase)
             if phase != "step":
                 continue
             if i == 0 or stats.phases[i - 1] == "impact-D":
@@ -119,6 +126,7 @@ class TestPredictor:
                 assert iters == 0, stats.ks[i]
         assert traj.impacts
         assert linear == 1 + len(traj.impacts)
+        assert stats.phases.count("impact-B") == len(traj.impacts)
 
     def test_pendulum_long_one_iteration_per_step(self, pendulum, pendulum_left):
         # the pendulum_long benchmark configuration: 20 000 steps, one impact
@@ -295,7 +303,8 @@ class TestImpactJacobians:
         assert worst <= 1e-6
 
     @staticmethod
-    def _assert_only_phase_a_differences(monkeypatch, Ld, model, q_k, p_k, h, rejected):
+    def _assert_only_phase_a_differences(monkeypatch, Ld, model, q_k, p_k, h, rejected,
+                                         prev=None):
         calls = []
         real = numerics.fd_jacobian
 
@@ -305,31 +314,64 @@ class TestImpactJacobians:
 
         monkeypatch.setattr(numerics, "fd_jacobian", counting)
         _, _, records = _resolve_impact_impl(
-            Ld, model, q_k, p_k, h, rejected, DEFAULT_NEWTON_OPTIONS, 0, 0.0
+            Ld, model, q_k, p_k, h, rejected, DEFAULT_NEWTON_OPTIONS, 0, 0.0, prev
         )
         (_, phase_a, iters_a, _), (_, phase_b, iters_b, _), _ = records
         assert (phase_a, phase_b) == ("impact-A", "impact-B")
-        assert iters_a >= 1 and iters_b >= 1
+        assert iters_a >= 1
+        # the law seed needs Newton; the arc seed may already be the root
+        assert iters_b >= (1 if prev is None else 0)
         # one finite-difference Jacobian per phase-A iteration, none after
         assert len(calls) == iters_a
+        return records
 
-    def test_particle_impact_differences_phase_a_only(self, monkeypatch, particle, particle_mid):
+    @staticmethod
+    def _particle_impact():
+        """Node k of a midpoint particle in free flight, h, the candidate it
+        rejects and node k - 1, whose w = (q_k - q_{k-1}) / h is (1.7, -0.49)."""
         q_k = np.array([0.3, 0.049])
         p_k = np.array([1.7, -0.98])
         h = 0.1
         rejected = q_k + h * p_k - 0.5 * h * h * 9.8 * np.array([0.0, 1.0])
+        prev = State(-1, -h, [0.13, 0.098], q_k.tolist(), [1.7, 0.0], [])
+        return q_k, p_k, h, rejected, prev
+
+    def test_particle_impact_differences_phase_a_only(self, monkeypatch, particle, particle_mid):
+        q_k, p_k, h, rejected, _ = self._particle_impact()
         self._assert_only_phase_a_differences(
             monkeypatch, particle_mid, particle, q_k, p_k, h, rejected
         )
 
-    def test_pendulum_impact_differences_phase_a_only(self, monkeypatch, pendulum, pendulum_left):
+    def test_particle_arc_seed_differences_phase_a_only(self, monkeypatch, particle,
+                                                        particle_mid):
+        records = self._assert_only_phase_a_differences(
+            monkeypatch, particle_mid, particle, *self._particle_impact()
+        )
+        # the arc seeds of phases B and D are their roots
+        assert [rec[2] for rec in records[1:]] == [0, 0]
+
+    @staticmethod
+    def _pendulum_impact(pendulum, pendulum_left):
+        """Node k before the first impact of the retraction-left pendulum,
+        still holding the penetrating v_k, h, and node k - 1."""
         h = 1e-3
         k = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, h).impacts[0].k
-        # stop before step k, so node k still holds the penetrating v_k
-        st = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, k * h, h).states[-1]
+        states = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, k * h, h).states
+        st = states[-1]
         assert st.k == k and pendulum.boundary_gap(st.v) < 0
+        return st, h, states[-2]
+
+    def test_pendulum_impact_differences_phase_a_only(self, monkeypatch, pendulum, pendulum_left):
+        st, h, _ = self._pendulum_impact(pendulum, pendulum_left)
         self._assert_only_phase_a_differences(
             monkeypatch, pendulum_left, pendulum, st.q, st.p, h, st.v
+        )
+
+    def test_pendulum_arc_seed_differences_phase_a_only(self, monkeypatch, pendulum,
+                                                        pendulum_left):
+        st, h, prev = self._pendulum_impact(pendulum, pendulum_left)
+        self._assert_only_phase_a_differences(
+            monkeypatch, pendulum_left, pendulum, st.q, st.p, h, st.v, prev
         )
 
 
@@ -362,6 +404,12 @@ def bordered_kernel_system(model, frame, w_in):
     return K, M
 
 
+def impact_law(model, frame, w_in):
+    """The model's elastic impact law at frame.q_tilde, as phase B computes
+    it: (w, lam, law_rate) on the kernel line of one bordered solve."""
+    return _law_on_line(_law_line(model, frame, w_in), frame, w_in, model.m_con)
+
+
 def numpy_impact_law(model, frame, w_in):
     """The impact law written with numpy matrix products, as a reference
     for the float implementation (a regular bordered system assumed)."""
@@ -382,7 +430,7 @@ class TestImpactLaw:
 
     def test_particle_seed_flips_only_vertical_rate(self, particle):
         frame = boundary_frame(particle, np.array([0.3, 0.0]))
-        w, lam, law_rate = _impact_law(particle, frame, [1.7, -2.3])
+        w, lam, law_rate = impact_law(particle, frame, [1.7, -2.3])
         assert w == [1.7, 2.3]
         assert lam == []
         assert law_rate == 2.3
@@ -405,7 +453,7 @@ class TestImpactLaw:
                 raise
 
         monkeypatch.setattr(integrator.np.linalg, "solve", solve)
-        w, lam, law_rate = _impact_law(particle, frame, w_in)
+        w, lam, law_rate = impact_law(particle, frame, w_in)
         assert len(raised) == 1
         assert w == w_in
         assert lam == []
@@ -415,7 +463,7 @@ class TestImpactLaw:
         for q_tilde in sample_boundary_points(ellipse_body, 20, rng):
             frame = boundary_frame(ellipse_body, q_tilde)
             w_in = incoming_velocity(ellipse_body, frame, rng)
-            w, _, law_rate = _impact_law(ellipse_body, frame, w_in)
+            w, _, law_rate = impact_law(ellipse_body, frame, w_in)
             npt.assert_array_equal(w[:2], w_in[:2])
             npt.assert_allclose(w[2], -w_in[2], rtol=1e-15, atol=1e-15)
             assert law_rate == pytest.approx(np.dot(frame.normal, w), rel=1e-12, abs=1e-12)
@@ -424,7 +472,7 @@ class TestImpactLaw:
         for q_tilde in sample_boundary_points(pendulum, 20, rng):
             frame = boundary_frame(pendulum, q_tilde)
             w_in = incoming_velocity(pendulum, frame, rng)
-            w, _, law_rate = _impact_law(pendulum, frame, w_in)
+            w, _, law_rate = impact_law(pendulum, frame, w_in)
             w, w_in = np.array(w), np.array(w_in)
             M = np.array(pendulum.d2L(q_tilde, w_in)[2])
             assert abs(np.array(pendulum.omega(q_tilde)) @ w).max() <= 1e-12 * np.abs(w).max()
@@ -437,7 +485,7 @@ class TestImpactLaw:
         for q_tilde in sample_boundary_points(model, 20, rng):
             frame = boundary_frame(model, q_tilde)
             w_in = incoming_velocity(model, frame, rng)
-            w, lam, law_rate = _impact_law(model, frame, w_in)
+            w, lam, law_rate = impact_law(model, frame, w_in)
             K, M = bordered_kernel_system(model, frame, w_in)
             jump = [a - b for a, b in zip(w, w_in)]
             x = np.array(jump + lam)
@@ -455,7 +503,7 @@ class TestImpactLaw:
         for q_tilde in sample_boundary_points(model, 20, rng):
             frame = boundary_frame(model, q_tilde)
             w_in = incoming_velocity(model, frame, rng)
-            w, lam, law_rate = _impact_law(model, frame, w_in)
+            w, lam, law_rate = impact_law(model, frame, w_in)
             w_ref, lam_ref, rate_ref = numpy_impact_law(model, frame, w_in)
             scale = max(1.0, np.abs(w_ref).max())
             npt.assert_allclose(w, w_ref, rtol=1e-12, atol=1e-12 * scale)
@@ -469,8 +517,8 @@ class TestImpactLaw:
         # the integrator's numpy namespace reduced to np.linalg.solve, and the
         # discrete Lagrangian's and the geometry's to nothing: the boundary
         # frame and the cotangent maps make no numpy call, the law solves
-        # once, and the phase-B residual (its energy row through d3_w) and
-        # Jacobian make no numpy call
+        # once, and the arc seed on the law's line, the phase-B residual (its
+        # energy row through d3_w) and Jacobian make no numpy call
         model = request.getfixturevalue(model_fixture)
         Ld = make_discrete_lagrangian(model, "midpoint")
         q_tilde = sample_boundary_points(model, 1, rng)[0].tolist()
@@ -490,11 +538,14 @@ class TestImpactLaw:
         p_tilde = pullback_cotangent(frame, p)
         p_back = push_cotangent(frame, p_tilde)
         assert all_floats(frame.q_tilde, frame.normal, *frame.ET, *frame.P, p_tilde, p_back)
-        w, lam, law_rate = _impact_law(model, frame, w_in)
+        line = _law_line(model, frame, w_in)
+        w, lam, law_rate = _law_on_line(line, frame, w_in, model.m_con)
         assert solves == [True]
+        d3_pre = Ld.d3_w(q_tilde, w_in, 1e-3)
+        seed = _arc_seed_b(Ld, frame, line, d3_pre, w_in, [0.0] * model.n, 1e-3)
         residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.ET, p_tilde, 0.5, 1e-3)
         z = w + lam
-        assert all_floats([law_rate], z, residual_b(z), *jac_b(z))
+        assert all_floats([law_rate, d3_pre], seed, z, residual_b(z), *jac_b(z))
         assert solves == [True]
 
     def test_pendulum_phase_b_solves_once_per_attempt(self, monkeypatch, pendulum):

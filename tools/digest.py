@@ -33,6 +33,9 @@ type; those counts are printed only, not hashed.
 After the six lines, one `bounce-solution[<kind>]` line per body kind of
 bench/workloads.py `BOUNCE_KINDS` hashes the solution of that kind's
 members alone, so a change whose rounding moves one body kind shows which.
+Last, one `bounce-iterations[<rule>]` line per rule prints, without
+hashing, the Newton iterations of the solved corpus runs summed per solver
+phase (`step`, `impact-A`, `impact-B`, `impact-D`), with the solve count.
 
 Run it from a checkout, and once more against another checkout to compare:
 
@@ -57,6 +60,8 @@ from pathlib import Path
 import numpy as np
 
 SEEDS = (1, 2)
+PHASES = ("step", "impact-A", "impact-B", "impact-D")
+RULES = ("midpoint", "retraction-left")
 
 
 def import_checkout(root: Path):
@@ -123,23 +128,34 @@ def simulate_doc(nhvi, doc: dict):
     return traj, Ld, model
 
 
-def outcome_of(nhvi, doc: dict) -> str:
-    """"ok <impact count>", or the type of the error the run raised."""
+def count_iterations(iterations: Counter, traj) -> None:
+    """Add a solved run's Newton iterations and solves, per phase."""
+    stats = traj.solver_stats
+    for phase, iters in zip(stats.phases, stats.iterations):
+        iterations[phase] += int(iters)
+        iterations[phase, "solves"] += 1
+
+
+def outcome_of(nhvi, doc: dict, iterations: Counter) -> str:
+    """"ok <impact count>", or the type of the error the run raised; a
+    solved run's iterations go into `iterations`."""
     try:
         traj, _, _ = simulate_doc(nhvi, doc)
     except nhvi.NhviError as exc:
         return type(exc).__name__
+    count_iterations(iterations, traj)
     return f"ok {len(traj.impacts)}"
 
 
-def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict) -> str:
+def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict, iterations: Counter) -> str:
     """Simulate one configuration document into the two digests; returns
-    its outcome, as `outcome_of` does."""
+    its outcome, and adds a solved run's iterations, as `outcome_of` does."""
     try:
         traj, Ld, model = simulate_doc(nhvi, doc)
     except nhvi.NhviError as exc:
         solution.text(f"error {type(exc).__name__}: {exc}")
         return type(exc).__name__
+    count_iterations(iterations, traj)
     solution.text(f"states {len(traj.states)}")
     for st in traj.states:
         solution.ints([st.k])
@@ -187,6 +203,12 @@ def breakdown(unsolved: Counter) -> str:
     return f"{sum(unsolved.values())} unsolved" + (f": {types}" if types else "")
 
 
+def phase_totals(iterations: Counter) -> str:
+    """"<phase> <iterations>/<solves>" for each solver phase."""
+    return ", ".join(f"{phase} {iterations[phase]}/{iterations[phase, 'solves']}"
+                     for phase in PHASES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -200,13 +222,14 @@ def main(argv=None) -> int:
     members = runs = 0
     unsolved, runs_unsolved = Counter(), Counter()
     kind_unsolved = {kind: Counter() for kind in workloads.BOUNCE_KINDS}
+    iterations = {rule: Counter() for rule in RULES}
     for seed in SEEDS:
         for index in range(workloads.BOUNCE_MEMBERS):
             kind, doc = workloads.bounce_config(seed, index)
             solution = Tee(bounce, by_kind[kind])
             solution.text(f"member {seed} {index}")
             bounce_derived.text(f"member {seed} {index}")
-            outcome = digest_run(solution, bounce_derived, nhvi, doc)
+            outcome = digest_run(solution, bounce_derived, nhvi, doc, iterations["midpoint"])
             members += 1
             kind_members[kind] += 1
             if not outcome.startswith("ok "):
@@ -215,7 +238,8 @@ def main(argv=None) -> int:
             rule_outcomes = [("midpoint", outcome)]
             if kind != "particle":
                 rule_outcomes.append(
-                    ("retraction-left", outcome_of(nhvi, {**doc, "rule": "retraction-left"})))
+                    ("retraction-left", outcome_of(nhvi, {**doc, "rule": "retraction-left"},
+                                                   iterations["retraction-left"])))
             for rule, outcome in rule_outcomes:
                 outcomes.text(f"member {seed} {index} {kind} {rule} {outcome}")
                 runs += 1
@@ -227,7 +251,7 @@ def main(argv=None) -> int:
     print(f"bounce-outcomes    {outcomes.hexdigest()}  ({runs} runs, {breakdown(runs_unsolved)})")
 
     pendulum, pendulum_derived = Digest(), Digest()
-    outcome = digest_run(pendulum, pendulum_derived, nhvi, workloads.pendulum_config())
+    outcome = digest_run(pendulum, pendulum_derived, nhvi, workloads.pendulum_config(), Counter())
     print(f"pendulum-solution  {pendulum.hexdigest()}  ({outcome})")
     print(f"pendulum-derived   {pendulum_derived.hexdigest()}")
 
@@ -238,6 +262,8 @@ def main(argv=None) -> int:
     for kind, d in by_kind.items():
         print(f"bounce-solution[{kind}]  {d.hexdigest()}  "
               f"({kind_members[kind]} members, {breakdown(kind_unsolved[kind])})")
+    for rule, counts in iterations.items():
+        print(f"bounce-iterations[{rule}]  {phase_totals(counts)}  (iterations/solves)")
     return 0
 
 
