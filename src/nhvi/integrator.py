@@ -32,29 +32,30 @@ closed-form assignment above, and the discarded normal component is recorded
 on the event as `compat_residual`.
 
 The energy equation in phase B is quadratic-like with a penetrating and a
-reflecting root.  One Newton solve looks for the reflecting root.  Both of
-its seeds build on the model's own elastic impact law, the s2 -> 0 limit
+reflecting root.  One Newton solve looks for the reflecting root, from a
+seed on the line of the model's own elastic impact law, the s2 -> 0 limit
 of phase B: with M = Lvv(q~, w_in) and E, omega at q~, the jump
 w_out - w_in = mu d, lambda_B = mu l lies on the line (d, l) spanning the
 kernel of [[E^T M, E^T omega^T], [omega, 0]], and kinetic-energy equality
-picks the nonzero root mu = -2 (d^T M w_in) / (d^T M d).
+picks the nonzero root mu = -2 (d^T M u) / (d^T M d) at velocity u.
 
-When node k - 1 is known (step k - 1 was smooth), phases B and D start
-from the pre-impact arc instead.  Its constant acceleration is
+Phases B and D start from the pre-impact arc.  Its constant acceleration is
 a = (w_in - w_prev) / ((1 - c) h + c s1), with w_prev = (q_k - q_{k-1}) / h,
 s1 = alpha h, s2 = (1 - alpha) h and c the rule's velocity point
 (`DiscreteLagrangian.velocity_point`: a discrete velocity over [t, t + s]
-is the true one at t + c s).  Phase B starts on the law's line through the
+is the true one at t + c s); where node k - 1 is unknown (k = 0, or an
+impact at step k - 1), a = 0.  Phase B starts on the law's line through the
 impact-instant velocity u- = w_in + (1 - c) s1 a, at
 w = u- + mu d + c s2 a, lambda = mu l, where mu is the larger root of the
-quadratic through three samples of the energy row along that line.  Phase
-D starts from w_out + ((1 - c) s2 + c h) a.  For a constant metric, a
-linear potential and no constraints (every built-in body but the
-pendulum) the momentum rows vanish on the whole line and the energy row is
-exactly quadratic on it, so these seeds are the roots and both solves take
-no iteration.  Where the arc is unknown (k = 0, or an impact at step
-k - 1), phase B starts from the law's own w and phase D from w_out; phase
-B does so too on a singular law or when the samples have no real root.
+quadratic through three samples of the energy row along that line, or the
+law's mu at u- when the samples have no real root.  Phase D starts from
+w_out + ((1 - c) s2 + c h) a.  For a constant metric, a linear potential
+and no constraints (every built-in body but the pendulum) the momentum
+rows vanish on the whole line and the energy row is exactly quadratic on
+it, so these seeds are the roots and both solves take no iteration when a
+is known; with a = 0 the phase-B seed is still the root where the arc's
+acceleration has no part tangent to the boundary.  On a singular law, or
+one without a finite mu, phase B starts from w_in with zero multipliers.
 Newton decides either way: the residuals, the tolerance and the error
 typing are the same.
 
@@ -467,18 +468,6 @@ def _law_mu(line, u):
     return -2.0 * _dot(Md, u) / _dot(Md, d)
 
 
-def _law_on_line(line, frame, w_in, m):
-    """The law's post-impact velocity w_in + mu d, its multipliers mu l and
-    its normal rate grad c . w = grad c . w_in + mu, as lists of floats and
-    a float; on a singular law (line None), (w_in, zeros, grad c . w_in)."""
-    rate_in = _dot(frame.normal, w_in)
-    if line is None:
-        return list(w_in), [0.0] * m, rate_in
-    d, l, _ = line
-    mu = _law_mu(line, w_in)
-    return [a + mu * b for a, b in zip(w_in, d)], [mu * x for x in l], rate_in + mu
-
-
 def _arc_seed_b(Ld, frame, line, d3_pre, u_minus, drift, s2):
     """The phase-B seed on the law's line through the impact-instant
     velocity u_minus: w = u_minus + mu d + drift, lambda = mu l.
@@ -486,17 +475,16 @@ def _arc_seed_b(Ld, frame, line, d3_pre, u_minus, drift, s2):
     `drift` is the pre-impact arc's velocity change over the part of the
     second sub-step before its velocity point.  The energy row
     d3_pre - d3_w(q~, w, s2) is sampled at mu = 0, mu_c / 2 and mu_c, where
-    mu_c is the continuous law's coefficient at u_minus, and mu is the
-    larger root of the quadratic through the three samples: the one with
-    the larger normal rate, as grad c . d = 1.  (The root nearer mu_c can be
-    the penetrating one: near grazing, the O(h) energy terms of the
-    sub-steps move both roots by as much as mu_c.)  Returns [w, lambda] as
-    a list of floats, or None when the samples have no real root.
+    mu_c is the continuous law's coefficient at u_minus (finite: the caller
+    checks the law), and mu is the larger root of the quadratic through the
+    three samples: the one with the larger normal rate, as grad c . d = 1.
+    (The root nearer mu_c can be the penetrating one: near grazing, the
+    O(h) energy terms of the sub-steps move both roots by as much as mu_c.)
+    When the samples have no real root, mu is mu_c.  Returns [w, lambda] as
+    a list of floats.
     """
     d, l, _ = line
     mu_c = _law_mu(line, u_minus)
-    if not math.isfinite(mu_c):
-        return None
     base = [a + b for a, b in zip(u_minus, drift)]
     q_tilde = frame.q_tilde
     d3_w = Ld.d3_w
@@ -510,12 +498,12 @@ def _arc_seed_b(Ld, frame, line, d3_pre, u_minus, drift, s2):
     A = 2.0 * (e_one - 2.0 * e_half + c0)
     B = e_one - c0 - A
     disc = B * B - 4.0 * A * c0
-    # written so that a NaN sample, or no real root, returns None
-    if not (disc >= 0.0 and A != 0.0):
-        return None
-    big = -0.5 * (B + math.copysign(math.sqrt(disc), B))
-    roots = (big / A, c0 / big) if big else (big / A,)
-    mu = max(x * mu_c for x in roots)
+    mu = mu_c
+    # written so that a NaN sample, or no real root, keeps mu_c
+    if disc >= 0.0 and A != 0.0:
+        big = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+        roots = (big / A, c0 / big) if big else (big / A,)
+        mu = max(x * mu_c for x in roots)
     return [a + mu * b for a, b in zip(base, d)] + [mu * x for x in l]
 
 
@@ -545,9 +533,10 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None)
 
     # The pre-impact arc: with node k - 1 known, the velocity moves from
     # w_prev = (q_k - q_{k-1}) / h to w_in, whose velocity points lie
-    # (1 - c) h + c s1 apart, so its constant acceleration is acc.
+    # (1 - c) h + c s1 apart, so its constant acceleration is acc.  Without
+    # it (k = 0, or an impact at step k - 1) the arc is taken as straight.
     c = Ld.velocity_point
-    acc = None
+    acc = [0.0] * n
     if prev is not None:
         lag = (1.0 - c) * h + c * s1
         acc = [(w - (a - b) / h) / lag for w, a, b in zip(w_in, q_k, prev.q)]
@@ -560,17 +549,16 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None)
     d3_pre = Ld.d3_w(q_k, w_in, s1)
     residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.ET, p_tilde, d3_pre, s2)
     line = _law_line(model, frame, w_in)
-    w_law, lam_law, law_rate = _law_on_line(line, frame, w_in, m)
-    z0 = None
-    if acc is not None and line is not None:
-        # on the law's line through the arc's velocity at the impact instant
-        u_minus = [w + (1.0 - c) * s1 * x for w, x in zip(w_in, acc)]
-        z0 = _arc_seed_b(Ld, frame, line, d3_pre, u_minus, [c * s2 * x for x in acc], s2)
-    if z0 is None:
-        # the model's impact law: its jump already lies in the constraint
-        # distribution and reflects in the kinetic metric, so the solve
-        # lands in the reflecting root's basin
-        z0 = w_law + lam_law
+    law_rate = _dot(frame.normal, w_in)
+    # a singular law, or one without a finite coefficient, seeds no jump
+    z0 = w_in + [0.0] * m
+    if line is not None:
+        mu = _law_mu(line, w_in)
+        law_rate += mu
+        if math.isfinite(mu):
+            # on the law's line through the arc's velocity at the impact instant
+            u_minus = [w + (1.0 - c) * s1 * x for w, x in zip(w_in, acc)]
+            z0 = _arc_seed_b(Ld, frame, line, d3_pre, u_minus, [c * s2 * x for x in acc], s2)
     res_b = newton_solve(residual_b, z0, opts, jac_b)
     _require_converged(res_b, "impact-B", k, t_k)
     w_out = res_b.x[:n]
@@ -589,11 +577,8 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None)
 
     # PHASE D: full-step constrained solve from the post-impact node, whose
     # velocity point lies (1 - c) s2 + c h past w_out's on the arc.
-    w_next = w_out
-    if acc is not None:
-        lead = (1.0 - c) * s2 + c * h
-        w_next = [w + lead * x for w, x in zip(w_out, acc)]
-    z0 = [a + h * b for a, b in zip(v_tilde, w_next)] + lambda_b
+    lead = (1.0 - c) * s2 + c * h
+    z0 = [a + h * (w + lead * x) for a, w, x in zip(v_tilde, w_out, acc)] + lambda_b
     new_state, res_d = _solve_step(Ld, model, q_next, p_next, h, z0, opts, "impact-D", k, t_k)
 
     event = ImpactEvent(
@@ -655,12 +640,10 @@ def resolve_impact(
 ):
     """Resolve one elastic collision; returns (ImpactEvent, next State).
 
-    `prev`, the node before (q_k, p_k), selects the seeds `simulate` uses
-    after a smooth step: phases B and D start from the constant-acceleration
-    arc through q_{k-1}, q_k and the phase-A solution (module doc).  Without
-    it phase B starts from the model's impact law and phase D from the
-    outgoing discrete velocity.  The seeds change only where Newton starts;
-    only `prev.q` is read.
+    `prev`, the node before (q_k, p_k), gives the acceleration of the
+    pre-impact arc that phases B and D start from (module doc); without it
+    the arc is taken as straight, as `step_plus` without `prev` takes it.
+    The seeds change only where Newton starts; only `prev.q` is read.
     """
     event, state, _ = _resolve_impact_impl(
         Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 import nhvi
 from nhvi.discretization import make_discrete_lagrangian
 from nhvi.geometry import GRAZING_TOL
+from nhvi.integrator import _resolve_impact_impl
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -175,22 +176,30 @@ SAME_ROOT_TOL = 1e-9
 
 
 def resolved_end(run, node, seed_node):
-    """How `resolve_impact` from `node`, with node k - 1 `seed_node` or
-    None, ends: ("ok", [w_out, lambda_B]) or (error type, None)."""
+    """How the impact from `node`, with node k - 1 `seed_node` or None,
+    ends: ("ok", [w_out, lambda_B], phase-B iterations) or (error type,
+    None, None)."""
     try:
-        event, _ = nhvi.resolve_impact(run.Ld, run.model, node.q, node.p, run.traj.h, node.v,
-                                       run.opts, node.k, node.t, seed_node)
+        event, _, records = _resolve_impact_impl(run.Ld, run.model, node.q, node.p, run.traj.h,
+                                                 node.v, run.opts, node.k, node.t, seed_node)
     except nhvi.NhviError as exc:
-        return type(exc).__name__, None
-    return "ok", np.array([*event.w_out, *event.lambda_B])
+        return type(exc).__name__, None, None
+    return "ok", np.array([*event.w_out, *event.lambda_B]), records[1][2]
 
 
-def test_arc_seed_finds_the_law_seeds_root(runs):
+# bodies whose arc acceleration, gravity, is normal to the contact face
+STRAIGHT_ARC_KINDS = ("particle", "ellipse-vertical", "star")
+
+
+def test_seeds_with_and_without_node_k_minus_1_end_alike(runs):
     # With node k - 1 known, phases B and D start from the pre-impact arc;
-    # without it, from the impact law and w_out.  Every impact after a
-    # smooth step is resolved again from node k both ways, and Newton must
-    # end the same way, on the same root.
+    # without it, from the straight arc (zero acceleration).  Every impact
+    # after a smooth step is resolved again from node k both ways, and
+    # Newton must end the same way, on the same root.  Where gravity is
+    # normal to the contact face, the straight arc's phase-B seed is the
+    # root as well.
     differ = []
+    iterating = []
     impacts = 0
     for (seed, index, rule), run in runs.items():
         if run.traj is None:
@@ -203,13 +212,18 @@ def test_arc_seed_finds_the_law_seeds_root(runs):
             before = run.traj.states[k - 2] if k >= 2 and k - 2 not in impact_steps else None
             # node k as step k - 1 made it, with the candidate v_k it rejected
             node = nhvi.step_plus(run.Ld, run.model, prev, run.traj.h, run.opts, before)
-            arc, arc_x = resolved_end(run, node, prev)
-            law, law_x = resolved_end(run, node, None)
+            arc, arc_x, _ = resolved_end(run, node, prev)
+            straight, straight_x, iters_b = resolved_end(run, node, None)
             impacts += 1
-            if arc != law or (arc_x is not None and np.abs(arc_x - law_x).max() > SAME_ROOT_TOL):
-                differ.append((seed, index, rule, k, arc, law))
+            if arc != straight or (
+                arc_x is not None and np.abs(arc_x - straight_x).max() > SAME_ROOT_TOL
+            ):
+                differ.append((seed, index, rule, k, arc, straight))
+            if run.kind in STRAIGHT_ARC_KINDS and iters_b:
+                iterating.append((seed, index, rule, k, iters_b))
     assert impacts >= 5000
-    assert not differ, f"impacts whose arc and law seeds end differently: {differ}"
+    assert not differ, f"impacts whose seeds with and without node k - 1 end differently: {differ}"
+    assert not iterating, f"straight-arc phase-B solves that iterated: {iterating}"
 
 
 # --- reversibility through impacts ---------------------------------------------

@@ -38,7 +38,7 @@ from nhvi.integrator import (
     _arc_seed_b,
     _impact_b_system,
     _law_line,
-    _law_on_line,
+    _law_mu,
     _resolve_impact_impl,
     _step_plus_impl,
 )
@@ -319,8 +319,6 @@ class TestImpactJacobians:
         (_, phase_a, iters_a, _), (_, phase_b, iters_b, _), _ = records
         assert (phase_a, phase_b) == ("impact-A", "impact-B")
         assert iters_a >= 1
-        # the law seed needs Newton; the arc seed may already be the root
-        assert iters_b >= (1 if prev is None else 0)
         # one finite-difference Jacobian per phase-A iteration, none after
         assert len(calls) == iters_a
         return records
@@ -338,9 +336,12 @@ class TestImpactJacobians:
 
     def test_particle_impact_differences_phase_a_only(self, monkeypatch, particle, particle_mid):
         q_k, p_k, h, rejected, _ = self._particle_impact()
-        self._assert_only_phase_a_differences(
+        records = self._assert_only_phase_a_differences(
             monkeypatch, particle_mid, particle, q_k, p_k, h, rejected
         )
+        # gravity is normal to the floor, so the straight arc's phase-B seed
+        # is already the root
+        assert records[1][2] == 0
 
     def test_particle_arc_seed_differences_phase_a_only(self, monkeypatch, particle,
                                                         particle_mid):
@@ -406,8 +407,15 @@ def bordered_kernel_system(model, frame, w_in):
 
 def impact_law(model, frame, w_in):
     """The model's elastic impact law at frame.q_tilde, as phase B computes
-    it: (w, lam, law_rate) on the kernel line of one bordered solve."""
-    return _law_on_line(_law_line(model, frame, w_in), frame, w_in, model.m_con)
+    it: (w, lam, law_rate) on the kernel line of one bordered solve; on a
+    singular law, (w_in, zeros, grad c . w_in)."""
+    line = _law_line(model, frame, w_in)
+    rate_in = _dot(frame.normal, w_in)
+    if line is None:
+        return list(w_in), [0.0] * model.m_con, rate_in
+    d, l, _ = line
+    mu = _law_mu(line, w_in)
+    return [a + mu * b for a, b in zip(w_in, d)], [mu * x for x in l], rate_in + mu
 
 
 def numpy_impact_law(model, frame, w_in):
@@ -539,14 +547,30 @@ class TestImpactLaw:
         p_back = push_cotangent(frame, p_tilde)
         assert all_floats(frame.q_tilde, frame.normal, *frame.ET, *frame.P, p_tilde, p_back)
         line = _law_line(model, frame, w_in)
-        w, lam, law_rate = _law_on_line(line, frame, w_in, model.m_con)
+        law_rate = _dot(frame.normal, w_in) + _law_mu(line, w_in)
         assert solves == [True]
         d3_pre = Ld.d3_w(q_tilde, w_in, 1e-3)
         seed = _arc_seed_b(Ld, frame, line, d3_pre, w_in, [0.0] * model.n, 1e-3)
         residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.ET, p_tilde, 0.5, 1e-3)
-        z = w + lam
-        assert all_floats([law_rate, d3_pre], seed, z, residual_b(z), *jac_b(z))
+        assert all_floats([law_rate, d3_pre], seed, residual_b(seed), *jac_b(seed))
         assert solves == [True]
+
+    def test_arc_seed_without_real_root_takes_law_coefficient(self, particle, particle_mid):
+        # d3_pre = 0 lies above the particle's energy row, d3_w = -E < 0, so
+        # the quadratic through the three samples has no real root
+        frame = boundary_frame(particle, [0.3, 0.0])
+        u_minus, drift, s2 = [1.7, -2.3], [0.0, -0.05], 1e-2
+        line = _law_line(particle, frame, u_minus)
+        d, l, _ = line
+        mu_c = _law_mu(line, u_minus)
+        samples = [particle_mid.d3_w(frame.q_tilde, [a + x * mu_c * b + c for a, b, c in
+                                                     zip(u_minus, d, drift)], s2)
+                   for x in (0.0, 0.5, 1.0)]
+        assert not np.isreal(np.roots(np.polyfit([0.0, 0.5, 1.0], samples, 2))).any()
+        seed = _arc_seed_b(particle_mid, frame, line, 0.0, u_minus, drift, s2)
+        expected = [a + mu_c * b + c for a, b, c in zip(u_minus, d, drift)]
+        npt.assert_allclose(seed, expected + [mu_c * x for x in l], rtol=1e-15)
+        assert seed == [1.7, 2.25]
 
     def test_pendulum_phase_b_solves_once_per_attempt(self, monkeypatch, pendulum):
         # criterion-4 configuration up to just past its first impact (t = 1.23)
