@@ -36,23 +36,19 @@ class NewtonOptions:
     tol is a bound on the residual infinity norm.  max_backtracks is the
     number of step halvings tried before an iteration stalls: the trials are
     the steps 1, 1/2, ..., 2^-max_backtracks, and 0 means the full step must
-    reduce the residual.  fd_eps is the base step for finite-difference
-    Jacobians (scaled per coordinate).  Every field is finite: a value out
-    of range, NaN or infinity included, raises ParameterError naming the
-    field.
+    reduce the residual.  Every field is finite: a value out of range, NaN
+    or infinity included, raises ParameterError naming the field.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
     max_backtracks: int = 30
-    fd_eps: float = 1e-7
 
     def __post_init__(self):
         require(self, "tol", 0 < self.tol < math.inf, "0 < tol < inf")
         require(self, "max_iter", 1 <= self.max_iter < math.inf, "1 <= max_iter < inf")
         require(self, "max_backtracks", 0 <= self.max_backtracks < math.inf,
                 "0 <= max_backtracks < inf")
-        require(self, "fd_eps", 0 < self.fd_eps < math.inf, "0 < fd_eps < inf")
 
 
 DEFAULT_NEWTON_OPTIONS = NewtonOptions()
@@ -191,7 +187,7 @@ def newton_solve(
     backtracks = 0
 
     while norm > tol and iterations < max_iter:
-        J = jac(x) if jac is not None else fd_jacobian(F, x, opts.fd_eps)
+        J = jac(x) if jac is not None else fd_jacobian(F, x)
         dx = _solve_linear(J, Fx)
 
         step = 1.0

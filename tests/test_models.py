@@ -44,7 +44,7 @@ NUMERIC_FIELDS = [
     (PendulumParams, "mass"), (PendulumParams, "gravity"),
     (PendulumParams, "length"), (PendulumParams, "radius"),
     (NewtonOptions, "tol"), (NewtonOptions, "max_iter"),
-    (NewtonOptions, "max_backtracks"), (NewtonOptions, "fd_eps"),
+    (NewtonOptions, "max_backtracks"),
 ]
 
 

@@ -314,5 +314,3 @@ class TestNewtonSolve:
             NewtonOptions(tol=0.0)
         with pytest.raises(ValueError):
             NewtonOptions(max_iter=0)
-        with pytest.raises(ValueError):
-            NewtonOptions(fd_eps=-1.0)
