@@ -195,6 +195,14 @@ def cmd_validate(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """The options `run` and `demo` share: --h, --t-final and --out."""
+    parser.add_argument("--h", type=float, default=None, help="override timestep")
+    parser.add_argument("--t-final", dest="t_final", type=float, default=None,
+                        help="override final time")
+    parser.add_argument("--out", default=None, help="output directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhvi",
@@ -207,18 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="path to a configuration JSON file")
     source.add_argument("--sweep", nargs="+", metavar="CONFIG",
                         help="run several configs in parallel workers")
-    run_p.add_argument("--h", type=float, default=None, help="override timestep")
-    run_p.add_argument("--t-final", dest="t_final", type=float, default=None,
-                       help="override final time")
-    run_p.add_argument("--out", default=None, help="output directory")
+    _add_run_options(run_p)
     run_p.set_defaults(func=cmd_run)
 
     demo_p = sub.add_parser("demo", help="run a bundled experiment")
     demo_p.add_argument("name", choices=DEMOS)
-    demo_p.add_argument("--h", type=float, default=None, help="override timestep")
-    demo_p.add_argument("--t-final", dest="t_final", type=float, default=None,
-                        help="override final time")
-    demo_p.add_argument("--out", default=None, help="output directory")
+    _add_run_options(demo_p)
     demo_p.set_defaults(func=cmd_demo)
 
     val_p = sub.add_parser("validate", help="run invariant suites without integrating")

@@ -60,6 +60,16 @@ def particle_out(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("command, options", [
+    ("run", ["-h", "--config", "--sweep", "--h", "--t-final", "--out"]),
+    ("demo", ["-h", "--h", "--t-final", "--out"]),
+])
+def test_help_lists_options_in_order(command, options, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert re.findall(r"^  (-[-\w]+)", capsys.readouterr().out, re.M) == options
+
+
 class TestDemo:
     def test_outputs_written(self, particle_out):
         for name in ("trajectory.csv", "impacts.csv", "summary.json",
