@@ -19,7 +19,7 @@ Schema (all keys shown; unknown keys are rejected with their path):
       "t0": number,                   # default 0
       "t_final": number,
       "h": number,                    # at least one step: round((t_final - t0) / h) >= 1
-      "solver": {"tol": .., "max_iter": .., "max_backtracks": ..},
+      "solver": {"tol": .., "max_iter": ..},
       "outputs": {"csv": bool, "summary": bool,
                   "plots": ["energy" | "coordinates" | "plane_trajectory", ..]}
     }
@@ -243,7 +243,7 @@ def config_from_dict(d: dict) -> SimConfig:
     solver_raw = d.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise SchemaError("expected an object", key_path="solver")
-    kinds = {"tol": float, "max_iter": int, "max_backtracks": int}
+    kinds = {"tol": float, "max_iter": int}
     _reject_unknown(solver_raw, kinds, "solver")
     solver = _record(NewtonOptions, _typed(solver_raw, kinds, "solver"), "solver")
 

@@ -96,15 +96,17 @@ def boundary_frame(model: MechanicalModel, q_tilde: Sequence[float]) -> Boundary
     """Assemble and validate the boundary frame at q_tilde, calling float()
     on every entry the model returns (numpy arrays give the same frame).
 
-    Raises NotOnBoundary if |c(q_tilde)| exceeds the frame tolerance and
-    DegenerateFrame if a shape is wrong, P.E differs from the identity
-    (e.g. at a star-shape corner where the edge function is not
-    differentiable) or is not finite, or the gap gradient has a non-finite
-    entry.
+    Raises NotOnBoundary if a coordinate of q_tilde is not finite or
+    |c(q_tilde)| is NaN or exceeds the frame tolerance, and DegenerateFrame
+    if a shape is wrong, P.E differs from the identity (e.g. at a
+    star-shape corner where the edge function is not differentiable) or is
+    not finite, or the gap gradient has a non-finite entry.
     """
     q_tilde = [float(x) for x in q_tilde]
+    if not all(map(math.isfinite, q_tilde)):
+        raise NotOnBoundary(f"point {q_tilde} is not finite")
     c = model.boundary_gap(q_tilde)
-    if abs(c) > FRAME_GAP_TOL:
+    if not abs(c) <= FRAME_GAP_TOL:  # written so that a NaN gap fails the test
         raise NotOnBoundary(
             f"gap {c:.3e} at {q_tilde} exceeds boundary tolerance {FRAME_GAP_TOL:.0e}"
         )

@@ -86,6 +86,7 @@ from .errors import (
     ParameterError,
     PersistentPenetration,
     RootSelectionAmbiguous,
+    SingularJacobian,
 )
 from .geometry import (
     GRAZING_TOL,
@@ -94,7 +95,15 @@ from .geometry import (
     pullback_cotangent,
     push_cotangent,
 )
-from .numerics import DEFAULT_NEWTON_OPTIONS, NewtonOptions, _columns, _dot, _norm, newton_solve
+from .numerics import (
+    DEFAULT_NEWTON_OPTIONS,
+    NewtonOptions,
+    _columns,
+    _dot,
+    _norm,
+    _solve_linear,
+    newton_solve,
+)
 
 log = logging.getLogger("nhvi.integrator")
 
@@ -440,8 +449,9 @@ def _law_line(model, frame, w_in):
     with M = Lvv(q~, w_in), and Md = M d.  The kernel comes from one square
     solve: the row [grad c^T, 0] with right-hand side 1 normalises
     grad c . d = 1.  The bordered system is assembled from the frame's
-    float rows; that solve is the law's one numpy call.  When it is
-    singular no kernel direction crosses the boundary, and None is returned.
+    float rows and solved by `numerics._solve_linear`, the law's one numpy
+    call.  When it is singular no kernel direction crosses the boundary,
+    and None is returned.
     """
     n = model.n
     m = model.m_con
@@ -454,8 +464,8 @@ def _law_line(model, frame, w_in):
     rhs = [0.0] * (n + m)
     rhs[-1] = 1.0
     try:
-        kernel = np.linalg.solve(K, rhs).tolist()
-    except np.linalg.LinAlgError:
+        kernel = _solve_linear(K, rhs)
+    except SingularJacobian:
         return None
     d = kernel[:n]
     return d, kernel[n:], [_dot(row, d) for row in M]

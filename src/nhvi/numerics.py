@@ -33,25 +33,22 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 class NewtonOptions:
     """Tolerances and limits for :func:`newton_solve`.
 
-    tol is a bound on the residual infinity norm.  max_backtracks is the
-    number of step halvings tried before an iteration stalls: the trials are
-    the steps 1, 1/2, ..., 2^-max_backtracks, and 0 means the full step must
-    reduce the residual.  Every field is finite: a value out of range, NaN
-    or infinity included, raises ParameterError naming the field.
+    tol is a bound on the residual infinity norm and max_iter on the
+    accepted steps.  Both are finite: a value out of range, NaN or infinity
+    included, raises ParameterError naming the field.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
-    max_backtracks: int = 30
 
     def __post_init__(self):
         require(self, "tol", 0 < self.tol < math.inf, "0 < tol < inf")
         require(self, "max_iter", 1 <= self.max_iter < math.inf, "1 <= max_iter < inf")
-        require(self, "max_backtracks", 0 <= self.max_backtracks < math.inf,
-                "0 <= max_backtracks < inf")
 
 
 DEFAULT_NEWTON_OPTIONS = NewtonOptions()
+
+MAX_HALVINGS = 30  # step halvings tried before a Newton iteration stalls
 
 
 @dataclass
@@ -141,9 +138,10 @@ def fd_jacobian(F: Callable[[list], Sequence[float]], x, eps: float = 1e-7) -> n
 
 
 def _solve_linear(J, F) -> list:
-    """Solve J dx = F with one dense `np.linalg.solve` and return dx as a
-    list of floats; a singular J (`LinAlgError`) or a step with a NaN or
-    infinite entry raises SingularJacobian."""
+    """Solve J dx = F with one dense `np.linalg.solve`, the package's only
+    one (Newton's and the impact law's), and return dx as a list of floats;
+    a singular J (`LinAlgError`) or a step with a NaN or infinite entry
+    raises SingularJacobian."""
     try:
         dx = np.linalg.solve(J, F).tolist()
     except np.linalg.LinAlgError as exc:
@@ -166,50 +164,41 @@ def newton_solve(
     its Jacobian as row sequences (or an array), otherwise
     :func:`fd_jacobian` differences F.  Each iteration makes one dense
     solve (:func:`_solve_linear`).
-    A step that does not reduce the residual infinity norm is halved up to
-    `opts.max_backtracks` times, and the first trial that reduces it is
-    accepted.  When none does, the iteration has stalled: if the smallest
-    trial is non-finite EvaluationFailure is raised, otherwise the solve
-    ends at the current iterate.  Returns the last iterate, converged when
+    The trial steps are 1, 1/2, ..., 2^-MAX_HALVINGS of the Newton step,
+    and the first that reduces the residual infinity norm is accepted.
+    When none does, the iteration has stalled: if the smallest trial is
+    non-finite EvaluationFailure is raised, otherwise the solve ends at
+    the current iterate.  Returns the last iterate, converged when
     its residual norm is <= opts.tol, and not converged after a stall or
     max_iter iterations.
     """
     tol = opts.tol
     max_iter = opts.max_iter
-    max_backtracks = opts.max_backtracks
     x = list(x0)
     Fx = F(x)
     norm = _norm(Fx)
     if norm == math.inf:
         raise EvaluationFailure("residual non-finite at the initial guess")
 
-    iterations = 0
-    backtracks = 0
-
+    iterations = backtracks = 0
     while norm > tol and iterations < max_iter:
         J = jac(x) if jac is not None else fd_jacobian(F, x)
         dx = _solve_linear(J, Fx)
-
         step = 1.0
-        x_new = [a - b for a, b in zip(x, dx)]
-        F_new = F(x_new)
-        norm_new = _norm(F_new)
-        tries = 0
-        while norm_new >= norm and tries < max_backtracks:
-            step *= 0.5
+        for halvings in range(MAX_HALVINGS + 1):
             x_new = [a - step * b for a, b in zip(x, dx)]
             F_new = F(x_new)
             norm_new = _norm(F_new)
-            tries += 1
-        backtracks += tries
+            if norm_new < norm:
+                break
+            step *= 0.5
+        backtracks += halvings
         if norm_new >= norm:
             if norm_new == math.inf:
                 raise EvaluationFailure("residual non-finite after exhausting backtracking")
             break
 
-        x = x_new
-        Fx = F_new
-        norm = norm_new
+        x, Fx, norm = x_new, F_new, norm_new
         iterations += 1
 
     return NewtonResult(

@@ -200,7 +200,6 @@ OUT_OF_RANGE = [
     ({"model": {**PENDULUM, "radius": 2.0}}, "model.radius"),
     ({"solver": {"tol": 0.0}}, "solver.tol"),
     ({"solver": {"max_iter": 0}}, "solver.max_iter"),
-    ({"solver": {"max_backtracks": -1}}, "solver.max_backtracks"),
 ]
 
 
@@ -235,6 +234,8 @@ SHAPE_ERRORS = [
     pytest.param(minimal_config(model={"type": "rocket"}), "model.type", id="unknown-type"),
     pytest.param(minimal_config(solver={"fd_eps": 1e-7}), "solver.fd_eps",
                  id="unknown-solver-key"),
+    pytest.param(minimal_config(solver={"max_backtracks": 30}), "solver.max_backtracks",
+                 id="max_backtracks-dropped"),
     pytest.param(minimal_config(model={**ELLIPSE, "shape": {"kind": "square"}}),
                  "model.shape.kind", id="unknown-shape-kind"),
     pytest.param(minimal_config(outputs={"plots": "energy"}), "outputs.plots",

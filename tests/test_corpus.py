@@ -285,6 +285,49 @@ def test_midpoint_members_retrace_when_reversed(runs):
     assert failed == REVERSAL_FAILURES
 
 
+# With a constant gain f the pendulum's constraint row omega = (f, -1) is the
+# same wherever it is evaluated, so the midpoint pendulum retraces through its
+# impacts, and the oracle above reaches the constrained branches of phases A
+# and B.  (The default gain does not retrace even without an impact: README,
+# numerical notes.)  Eight seeded starts inside the wall per gain, 3 s at
+# h = 2e-3.  Measured: all 24 members and 40 impacts retraced.
+
+REVERSAL_GAINS = (math.pi, 1.0, 0.0)
+WALL_MEMBERS = 8
+
+
+def wall_start(model, i):
+    """(q(0), v(0)) of wall member i: inside the wall, on the constraint."""
+    rng = np.random.default_rng([9, i])
+    p = model.params
+    theta0 = rng.uniform(math.pi - math.asin(p.radius / p.length) + 0.05, math.pi - 0.05)
+    phi0 = rng.uniform(0.0, 2.0 * math.pi)
+    theta_dot = rng.uniform(-3.0, 3.0)
+    q0 = np.array([theta0, phi0])
+    return q0, np.array([theta_dot, model.omega(q0)[0][0] * theta_dot])
+
+
+@pytest.mark.parametrize("gain", REVERSAL_GAINS, ids=["pi", "1", "0"])
+def test_constant_gain_pendulum_retraces_when_reversed(gain):
+    model = nhvi.make_pendulum(nhvi.PendulumParams(f=lambda theta: gain))
+    Ld = make_discrete_lagrangian(model, "midpoint")
+    failed, impacts = {}, 0
+    for i in range(WALL_MEMBERS):
+        q0, v0 = wall_start(model, i)
+        try:
+            traj = nhvi.simulate(Ld, model, q0, v0, 0.0, 3.0, 2e-3)
+        except nhvi.NhviError as exc:
+            failed[i] = type(exc).__name__
+            continue
+        impacts += len(traj.impacts)
+        run = Run("pendulum", None, model, Ld, DEFAULT_NEWTON_OPTIONS, traj)
+        problem = reversal_problem(run)
+        if problem:
+            failed[i] = problem
+    assert not failed, f"wall members with gain {gain} that do not retrace: {failed}"
+    assert impacts > 0
+
+
 # --- pendulum pole subset ----------------------------------------------------
 # Spherical-pendulum starts near the pole theta = pi, where the metric entry
 # ml^2 sin^2(theta) of Lvv nearly vanishes: a fixed subset of the pendulum

@@ -58,9 +58,11 @@ class TestFrameExamples:
         npt.assert_allclose(E[:, 1], [1.0, 0.0, pd], atol=1e-15)
         npt.assert_allclose(P @ E, np.eye(2), atol=1e-12)
 
-    def test_not_on_boundary(self, particle):
+    @pytest.mark.parametrize("q", [[0.0, 0.5], [0.3, math.nan], [math.nan, 0.0]],
+                             ids=["off-boundary", "nan-gap", "nan-coordinate"])
+    def test_not_on_boundary(self, particle, q):
         with pytest.raises(NotOnBoundary):
-            boundary_frame(particle, np.array([0.0, 0.5]))
+            boundary_frame(particle, np.array(q))
 
     def test_star_corner_is_degenerate(self):
         model = make_se2_body(

@@ -276,6 +276,22 @@ class TestResolveImpact:
         assert np.max(np.abs(np.array(pendulum.omega(traj.q[ev.k])) @ ev.w_in)) <= 1e-10
         assert np.max(np.abs(np.array(pendulum.omega(ev.q_tilde)) @ ev.w_out)) <= 1e-10
 
+    @pytest.mark.parametrize("demo, coordinate", [
+        ("particle", "y"), ("ellipse", "y"), ("pendulum", "theta"),
+    ])
+    def test_compat_residual_is_the_discarded_normal_momentum(self, demo, coordinate):
+        # each bundled demo's frame has E spanning every coordinate but the
+        # normal one, so push(pull(d2)) - d2 is -d2 along it alone
+        cfg = parse_config(bundled_config_path(demo))
+        model = build_model(cfg)
+        Ld = make_discrete_lagrangian(model, cfg.rule)
+        traj = simulate(Ld, model, cfg.q0, cfg.v0, cfg.t0, cfg.t_final, cfg.h, cfg.solver)
+        i = model.coordinate_names.index(coordinate)
+        assert traj.impacts
+        for ev in traj.impacts:
+            d2_pre = Ld.d2_w(traj.q[ev.k].tolist(), ev.w_in, ev.alpha * cfg.h)
+            assert ev.compat_residual == abs(d2_pre[i]), ev.k
+
 
 IMPACT_MODELS = ["particle", "ellipse_body", "ellipse_body_edge_slope", "star_body", "pendulum"]
 
@@ -460,7 +476,7 @@ class TestImpactLaw:
                 raised.append(K)
                 raise
 
-        monkeypatch.setattr(integrator.np.linalg, "solve", solve)
+        monkeypatch.setattr(numerics.np.linalg, "solve", solve)
         w, lam, law_rate = impact_law(particle, frame, w_in)
         assert len(raised) == 1
         assert w == w_in
@@ -522,11 +538,12 @@ class TestImpactLaw:
     @pytest.mark.parametrize("model_fixture", IMPACT_MODELS)
     def test_law_and_phase_b_make_one_numpy_call(self, model_fixture, rng, monkeypatch,
                                                  request):
-        # the integrator's numpy namespace reduced to np.linalg.solve, and the
-        # discrete Lagrangian's and the geometry's to nothing: the boundary
-        # frame and the cotangent maps make no numpy call, the law solves
-        # once, and the arc seed on the law's line, the phase-B residual (its
-        # energy row through d3_w) and Jacobian make no numpy call
+        # the numerics' numpy namespace reduced to np.linalg.solve, and the
+        # integrator's, the discrete Lagrangian's and the geometry's to
+        # nothing: the boundary frame and the cotangent maps make no numpy
+        # call, the law solves once through numerics, and the arc seed on the
+        # law's line, the phase-B residual (its energy row through d3_w) and
+        # Jacobian make no numpy call
         model = request.getfixturevalue(model_fixture)
         Ld = make_discrete_lagrangian(model, "midpoint")
         q_tilde = sample_boundary_points(model, 1, rng)[0].tolist()
@@ -539,7 +556,8 @@ class TestImpactLaw:
             return np.linalg.solve(K, rhs)
 
         linalg = types.SimpleNamespace(solve=solve, LinAlgError=np.linalg.LinAlgError)
-        monkeypatch.setattr(integrator, "np", types.SimpleNamespace(linalg=linalg))
+        monkeypatch.setattr(numerics, "np", types.SimpleNamespace(linalg=linalg))
+        monkeypatch.setattr(integrator, "np", types.SimpleNamespace())
         monkeypatch.setattr(discretization, "np", types.SimpleNamespace())
         monkeypatch.setattr(geometry, "np", types.SimpleNamespace())
         frame = boundary_frame(model, q_tilde)

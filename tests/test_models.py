@@ -44,7 +44,6 @@ NUMERIC_FIELDS = [
     (PendulumParams, "mass"), (PendulumParams, "gravity"),
     (PendulumParams, "length"), (PendulumParams, "radius"),
     (NewtonOptions, "tol"), (NewtonOptions, "max_iter"),
-    (NewtonOptions, "max_backtracks"),
 ]
 
 

@@ -33,9 +33,12 @@ type; those counts are printed only, not hashed.
 After the six lines, one `bounce-solution[<kind>]` line per body kind of
 bench/workloads.py `BOUNCE_KINDS` hashes the solution of that kind's
 members alone, so a change whose rounding moves one body kind shows which.
-Last, one `bounce-iterations[<rule>]` line per rule prints, without
+Then one `bounce-iterations[<rule>]` line per rule prints, without
 hashing, the Newton iterations of the solved corpus runs summed per solver
 phase (`step`, `impact-A`, `impact-B`, `impact-D`), with the solve count.
+Last, one `demos[<demo>/<file>]` line per file the demos write hashes that
+file's bytes alone, so a change that moves, say, only the summaries shows
+which files moved.
 
 Run it from a checkout, and once more against another checkout to compare:
 
@@ -182,18 +185,20 @@ def digest_run(solution: Digest, derived: Digest, nhvi, doc: dict, iterations: C
     return f"ok {len(traj.impacts)}"
 
 
-def digest_demos(d: Digest, cli, names) -> int:
-    """Run each bundled demo through the CLI into `d`; the number of files."""
-    files = 0
+def digest_demos(d: Digest, cli, names) -> dict:
+    """Run each bundled demo through the CLI into `d`; returns each file's
+    own SHA-256 by "<demo>/<file>"."""
+    files = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             out = Path(tmp) / name
             rc = cli.main(["demo", name, "--out", str(out)])
             d.text(f"demo {name} exit {rc}")
             for path in sorted(out.iterdir()):
+                data = path.read_bytes()
                 d.text(path.name)
-                d.blob(path.read_bytes())
-                files += 1
+                d.blob(data)
+                files[f"{name}/{path.name}"] = hashlib.sha256(data).hexdigest()
     return files
 
 
@@ -257,13 +262,16 @@ def main(argv=None) -> int:
 
     demos = Digest()
     files = digest_demos(demos, nhvi.cli, workloads.DEMOS)
-    print(f"demos              {demos.hexdigest()}  ({len(workloads.DEMOS)} demos, {files} files)")
+    print(f"demos              {demos.hexdigest()}  "
+          f"({len(workloads.DEMOS)} demos, {len(files)} files)")
 
     for kind, d in by_kind.items():
         print(f"bounce-solution[{kind}]  {d.hexdigest()}  "
               f"({kind_members[kind]} members, {breakdown(kind_unsolved[kind])})")
     for rule, counts in iterations.items():
         print(f"bounce-iterations[{rule}]  {phase_totals(counts)}  (iterations/solves)")
+    for name, sha in files.items():
+        print(f"demos[{name}]  {sha}")
     return 0
 
 
