@@ -249,6 +249,10 @@ def _step_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_base, p_base,
     n = model.n
     d1 = Ld.d1
     d1_dv = Ld.d1_dv
+    # Unlike phases A and B, the smooth step keeps an m = 0 closure: guarding
+    # the constraint terms inside the general one splits its momentum-row
+    # comprehension in two and cost pendulum_long +5.4% us_per_step (8 of 8
+    # alternating pairs) and bounce_sweep +2.1% (6 of 8), on a 2-CPU Xeon.
     if not model.m_con:
 
         def residual(z):
@@ -357,30 +361,20 @@ def _impact_a_system(Ld, model, q_k, p_k, h):
     """Residual of the phase-A equations (module doc) over the unknown
     z = [alpha, w_in, lambda_A]; the solver's and the records' one copy."""
     n = model.n
+    m = model.m_con
     gap = model.boundary_gap
     d1_w = Ld.d1_w
-    # Without constraints the general systems of phases A and B give the
-    # same bits, but their empty multiplier sums cost bounce_sweep ~7%.
-    if not model.m_con:
-
-        def residual_a(z):
-            s = z[0] * h
-            w = z[1:]
-            r = [f + p for f, p in zip(d1_w(q_k, w, s), p_k)]
-            r.append(gap([a + s * b for a, b in zip(q_k, w)]))
-            return r
-
-        return residual_a
-
-    om_k = model.omega(q_k)
-    omT_k = _columns(om_k, n)
+    if m:
+        om_k = model.omega(q_k)
+        omT_k = _columns(om_k, n)
 
     def residual_a(z):
         s = z[0] * h
-        w = z[1 : 1 + n]
-        lam = z[1 + n :]
-        r = [f + p - _dot(col, lam) for f, p, col in zip(d1_w(q_k, w, s), p_k, omT_k)]
-        r += [_dot(row, w) for row in om_k]
+        w, lam = z[1 : 1 + n], z[1 + n :]
+        r = [f + p for f, p in zip(d1_w(q_k, w, s), p_k)]
+        if m:
+            r = [a - _dot(col, lam) for a, col in zip(r, omT_k)]
+            r += [_dot(row, w) for row in om_k]
         r.append(gap([a + s * b for a, b in zip(q_k, w)]))
         return r
 
@@ -398,45 +392,29 @@ def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
     d1_w = Ld.d1_w
     d3_w = Ld.d3_w
     d13_dw = Ld.d13_dw
-    # as in phase A: the same bits as the general system, without its empty sums
-    if not m:
-
-        def residual_b(z):
-            force = d1_w(q_tilde, z, s2)
-            r = [d3_pre - d3_w(q_tilde, z, s2)]
-            r += [_dot(e, force) + p for e, p in zip(ET, p_tilde)]
-            return r
-
-        def jac_b(z):
-            dd1, dd3 = d13_dw(q_tilde, z, s2)
-            cols = list(zip(*dd1))
-            return [[-x for x in dd3]] + [[_dot(e, c) for c in cols] for e in ET]
-
-        return residual_b, jac_b
-
-    om_t = model.omega(q_tilde)
-    omT_t = _columns(om_t, n)
+    if m:
+        om_t = model.omega(q_tilde)
+        omT_t = _columns(om_t, n)
+        # the lambda columns and constraint rows are constant over the solve
+        right = [[0.0] * m] + [[-_dot(e, row) for row in om_t] for e in ET]
+        bottom = [list(row) + [0.0] * m for row in om_t]
 
     def residual_b(z):
-        u = z[:n]
-        lam = z[n:]
-        force = [f - _dot(col, lam) for f, col in zip(d1_w(q_tilde, u, s2), omT_t)]
+        u, lam = z[:n], z[n:]
+        force = d1_w(q_tilde, u, s2)
+        if m:
+            force = [f - _dot(col, lam) for f, col in zip(force, omT_t)]
         r = [d3_pre - d3_w(q_tilde, u, s2)]
         r += [_dot(e, force) + p for e, p in zip(ET, p_tilde)]
-        r += [_dot(row, u) for row in om_t]
+        if m:
+            r += [_dot(row, u) for row in om_t]
         return r
-
-    # the lambda columns and constraint rows are constant over the solve
-    right = [[-_dot(e, row) for row in om_t] for e in ET]
-    bottom = [list(row) + [0.0] * m for row in om_t]
-    top_right = [0.0] * m
 
     def jac_b(z):
         dd1, dd3 = d13_dw(q_tilde, z[:n], s2)
         cols = list(zip(*dd1))
-        J = [[-x for x in dd3] + top_right]
-        J += [[_dot(e, c) for c in cols] + r for e, r in zip(ET, right)]
-        return J + bottom
+        J = [[-x for x in dd3]] + [[_dot(e, c) for c in cols] for e in ET]
+        return [row + c for row, c in zip(J, right)] + bottom if m else J
 
     return residual_b, jac_b
 

@@ -120,8 +120,8 @@ def fd_jacobian(F: Callable[[list], Sequence[float]], x, eps: float = 1e-7) -> n
     The columns are built over floats and stacked once, into the array the
     dense solve takes without converting it.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:  # written so that a NaN eps fails the test
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     cols = []
     for j, xj in enumerate(x):
         e = eps * max(1.0, abs(xj))

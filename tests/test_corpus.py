@@ -328,6 +328,35 @@ def test_constant_gain_pendulum_retraces_when_reversed(gain):
     assert impacts > 0
 
 
+# The same wall members with the default gain, whose constraint row moves with
+# theta, under both rules: no oracle, but phases A, B and D all iterate on
+# the constrained branches.  Measured: all 16 runs solved, 11 impacts per
+# rule; midpoint phases A, B and D take 20, 22 and 17 iterations in all.
+
+# (rule, member) -> error type of the default-gain wall members that may fail
+PENDULUM_WALL_FAILURES = {}
+PENDULUM_WALL_MIN_IMPACTS = 11
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_default_gain_pendulum_wall_solved(rule):
+    model = nhvi.make_pendulum()
+    Ld = make_discrete_lagrangian(model, rule)
+    failed, impacts = {}, 0
+    for i in range(WALL_MEMBERS):
+        q0, v0 = wall_start(model, i)
+        try:
+            traj = nhvi.simulate(Ld, model, q0, v0, 0.0, 3.0, 2e-3)
+        except nhvi.NhviError as exc:
+            failed[rule, i] = type(exc).__name__
+            continue
+        impacts += len(traj.impacts)
+    new = {key: error for key, error in failed.items()
+           if PENDULUM_WALL_FAILURES.get(key) != error}
+    assert not new, f"default-gain wall members outside the committed table: {new}"
+    assert impacts >= PENDULUM_WALL_MIN_IMPACTS
+
+
 # --- pendulum pole subset ----------------------------------------------------
 # Spherical-pendulum starts near the pole theta = pi, where the metric entry
 # ml^2 sin^2(theta) of Lvv nearly vanishes: a fixed subset of the pendulum

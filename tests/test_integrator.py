@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import types
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -1008,6 +1009,47 @@ BALL_TUPLES = dict(
     d2L=lambda q, v: (((0.0,),), ((0.0,),), ((1.0,),)),
     omega=lambda q: (),
 )
+
+
+def omega_calls(model, rule, q0, v0, h, t_final):
+    """The model.omega calls of each step of the run from (q0, v0), as a
+    Counter of ("step" | "impact", calls): every node is advanced by one
+    `step_plus` or `resolve_impact` call on a model whose omega counts."""
+    calls = []
+
+    def omega(q):
+        calls.append(q)
+        return model.omega(q)
+
+    counted = dataclasses.replace(model, omega=omega)
+    Ld = make_discrete_lagrangian(counted, rule)
+    q, v, p = initial_discretize(counted, rule, q0, v0, h)
+    state = State(0, 0.0, q, v, p, [0.0] * model.m_con)
+    counts = Counter()
+    for _ in range(round(t_final / h)):
+        calls.clear()
+        if model.boundary_gap(state.v) < -geometry.GRAZING_TOL:
+            _, state = resolve_impact(Ld, counted, state.q, state.p, h, state.v)
+            counts["impact", len(calls)] += 1
+        else:
+            state = step_plus(Ld, counted, state, h)
+            counts["step", len(calls)] += 1
+    return counts
+
+
+class TestOmegaCalls:
+    # The counts the traced benchmark's models.omega.calls_per_step reads.
+    # An unconstrained model evaluates omega only for the impact law; the
+    # pendulum evaluates it once per smooth step, and in phase A, the law,
+    # phase B and phase D of an impact.
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    @pytest.mark.parametrize("model_fixture, per_step, per_impact",
+                             [("particle", 0, 1), ("ellipse_body", 0, 1), ("pendulum", 1, 4)])
+    def test_omega_calls_per_node(self, model_fixture, per_step, per_impact, rule, request):
+        model = request.getfixturevalue(model_fixture)
+        q0, v0, h, t_final = FLOAT_RUNS[model_fixture]
+        counts = omega_calls(model, rule, np.array(q0), np.array(v0), h, t_final)
+        assert set(counts) == {("step", per_step), ("impact", per_impact)}
 
 
 class TestCustomModel:

@@ -210,6 +210,13 @@ class TestFdJacobian:
         with pytest.raises(ValueError):
             fd_jacobian(lambda x: x, np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+    def test_rejects_eps_that_is_not_finite_and_positive(self, eps):
+        # NaN and inf would otherwise surface as an EvaluationFailure that
+        # blames the function
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            fd_jacobian(lambda x: x, np.array([1.0]), eps)
+
 
 class TestNewtonSolve:
     def test_scalar_quadratic_root(self):

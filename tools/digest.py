@@ -1,6 +1,6 @@
 """Bit-identity digests of nhvi's numerical results.
 
-Prints six SHA-256 digests, one per line:
+Prints eight SHA-256 digests, one per line:
 
     bounce-solution    the bounce corpus: bench/workloads.py `bounce_config`
     bounce-derived     seeds 1-2, every member (768 midpoint runs of particle,
@@ -10,6 +10,11 @@ Prints six SHA-256 digests, one per line:
                        tests/test_corpus.py);
     pendulum-solution  the pendulum_long benchmark configuration (criterion-4
     pendulum-derived   pendulum, h = 1e-4, 20 000 steps);
+    pendulum-wall-solution, pendulum-wall-derived
+                       the wall members of tests/test_corpus.py
+                       `wall_start` (0-7) with the default gain, under
+                       both rules, 3 s at h = 2e-3: 16 runs whose impacts
+                       reach the constrained branches of phases A and B;
     demos              every file `nhvi demo NAME --out DIR` writes for the
                        bundled particle, ellipse and pendulum demos (CSV,
                        summary and SVG).
@@ -30,7 +35,7 @@ contributes its exit code and the name and bytes of every file it wrote.
 The two bounce lines that count unsolved runs also count them by error
 type; those counts are printed only, not hashed.
 
-After the six lines, one `bounce-solution[<kind>]` line per body kind of
+After the eight lines, one `bounce-solution[<kind>]` line per body kind of
 bench/workloads.py `BOUNCE_KINDS` hashes the solution of that kind's
 members alone, so a change whose rounding moves one body kind shows which.
 Then one `bounce-iterations[<rule>]` line per rule prints, without
@@ -45,14 +50,16 @@ Run it from a checkout, and once more against another checkout to compare:
     python3 tools/digest.py
     python3 tools/digest.py --root ../other-checkout
 
-The workload definitions are imported, unchanged, from `<root>/bench`, and
-nhvi from `<root>/src`.  A run takes well under a minute.
+The workload definitions are imported, unchanged, from `<root>/bench`,
+`wall_start` from `<root>/tests/test_corpus.py`, and nhvi from
+`<root>/src`.  A run takes well under a minute.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import struct
 import sys
@@ -80,6 +87,22 @@ def import_checkout(root: Path):
     if Path(nhvi.__file__).resolve().parent != (root / "src" / "nhvi").resolve():
         raise SystemExit(f"digest: imported nhvi from {nhvi.__file__}, not from {root}")
     return nhvi, workloads
+
+
+def wall_docs(root: Path, nhvi, workloads):
+    """(label, config document) of each default-gain pendulum wall run: the
+    `wall_start` members of `<root>/tests/test_corpus.py` under both rules."""
+    spec = importlib.util.spec_from_file_location("digest_test_corpus",
+                                                  root / "tests" / "test_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    model = nhvi.make_pendulum()
+    for rule in RULES:
+        for i in range(corpus.WALL_MEMBERS):
+            q0, v0 = corpus.wall_start(model, i)
+            yield f"wall {i} {rule}", {**workloads.pendulum_config(), "rule": rule,
+                                       "q0": q0.tolist(), "v0": v0.tolist(),
+                                       "t_final": 3.0, "h": 2e-3}
 
 
 class Digest:
@@ -259,6 +282,21 @@ def main(argv=None) -> int:
     outcome = digest_run(pendulum, pendulum_derived, nhvi, workloads.pendulum_config(), Counter())
     print(f"pendulum-solution  {pendulum.hexdigest()}  ({outcome})")
     print(f"pendulum-derived   {pendulum_derived.hexdigest()}")
+
+    wall, wall_derived = Digest(), Digest()
+    wall_unsolved, wall_impacts, wall_runs = Counter(), 0, 0
+    for label, doc in wall_docs(args.root.resolve(), nhvi, workloads):
+        wall.text(label)
+        wall_derived.text(label)
+        outcome = digest_run(wall, wall_derived, nhvi, doc, Counter())
+        wall_runs += 1
+        if outcome.startswith("ok "):
+            wall_impacts += int(outcome.split()[1])
+        else:
+            wall_unsolved[outcome] += 1
+    print(f"pendulum-wall-solution  {wall.hexdigest()}  "
+          f"({wall_runs} runs, {wall_impacts} impacts, {breakdown(wall_unsolved)})")
+    print(f"pendulum-wall-derived   {wall_derived.hexdigest()}")
 
     demos = Digest()
     files = digest_demos(demos, nhvi.cli, workloads.DEMOS)

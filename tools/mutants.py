@@ -105,8 +105,8 @@ MUTANTS = (
     ),
     Mutant(
         "phase-a-force-sign", INTEGRATOR,
-        "r = [f + p - _dot(col, lam) for f, p, col in zip(d1_w(q_k, w, s), p_k, omT_k)]",
-        "r = [f + p + _dot(col, lam) for f, p, col in zip(d1_w(q_k, w, s), p_k, omT_k)]",
+        "r = [a - _dot(col, lam) for a, col in zip(r, omT_k)]",
+        "r = [a + _dot(col, lam) for a, col in zip(r, omT_k)]",
         "the constraint force in phase A's momentum rows has its sign flipped, "
         "which negates every lambda_A",
     ),
