@@ -222,7 +222,7 @@ def recompute_solve_residuals(
             out[i] = _norm(residual(v[j].tolist() + lam[j].tolist()))
         elif phase == "impact-A":
             ev = events[k]
-            residual = _impact_a_system(Ld, model, q[k].tolist(), p[k].tolist(), h)
+            residual, _ = _impact_a_system(Ld, model, q[k].tolist(), p[k].tolist(), h)
             out[i] = _norm(residual([ev.alpha, *ev.w_in, *ev.lambda_A]))
         elif phase == "impact-B":
             ev = events[k]

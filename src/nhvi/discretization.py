@@ -44,7 +44,7 @@ class DiscreteLagrangian:
     five digits to cancellation.  `d1`, `d2`, `d3` over (q, v, h) are the
     same functions at w = (v - q)/h.  From the model's Hessian blocks,
     `d1_dv` is the Jacobian of d1 in v (smooth steps, phase D) and `d13_dw`
-    those of d1_w and d3_w in w (the phase-B impact solve).
+    those of d1_w and d3_w in w (the phase-A and phase-B impact solves).
 
     Everything is written over Python floats: the vector partials return
     sequences of floats, `d3`/`d3_w` a float, and the Jacobians lists of

@@ -51,10 +51,11 @@ class MechanicalModel:
     integrator only indexes, iterates and zips them, so numpy arrays work
     too, at numpy's cost per call.  An impact builds one frame, whose E^T
     rows and normal phase B and the impact law read as they are.  The
-    Newton Jacobians of the smooth steps and phase B come from `d2L`, and
-    phase B is seeded with the kinetic metric Lvv.  `params` is the record
-    a built-in model was made from (`ParticleParams`, `Se2BodyParams` or
-    `PendulumParams`); custom models may leave it None.
+    Newton Jacobians of the smooth steps and phases A and B come from
+    `d2L` (phase A's alpha column apart), and phase B is seeded with the
+    kinetic metric Lvv.  `params` is the record a built-in model was made
+    from (`ParticleParams`, `Se2BodyParams` or `PendulumParams`); custom
+    models may leave it None.
     """
 
     name: str

@@ -17,6 +17,8 @@ than configurations, so the sub-step difference quotients are never formed:
        and multipliers, from d1(q_k, q~, alpha h) + p_k in the constraint
        span, omega(q_k) w_in = 0, and c(q~) = 0, where
        q~ = q_k + alpha h w_in is the boundary point (replacing v_k).
+       Its Newton Jacobian is assembled from the Hessian blocks, omega and
+       the gap gradient, but for the alpha column, which is differenced.
     B: transfer the momentum to the boundary, p~ = E^T d2(q_k, q~, alpha h),
        then find the outgoing discrete velocity w_out and multipliers from
        energy matching d3 = d3, the boundary-projected momentum balance, and
@@ -77,6 +79,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
+from . import numerics
 from .discretization import DiscreteLagrangian, initial_discretize
 from .errors import (
     AlphaOutOfRange,
@@ -358,15 +361,27 @@ def step_minus(
 
 
 def _impact_a_system(Ld, model, q_k, p_k, h):
-    """Residual of the phase-A equations (module doc) over the unknown
-    z = [alpha, w_in, lambda_A]; the solver's and the records' one copy."""
+    """Residual and Jacobian of the phase-A equations (module doc) over the
+    unknown z = [alpha, w_in, lambda_A]; the solver's and the records' one
+    copy.  The w block is the first block of `d13_dw` at s = alpha h in the
+    momentum rows, omega(q_k) in the constraint rows and s grad c(q~) in the
+    gap row, and the lambda columns are the constant -omega^T(q_k).  Only the
+    alpha column is differenced, by `numerics.fd_jacobian` on the residual
+    in alpha alone, with the step of a full central-difference Jacobian's
+    first column."""
     n = model.n
     m = model.m_con
     gap = model.boundary_gap
+    gap_grad = model.boundary_gap_grad
     d1_w = Ld.d1_w
+    d13_dw = Ld.d13_dw
+    pad = [0.0] * m
     if m:
         om_k = model.omega(q_k)
         omT_k = _columns(om_k, n)
+        # the lambda columns and constraint rows are constant over the solve
+        right = [list(map(neg, col)) for col in omT_k]
+        bottom = [list(row) + pad for row in om_k]
 
     def residual_a(z):
         s = z[0] * h
@@ -378,7 +393,18 @@ def _impact_a_system(Ld, model, q_k, p_k, h):
         r.append(gap([a + s * b for a, b in zip(q_k, w)]))
         return r
 
-    return residual_a
+    def jac_a(z):
+        s = z[0] * h
+        w, tail = z[1 : 1 + n], z[1:]
+        # through the module, so that a replaced numerics.fd_jacobian is called
+        d_alpha = numerics.fd_jacobian(lambda x: residual_a(x + tail), z[:1])
+        J = d13_dw(q_k, w, s)[0]
+        if m:
+            J = [row + c for row, c in zip(J, right)] + bottom
+        J.append([s * g for g in gap_grad([a + s * b for a, b in zip(q_k, w)])] + pad)
+        return [[a, *row] for a, row in zip(d_alpha.ravel().tolist(), J)]
+
+    return residual_a, jac_a
 
 
 def _impact_b_system(Ld, model, q_tilde, ET, p_tilde, d3_pre, s2):
@@ -505,11 +531,11 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None)
     # digits at impact sub-steps.
 
     # PHASE A: impact fraction, boundary point and multipliers.
-    residual_a = _impact_a_system(Ld, model, q_k, p_k, h)
+    residual_a, jac_a = _impact_a_system(Ld, model, q_k, p_k, h)
     c_k = gap(q_k)
     alpha0 = c_k / (c_k - gap(rejected_q))
     z0 = [alpha0, *[(b - a) / h for a, b in zip(q_k, rejected_q)], *[0.0] * m]
-    res_a = newton_solve(residual_a, z0, opts)
+    res_a = newton_solve(residual_a, z0, opts, jac_a)
     _require_converged(res_a, "impact-A", k, t_k)
     alpha = res_a.x[0]
     if not 0.0 < alpha < 1.0:

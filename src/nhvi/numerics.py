@@ -8,7 +8,8 @@ index, iterate and zip; numpy arrays work too, at numpy's speed.
 pendulum but phase A, and the particle's phase A) by an unrolled pivoted
 elimination over floats, and every other size with LAPACK.  So a Newton
 iteration's numpy calls are LAPACK's dense solve on the 2 x 2 and 4 x 4
-systems, and `fd_jacobian` stacking its columns (phase A only).
+systems, and `fd_jacobian` building the array of the one column phase A
+differences, its alpha column.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ DEFAULT_NEWTON_OPTIONS = NewtonOptions()
 MAX_HALVINGS = 30  # step halvings tried before a Newton iteration stalls
 
 
-@dataclass
+@dataclass(slots=True)
 class NewtonResult:
     """Outcome of :func:`newton_solve`.
 
@@ -264,7 +265,4 @@ def newton_solve(
         x, Fx, norm = x_new, F_new, norm_new
         iterations += 1
 
-    return NewtonResult(
-        x=x, residual_norm=norm, iterations=iterations, converged=norm <= tol,
-        backtracks=backtracks,
-    )
+    return NewtonResult(x, norm, iterations, norm <= tol, backtracks)

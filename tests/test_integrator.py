@@ -37,6 +37,7 @@ from nhvi.errors import (
 from nhvi.geometry import BoundaryFrame, boundary_frame, pullback_cotangent, push_cotangent
 from nhvi.integrator import (
     _arc_seed_b,
+    _impact_a_system,
     _impact_b_system,
     _law_line,
     _law_mu,
@@ -335,15 +336,35 @@ class TestImpactJacobians:
             worst = max(worst, np.max(err) / max(1.0, np.max(np.abs(fd))))
         assert worst <= 1e-6
 
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    @pytest.mark.parametrize("model_fixture", IMPACT_MODELS)
+    def test_phase_a_jacobian_matches_finite_differences(self, model_fixture, rule, rng, request):
+        model = request.getfixturevalue(model_fixture)
+        Ld = make_discrete_lagrangian(model, rule)
+        n, m = model.n, model.m_con
+        worst = 0.0
+        for q_tilde in sample_boundary_points(model, 20, rng):
+            # z puts the boundary point q_k + alpha h w at q_tilde
+            h = float(10.0 ** rng.uniform(-4.0, -1.0))
+            alpha = float(rng.uniform(0.05, 0.95))
+            w = rng.uniform(-3.0, 3.0, n)
+            q_k = (q_tilde - alpha * h * w).tolist()
+            residual_a, jac_a = _impact_a_system(Ld, model, q_k, rng.normal(size=n).tolist(), h)
+            z = [alpha, *w.tolist(), *rng.uniform(-3.0, 3.0, m).tolist()]
+            fd = fd_jacobian(residual_a, z)
+            err = np.abs(np.array(jac_a(z)) - fd)
+            worst = max(worst, np.max(err) / max(1.0, np.max(np.abs(fd))))
+        assert worst <= 1e-6
+
     @staticmethod
     def _assert_only_phase_a_differences(monkeypatch, Ld, model, q_k, p_k, h, rejected,
                                          prev=None):
         calls = []
         real = numerics.fd_jacobian
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(F, x, *args, **kwargs):
+            calls.append(len(x))
+            return real(F, x, *args, **kwargs)
 
         monkeypatch.setattr(numerics, "fd_jacobian", counting)
         _, _, records = _resolve_impact_impl(
@@ -352,8 +373,10 @@ class TestImpactJacobians:
         (_, phase_a, iters_a, _), (_, phase_b, iters_b, _), _ = records
         assert (phase_a, phase_b) == ("impact-A", "impact-B")
         assert iters_a >= 1
-        # one finite-difference Jacobian per phase-A iteration, none after
+        # one finite-difference Jacobian per phase-A iteration, none after,
+        # each of the alpha column alone
         assert len(calls) == iters_a
+        assert calls == [1] * iters_a
         return records
 
     @staticmethod

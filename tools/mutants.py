@@ -111,6 +111,20 @@ MUTANTS = (
         "which negates every lambda_A",
     ),
     Mutant(
+        "phase-a-jacobian-lambda-sign", INTEGRATOR,
+        "right = [list(map(neg, col)) for col in omT_k]",
+        "right = [list(col) for col in omT_k]",
+        "phase A's Jacobian has +omega^T(q_k), not -omega^T(q_k), in its "
+        "lambda columns",
+    ),
+    Mutant(
+        "phase-a-jacobian-gap-row-no-s", INTEGRATOR,
+        "J.append([s * g for g in gap_grad(",
+        "J.append([g for g in gap_grad(",
+        "phase A's Jacobian gap row has grad c(q~) in its w block, without the "
+        "sub-step factor s",
+    ),
+    Mutant(
         "solve-no-first-swap", NUMERICS,
         "    if abs(r1[0]) > abs(r0[0]):\n"
         "        if abs(r2[0]) > abs(r1[0]):\n"
