@@ -285,7 +285,7 @@ def _solve_step(Ld, model, q_next, p_next, h, z0, opts, phase, k, t):
     """Solve the smooth step from the node (q_next, p_next) of step k, time t,
     from the guess z0; return the state of step k + 1 and the Newton result."""
     residual, jac = _step_system(Ld, model, q_next, p_next, h)
-    res = newton_solve(residual, z0, opts, jac)
+    res = newton_solve(residual, z0, opts, jac=jac)
     _require_converged(res, phase, k, t)
     n = model.n
     return State(k + 1, t + h, q_next, res.x[:n], p_next, res.x[n:]), res
@@ -326,6 +326,37 @@ def step_plus(
     return new_state
 
 
+def _minus_system(Ld: DiscreteLagrangian, model: MechanicalModel, q_next, p_next, h):
+    """Residual and analytic Jacobian for the backward block
+
+        p_next - d2(u, q_next, h) - omega(q_next)^T lam = 0
+        -omega(q_next) . (u - q_next)/h = 0
+
+    over the unknown z = [u, lam], as lists of floats.  D1 d2 is the
+    transpose of D2 d1, so the u block is -d1_dv(u, q_next, h)^T; the lambda
+    columns -omega^T(q_next) and the constraint rows -omega(q_next)/h are
+    constant over the solve.
+    """
+    n = model.n
+    om = model.omega(q_next)
+    omT = _columns(om, n)
+    right = [list(map(neg, col)) for col in omT]
+    bottom = [[-a / h for a in row] + [0.0] * len(om) for row in om]
+
+    def residual(z):
+        u = z[:n]
+        lam = z[n:]
+        r = [p - d - _dot(col, lam) for p, d, col in zip(p_next, Ld.d2(u, q_next, h), omT)]
+        w = [(a - b) / h for a, b in zip(u, q_next)]
+        return r + [-_dot(row, w) for row in om]
+
+    def jac(z):
+        cols = zip(*Ld.d1_dv(z[:n], q_next, h))
+        return [[-a for a in col] + c for col, c in zip(cols, right)] + bottom
+
+    return residual, jac
+
+
 def step_minus(
     Ld: DiscreteLagrangian,
     model: MechanicalModel,
@@ -337,23 +368,17 @@ def step_minus(
     """One backward step: recover the previous node from (q_{k+1}, p_{k+1}).
 
     Solves p_{k+1} - d2(u, q_{k+1}, h) in the constraint span together with
-    the backward discrete constraint, then reads off q_k = u and
-    p_k = -d1(u, q_{k+1}, h).  Exact inverse of the forward step for
-    unconstrained systems.
+    the backward discrete constraint (`_minus_system`), then reads off
+    q_k = u and p_k = -d1(u, q_{k+1}, h).  Exact inverse of the forward step
+    for unconstrained systems, where the residual is linear in u.  For a
+    constrained model it inverts the forward step only to O(h^2): the
+    constraint rows and forces sit at q_{k+1}, not at q_k, and p_k leaves
+    out the forward node's constraint force omega^T(q_k) lambda_k.
     """
-    n = model.n
-    om = model.omega(q_next)
-    omT = _columns(om, n)
-
-    def residual(z):
-        u = z[:n]
-        lam = z[n:]
-        r = [p - d - _dot(col, lam) for p, d, col in zip(p_next, Ld.d2(u, q_next, h), omT)]
-        w = [(a - b) / h for a, b in zip(u, q_next)]
-        return r + [-_dot(row, w) for row in om]
-
-    res = newton_solve(residual, [*q_next, *[0.0] * model.m_con], opts)
+    residual, jac = _minus_system(Ld, model, q_next, p_next, h)
+    res = newton_solve(residual, [*q_next, *[0.0] * model.m_con], opts, jac=jac)
     _require_converged(res, "step-minus", -1, math.nan)
+    n = model.n
     u = res.x[:n]
     return MinusStepResult(
         q_prev=u, p_prev=[-x for x in Ld.d1(u, q_next, h)], lam=res.x[n:]
@@ -535,7 +560,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None)
     c_k = gap(q_k)
     alpha0 = c_k / (c_k - gap(rejected_q))
     z0 = [alpha0, *[(b - a) / h for a, b in zip(q_k, rejected_q)], *[0.0] * m]
-    res_a = newton_solve(residual_a, z0, opts, jac_a)
+    res_a = newton_solve(residual_a, z0, opts, jac=jac_a)
     _require_converged(res_a, "impact-A", k, t_k)
     alpha = res_a.x[0]
     if not 0.0 < alpha < 1.0:
@@ -574,7 +599,7 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None)
             # on the law's line through the arc's velocity at the impact instant
             u_minus = [w + (1.0 - c) * s1 * x for w, x in zip(w_in, acc)]
             z0 = _arc_seed_b(Ld, frame, line, d3_pre, u_minus, [c * s2 * x for x in acc], s2)
-    res_b = newton_solve(residual_b, z0, opts, jac_b)
+    res_b = newton_solve(residual_b, z0, opts, jac=jac_b)
     _require_converged(res_b, "impact-B", k, t_k)
     w_out = res_b.x[:n]
     rate = _dot(frame.normal, w_out)

@@ -1,4 +1,9 @@
-"""Dense small-scale numerics: finite differences and a damped Newton solver.
+"""Dense small-scale numerics: a damped Newton solver and finite differences.
+
+`newton_solve` takes each system's Jacobian from its caller and never
+differences the residual itself; `fd_jacobian` serves the one column that
+phase A differences, its alpha column, and the model checks of
+`validation`.
 
 Every implicit system in the integrator has at most four unknowns, where a
 numpy call's fixed cost outweighs its arithmetic.  So vectors are lists of
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,15 +224,15 @@ def newton_solve(
     F: Callable[[list], Sequence[float]],
     x0,
     opts: NewtonOptions = DEFAULT_NEWTON_OPTIONS,
-    jac: Optional[Callable[[list], Sequence[Sequence[float]]]] = None,
+    *,
+    jac: Callable[[list], Sequence[Sequence[float]]],
 ) -> NewtonResult:
     """Damped Newton iteration for F(x) = 0 with backtracking line search.
 
     The iterate is a list of floats, starting from a copy of the sequence
-    x0; F maps it to a sequence of floats.  `jac`, when supplied, returns
-    its Jacobian as row sequences (or an array), otherwise
-    :func:`fd_jacobian` differences F.  Each iteration makes one dense
-    solve (:func:`_solve_linear`).
+    x0; F maps it to a sequence of floats, and `jac` maps it to F's
+    Jacobian as row sequences (or an array).  Each iteration makes one
+    dense solve (:func:`_solve_linear`).
     The trial steps are 1, 1/2, ..., 2^-MAX_HALVINGS of the Newton step,
     and the first that reduces the residual infinity norm is accepted.
     When none does, the iteration has stalled: if the smallest trial is
@@ -246,8 +251,7 @@ def newton_solve(
 
     iterations = backtracks = 0
     while norm > tol and iterations < max_iter:
-        J = jac(x) if jac is not None else fd_jacobian(F, x)
-        dx = _solve_linear(J, Fx)
+        dx = _solve_linear(jac(x), Fx)
         step = 1.0
         for halvings in range(MAX_HALVINGS + 1):
             x_new = [a - step * b for a, b in zip(x, dx)]

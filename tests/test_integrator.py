@@ -41,10 +41,11 @@ from nhvi.integrator import (
     _impact_b_system,
     _law_line,
     _law_mu,
+    _minus_system,
     _resolve_impact_impl,
     _step_plus_impl,
 )
-from nhvi.models import sample_boundary_points
+from nhvi.models import sample_boundary_points, sample_interior_points
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS, _dot, fd_jacobian
 from tests.conftest import (
     ELLIPSE_Q0,
@@ -189,6 +190,44 @@ class TestStepMinus:
         back = step_minus(Ld, free_particle, q, np.zeros(2), 0.1)
         npt.assert_array_equal(back.q_prev, q)
         npt.assert_array_equal(back.p_prev, np.zeros(2))
+
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    @pytest.mark.parametrize("model_fixture", ["particle", "ellipse_body"])
+    def test_unconstrained_backward_step_takes_one_iteration(self, model_fixture, rule, rng,
+                                                             request, monkeypatch):
+        # constant metric and a linear potential make p_next - d2(u, q_next, h)
+        # linear in u, so the analytic Jacobian's first step is the root
+        model = request.getfixturevalue(model_fixture)
+        Ld = make_discrete_lagrangian(model, rule)
+        iterations = []
+        real_newton = integrator.newton_solve
+
+        def newton(*args, **kwargs):
+            res = real_newton(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(integrator, "newton_solve", newton)
+        h = 0.05
+        for q in sample_interior_points(model, 20, rng):
+            v = q + 0.1 * rng.uniform(-1.0, 1.0, model.n)
+            back = step_minus(Ld, model, v.tolist(), Ld.d2(q, v, h), h)
+            npt.assert_allclose(back.q_prev, q, rtol=0.0, atol=1e-12)
+        assert iterations == [1] * 20
+
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    def test_constrained_backward_step_inverts_to_second_order(self, pendulum, rule):
+        # the backward constraint rows sit at q_{k+1}, the forward ones at
+        # q_k, so on the pendulum the inverse holds to O(h^2) only
+        h = 1e-3
+        Ld = make_discrete_lagrangian(pendulum, rule)
+        traj = simulate(Ld, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 0.5, h)
+        assert not traj.impacts
+        worst = 0.0
+        for k in range(10, len(traj.t), 10):
+            back = step_minus(Ld, pendulum, traj.q[k].tolist(), traj.p[k].tolist(), h)
+            worst = max(worst, float(np.max(np.abs(np.subtract(back.q_prev, traj.q[k - 1])))))
+        assert worst <= 1e-5
 
 
 class TestResolveImpact:
@@ -353,6 +392,27 @@ class TestImpactJacobians:
             z = [alpha, *w.tolist(), *rng.uniform(-3.0, 3.0, m).tolist()]
             fd = fd_jacobian(residual_a, z)
             err = np.abs(np.array(jac_a(z)) - fd)
+            worst = max(worst, np.max(err) / max(1.0, np.max(np.abs(fd))))
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    @pytest.mark.parametrize("model_fixture", IMPACT_MODELS)
+    def test_backward_step_jacobian_matches_finite_differences(self, model_fixture, rule, rng,
+                                                               request):
+        model = request.getfixturevalue(model_fixture)
+        Ld = make_discrete_lagrangian(model, rule)
+        n, m = model.n, model.m_con
+        worst = 0.0
+        for q_next in sample_interior_points(model, 20, rng):
+            # z puts u one step of a discrete velocity w before q_next
+            h = float(10.0 ** rng.uniform(-4.0, -1.0))
+            w = rng.uniform(-3.0, 3.0, n)
+            residual, jac = _minus_system(
+                Ld, model, q_next.tolist(), rng.normal(size=n).tolist(), h
+            )
+            z = [*(q_next - h * w).tolist(), *rng.uniform(-3.0, 3.0, m).tolist()]
+            fd = fd_jacobian(residual, z)
+            err = np.abs(np.array(jac(z)) - fd)
             worst = max(worst, np.max(err) / max(1.0, np.max(np.abs(fd))))
         assert worst <= 1e-6
 
@@ -662,10 +722,10 @@ class TestImpactLaw:
             finally:
                 inside.pop()
 
-        def newton(*args):
+        def newton(*args, **kwargs):
             if inside:
                 attempts[-1] += 1
-            return real_newton(*args)
+            return real_newton(*args, **kwargs)
 
         monkeypatch.setattr(integrator, "_attempt_impact", attempt)
         monkeypatch.setattr(integrator, "newton_solve", newton)

@@ -221,20 +221,24 @@ class TestFdJacobian:
 class TestNewtonSolve:
     def test_scalar_quadratic_root(self):
         res = newton_solve(
-            lambda x: np.square(x) - 4.0, np.array([1.0]), NewtonOptions(tol=1e-12)
+            lambda x: np.square(x) - 4.0,
+            np.array([1.0]),
+            NewtonOptions(tol=1e-12),
+            jac=lambda x: np.array([[2.0 * x[0]]]),
         )
         assert res.converged
         npt.assert_allclose(res.x, [2.0], atol=1e-12)
 
     def test_linear_shift_one_iteration(self):
-        res = newton_solve(
-            lambda x: np.subtract(x, 7.5), np.array([123.0]), jac=lambda x: np.eye(1)
-        )
+        def F(x):
+            return np.subtract(x, 7.5)
+
+        res = newton_solve(F, np.array([123.0]), jac=lambda x: np.eye(1))
         assert res.converged
         assert res.iterations == 1
         npt.assert_allclose(res.x, [7.5], atol=1e-12)
         # finite-difference Jacobian carries rounding noise but still converges
-        res_fd = newton_solve(lambda x: np.subtract(x, 7.5), np.array([123.0]))
+        res_fd = newton_solve(F, np.array([123.0]), jac=lambda x: fd_jacobian(F, x))
         assert res_fd.converged and res_fd.iterations <= 2
         npt.assert_allclose(res_fd.x, [7.5], atol=1e-10)
 
@@ -243,7 +247,9 @@ class TestNewtonSolve:
             x, y = z
             return np.array([x + 2 * y - 5.0, 3 * x - y - 1.0])
 
-        res = newton_solve(F, np.zeros(2), NewtonOptions(tol=1e-12))
+        res = newton_solve(
+            F, np.zeros(2), NewtonOptions(tol=1e-12), jac=lambda z: [[1.0, 2.0], [3.0, -1.0]]
+        )
         assert res.converged
         npt.assert_allclose(res.x, [1.0, 2.0], atol=1e-12)
 
@@ -251,8 +257,11 @@ class TestNewtonSolve:
         def F(z):
             return np.array([np.tanh(z[0]) - 0.3, z[1] ** 3 - 2.0])
 
+        def J(z):
+            return np.array([[1.0 - np.tanh(z[0]) ** 2, 0.0], [0.0, 3.0 * z[1] ** 2]])
+
         opts = NewtonOptions(tol=1e-11)
-        res = newton_solve(F, rng.uniform(0.5, 1.5, 2), opts)
+        res = newton_solve(F, rng.uniform(0.5, 1.5, 2), opts, jac=J)
         assert res.converged
         assert np.max(np.abs(F(res.x))) <= opts.tol
 
@@ -273,7 +282,10 @@ class TestNewtonSolve:
 
     def test_nonconvergence_returns_best_iterate(self):
         res = newton_solve(
-            lambda x: np.square(x) + 1.0, np.array([0.7]), NewtonOptions(max_iter=8)
+            lambda x: np.square(x) + 1.0,
+            np.array([0.7]),
+            NewtonOptions(max_iter=8),
+            jac=lambda x: np.array([[2.0 * x[0]]]),
         )
         assert not res.converged
         assert res.iterations == 8
@@ -283,7 +295,7 @@ class TestNewtonSolve:
 
     def test_nonfinite_initial_residual_raises(self):
         with pytest.raises(EvaluationFailure, match="initial guess"):
-            newton_solve(lambda x: np.array([np.nan, 0.0]), np.zeros(2))
+            newton_solve(lambda x: np.array([np.nan, 0.0]), np.zeros(2), jac=lambda x: np.eye(2))
 
     def test_nonfinite_through_all_backtracks_raises(self):
         x0 = np.array([3.0])
@@ -385,8 +397,11 @@ class TestNewtonSolve:
         assert NewtonResult(np.zeros(1), 0.0, 0, True).backtracks == 0
 
     def test_zero_fd_jacobian_raises_singular(self):
+        def F(x):
+            return np.array([1.0])
+
         with pytest.raises(SingularJacobian):
-            newton_solve(lambda x: np.array([1.0]), np.array([0.0]))
+            newton_solve(F, np.array([0.0]), jac=lambda x: fd_jacobian(F, x))
 
     def test_deterministic_iterate_sequence(self):
         def make_recorder():
@@ -400,8 +415,12 @@ class TestNewtonSolve:
 
         F1, s1 = make_recorder()
         F2, s2 = make_recorder()
-        r1 = newton_solve(F1, np.array([2.0]))
-        r2 = newton_solve(F2, np.array([2.0]))
+
+        def J(z):
+            return np.array([[np.cos(z[0]) - 0.42]])
+
+        r1 = newton_solve(F1, np.array([2.0]), jac=J)
+        r2 = newton_solve(F2, np.array([2.0]), jac=J)
         assert r1.x[0] == r2.x[0]
         assert len(s1) == len(s2)
         for a, b in zip(s1, s2):

@@ -125,6 +125,14 @@ MUTANTS = (
         "sub-step factor s",
     ),
     Mutant(
+        "step-minus-jacobian-untransposed", INTEGRATOR,
+        "cols = zip(*Ld.d1_dv(z[:n], q_next, h))",
+        "cols = Ld.d1_dv(z[:n], q_next, h)",
+        "the backward step's u block reads d1_dv's rows instead of its columns: "
+        "D2 d1 where D1 d2 = (D2 d1)^T belongs, which differs where d1_dv is "
+        "not symmetric (the pendulum)",
+    ),
+    Mutant(
         "solve-no-first-swap", NUMERICS,
         "    if abs(r1[0]) > abs(r0[0]):\n"
         "        if abs(r2[0]) > abs(r1[0]):\n"
