@@ -32,7 +32,6 @@ model and solver fields; a value they reject is a SchemaError at its key path.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import sys
@@ -293,21 +292,10 @@ def parse_config(path) -> SimConfig:
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "model": copy.deepcopy(cfg.model),
-        "rule": cfg.rule,
-        "q0": list(cfg.q0),
-        "v0": list(cfg.v0),
-        "t0": cfg.t0,
-        "t_final": cfg.t_final,
-        "h": cfg.h,
-        "solver": dataclasses.asdict(cfg.solver),
-        "outputs": {
-            "csv": cfg.outputs.csv,
-            "summary": cfg.outputs.summary,
-            "plots": list(cfg.outputs.plots),
-        },
-    }
+    """Every field of `cfg`, nested records as objects and tuples as lists."""
+    return dataclasses.asdict(cfg, dict_factory=lambda items: {
+        key: list(value) if isinstance(value, tuple) else value for key, value in items
+    })
 
 
 def serialize_config(cfg: SimConfig) -> str:

@@ -7,7 +7,7 @@ honesty check on the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Dict, List
 
@@ -45,16 +45,9 @@ class RunReport:
     state_columns: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "impact_count": self.impact_count,
-            "impact_times": list(self.impact_times),
-            "energy_initial": self.energy_initial,
-            "energy_final": self.energy_final,
-            "energy_drift_rel": self.energy_drift_rel,
-            "max_constraint_residual": self.max_constraint_residual,
-            "min_boundary_gap": self.min_boundary_gap,
-            "newton_iter_stats": dict(self.newton_iter_stats),
-        }
+        """Every field but `state_columns`, in field order; the values are
+        the report's own, not copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "state_columns"}
 
 
 def _node_samples(traj: Trajectory) -> np.ndarray:

@@ -104,7 +104,6 @@ from .numerics import (
     _columns,
     _dot,
     _norm,
-    _solve_linear,
     newton_solve,
 )
 
@@ -494,7 +493,8 @@ def _law_line(model, frame, w_in):
     rhs = [0.0] * (n + m)
     rhs[-1] = 1.0
     try:
-        kernel = _solve_linear(K, rhs)
+        # through the module, so that a replaced numerics._solve_linear is called
+        kernel = numerics._solve_linear(K, rhs)
     except SingularJacobian:
         return None
     d = kernel[:n]

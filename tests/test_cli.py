@@ -95,6 +95,11 @@ class TestDemo:
         summary = json.loads((particle_out / "summary.json").read_text())
         assert summary["config"]["model"]["type"] == "particle"
         assert summary["energy_drift_rel"] <= 1e-5
+        # the report's fields in field order, then the config's
+        report_keys = [f.name for f in dataclasses.fields(nhvi.RunReport)
+                       if f.name != "state_columns"]
+        assert list(summary) == report_keys + ["config"]
+        assert list(summary["config"]) == [f.name for f in dataclasses.fields(nhvi.SimConfig)]
 
     def test_svg_plots_are_well_formed(self, particle_out):
         for name in ("energy.svg", "plane_trajectory.svg"):

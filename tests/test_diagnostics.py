@@ -10,6 +10,7 @@ import pytest
 
 from nhvi import (
     PendulumParams,
+    RunReport,
     Trajectory,
     build_report,
     discrete_energy,
@@ -174,7 +175,8 @@ class TestBuildReport:
         traj = simulate(
             particle_mid, particle, np.array([0.0, 5.0]), np.zeros(2), 0.0, 0.2, 1e-2
         )
-        doc = build_report(traj, particle_mid, particle).to_dict()
+        rep = build_report(traj, particle_mid, particle)
+        doc = rep.to_dict()
         assert doc["impact_count"] == 0
         assert set(doc) == {
             "impact_count",
@@ -186,6 +188,11 @@ class TestBuildReport:
             "min_boundary_gap",
             "newton_iter_stats",
         }
+        names = [f.name for f in dataclasses.fields(RunReport)]
+        assert list(doc) == [name for name in names if name != "state_columns"]
+        # a shallow read: the report's own values, no copies
+        assert doc["impact_times"] is rep.impact_times
+        assert doc["newton_iter_stats"] is rep.newton_iter_stats
 
 
 @pytest.fixture

@@ -653,7 +653,7 @@ class TestImpactLaw:
         p = rng.normal(size=model.n).tolist()
         systems = []  # _solve_linear calls
         solves = []  # np.linalg.solve calls
-        real_solve_linear = integrator._solve_linear
+        real_solve_linear = numerics._solve_linear
 
         def solve_linear(K, rhs):
             systems.append(all_floats(rhs, *K))
@@ -669,7 +669,7 @@ class TestImpactLaw:
             numerics_np.linalg = types.SimpleNamespace(
                 solve=solve, LinAlgError=np.linalg.LinAlgError
             )
-        monkeypatch.setattr(integrator, "_solve_linear", solve_linear)
+        monkeypatch.setattr(numerics, "_solve_linear", solve_linear)
         monkeypatch.setattr(numerics, "np", numerics_np)
         monkeypatch.setattr(integrator, "np", types.SimpleNamespace())
         monkeypatch.setattr(discretization, "np", types.SimpleNamespace())
@@ -688,6 +688,37 @@ class TestImpactLaw:
         assert all_floats([law_rate, d3_pre], seed, residual_b(seed), *jac_b(seed))
         assert systems == [True]
         assert solves == ([True] if lapack else [])
+
+    def test_particle_impact_law_solves_through_numerics(self, monkeypatch, particle,
+                                                         particle_mid):
+        # the law's kernel solve looks up numerics._solve_linear at call
+        # time, so a replacement (the traced benchmark's hook) sees it
+        in_law = []
+        law_solves = []
+        real_law_line = integrator._law_line
+        real_solve_linear = numerics._solve_linear
+
+        def law_line(*args):
+            in_law.append(True)
+            try:
+                return real_law_line(*args)
+            finally:
+                in_law.pop()
+
+        def solve_linear(J, F):
+            if in_law:
+                law_solves.append(len(F))
+            return real_solve_linear(J, F)
+
+        monkeypatch.setattr(integrator, "_law_line", law_line)
+        monkeypatch.setattr(numerics, "_solve_linear", solve_linear)
+        q_k = np.array([0.0, 0.049])
+        p_k = np.array([0.0, -0.98])
+        h = 0.1
+        rejected = q_k + h * p_k - 0.5 * h * h * 9.8 * np.array([0.0, 1.0])
+        resolve_impact(particle_mid, particle, q_k, p_k, h, rejected)
+        # one bordered 2 x 2 system: the tangent row and the normal row
+        assert law_solves == [2]
 
     def test_arc_seed_without_real_root_takes_law_coefficient(self, particle, particle_mid):
         # d3_pre = 0 lies above the particle's energy row, d3_w = -E < 0, so
