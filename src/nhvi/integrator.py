@@ -41,13 +41,23 @@ w_out - w_in = mu d, lambda_B = mu l lies on the line (d, l) spanning the
 kernel of [[E^T M, E^T omega^T], [omega, 0]], and kinetic-energy equality
 picks the nonzero root mu = -2 (d^T M u) / (d^T M d) at velocity u.
 
-Phases B and D start from the pre-impact arc.  Its constant acceleration is
-a = (w_in - w_prev) / ((1 - c) h + c s1), with w_prev = (q_k - q_{k-1}) / h,
-s1 = alpha h, s2 = (1 - alpha) h and c the rule's velocity point
+Phases A, B and D start from the pre-impact arc through node k - 1, with
+w_prev = (q_k - q_{k-1}) / h and c the rule's velocity point
 (`DiscreteLagrangian.velocity_point`: a discrete velocity over [t, t + s]
-is the true one at t + c s); where node k - 1 is unknown (k = 0, or an
-impact at step k - 1), a = 0.  Phase B starts on the law's line through the
-impact-instant velocity u- = w_in + (1 - c) s1 a, at
+is the true one at t + c s).  Phase A's discrete velocity over
+[t_k, t_k + x h] is then w(x) = w_full - c (1 - x) (w_full - w_prev), with
+w_full = (v_k - q_k) / h, and alpha starts one false-position step from
+the chord's crossing c(q_k) / (c(q_k) - c(v_k)), on g(x) = c(q_k + x h w(x))
+inside the bracket g(0) = c(q_k) > 0 > g(1) = c(v_k), so in (0, 1); the
+seed is (alpha, w(alpha)) with zero multipliers.  For a constant metric, a
+linear potential and no constraints, w(x) is phase A's own w at s = x h.
+Where node k - 1 is unknown (k = 0, or an impact at step k - 1), or at a
+grazing node with c(q_k) <= 0, phase A starts from the chord: its crossing
+and w_full.  Phases B and D take the arc's constant acceleration
+a = (w_in - w_prev) / ((1 - c) h + c s1), with s1 = alpha h and
+s2 = (1 - alpha) h, and a = 0 where node k - 1 is unknown.  Phase B starts
+on the law's line through the impact-instant velocity
+u- = w_in + (1 - c) s1 a, at
 w = u- + mu d + c s2 a, lambda = mu l, where mu is the larger root of the
 quadratic through three samples of the energy row along that line, or the
 law's mu at u- when the samples have no real root.  Phase D starts from
@@ -557,9 +567,24 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None)
 
     # PHASE A: impact fraction, boundary point and multipliers.
     residual_a, jac_a = _impact_a_system(Ld, model, q_k, p_k, h)
+    c = Ld.velocity_point
     c_k = gap(q_k)
-    alpha0 = c_k / (c_k - gap(rejected_q))
-    z0 = [alpha0, *[(b - a) / h for a, b in zip(q_k, rejected_q)], *[0.0] * m]
+    c_v = gap(rejected_q)
+    alpha0 = c_k / (c_k - c_v)
+    w0 = [(b - a) / h for a, b in zip(q_k, rejected_q)]
+    if prev is not None and c_k > 0.0:
+        # on the pre-impact arc (module doc): w(x) = w0 - (1 - x) dw, and one
+        # false-position step on g(x) = c(q_k + x h w(x)) from the chord's
+        # crossing, inside the bracket g(0) = c_k > 0 > g(1) = c_v
+        dw = [c * (w - (a - b) / h) for w, a, b in zip(w0, q_k, prev.q)]
+        w_x = [w - (1.0 - alpha0) * d for w, d in zip(w0, dw)]
+        g = gap([a + alpha0 * h * b for a, b in zip(q_k, w_x)])
+        if g > 0.0:
+            alpha0 += g * (1.0 - alpha0) / (g - c_v)
+        elif g < 0.0:
+            alpha0 *= c_k / (c_k - g)
+        w0 = [w - (1.0 - alpha0) * d for w, d in zip(w0, dw)]
+    z0 = [alpha0, *w0, *[0.0] * m]
     res_a = newton_solve(residual_a, z0, opts, jac=jac_a)
     _require_converged(res_a, "impact-A", k, t_k)
     alpha = res_a.x[0]
@@ -575,7 +600,6 @@ def _attempt_impact(Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev=None)
     # w_prev = (q_k - q_{k-1}) / h to w_in, whose velocity points lie
     # (1 - c) h + c s1 apart, so its constant acceleration is acc.  Without
     # it (k = 0, or an impact at step k - 1) the arc is taken as straight.
-    c = Ld.velocity_point
     acc = [0.0] * n
     if prev is not None:
         lag = (1.0 - c) * h + c * s1
@@ -680,10 +704,11 @@ def resolve_impact(
 ):
     """Resolve one elastic collision; returns (ImpactEvent, next State).
 
-    `prev`, the node before (q_k, p_k), gives the acceleration of the
-    pre-impact arc that phases B and D start from (module doc); without it
-    the arc is taken as straight, as `step_plus` without `prev` takes it.
-    The seeds change only where Newton starts; only `prev.q` is read.
+    `prev`, the node before (q_k, p_k), gives the pre-impact arc that
+    phases A, B and D start from (module doc); without it phase A starts
+    from the chord to `rejected_q` and phases B and D take the arc as
+    straight, as `step_plus` without `prev` takes it.  The seeds change
+    only where Newton starts; only `prev.q` is read.
     """
     event, state, _ = _resolve_impact_impl(
         Ld, model, q_k, p_k, h, rejected_q, opts, k, t_k, prev

@@ -930,14 +930,24 @@ class TestTrajectoryColumns:
             npt.assert_array_equal(traj.lam[ev.k], ev.lambda_A)
             npt.assert_array_equal(traj.q[ev.k + 1], ev.v_tilde)
 
-    def test_error_carries_last_good_node(self, particle, particle_mid):
-        # a one-iteration Newton budget stalls the first impact-A solve
-        from nhvi import NewtonFailure, NewtonOptions
+    def test_error_carries_last_good_node(self, monkeypatch, particle, particle_mid):
+        # a negated phase-A Jacobian makes every Newton step an ascent
+        # direction, so the first impact-A solve stalls at its seed whatever
+        # the iteration budget
+        from nhvi import NewtonFailure
+
+        real_system = integrator._impact_a_system
+
+        def ascending_system(*args):
+            residual_a, jac_a = real_system(*args)
+            return residual_a, lambda z: [[-x for x in row] for row in jac_a(z)]
 
         h = 1e-2
-        opts = NewtonOptions(max_iter=1)
+        monkeypatch.setattr(integrator, "_impact_a_system", ascending_system)
         with pytest.raises(NewtonFailure) as failure:
-            simulate(particle_mid, particle, np.array([0.0, 1.0]), np.zeros(2), 0.0, 1.0, h, opts)
+            simulate(particle_mid, particle, np.array([0.0, 1.0]), np.zeros(2), 0.0, 1.0, h)
+        assert failure.value.phase == "impact-A"
+        monkeypatch.undo()
         st = failure.value.state
         traj = simulate(particle_mid, particle, np.array([0.0, 1.0]), np.zeros(2), 0.0, 1.0, h)
         k = traj.impacts[0].k

@@ -63,9 +63,10 @@ MUTANTS = (
     ),
     Mutant(
         "alpha-seed-half", INTEGRATOR,
-        "alpha0 = c_k / (c_k - gap(rejected_q))",
+        "alpha0 = c_k / (c_k - c_v)",
         "alpha0 = 0.5",
-        "phase A starts from alpha = 0.5 instead of the chord's crossing",
+        "phase A starts from alpha = 0.5 instead of the chord's crossing, and "
+        "the arc's false-position step starts from there",
     ),
     Mutant(
         "law-metric-lqq", INTEGRATOR,
@@ -96,12 +97,20 @@ MUTANTS = (
     ),
     Mutant(
         "phase-a-multiplier-seed-1", INTEGRATOR,
-        "*[(b - a) / h for a, b in zip(q_k, rejected_q)], *[0.0] * m]",
-        "*[(b - a) / h for a, b in zip(q_k, rejected_q)], *[1.0] * m]",
+        "z0 = [alpha0, *w0, *[0.0] * m]",
+        "z0 = [alpha0, *w0, *[1.0] * m]",
         "near-equivalent: phase A's residual is linear in lambda with constant "
         "columns, so Newton's first step does not depend on the multiplier "
         "seed; only rounding and the line search's first comparison see it",
         equivalent=True,
+    ),
+    Mutant(
+        "phase-a-w-seed-no-arc", INTEGRATOR,
+        "        w0 = [w - (1.0 - alpha0) * d for w, d in zip(w0, dw)]\n",
+        "",
+        "phase A's w seed drops the pre-impact arc's term and keeps the chord's "
+        "(v_k - q_k) / h: Newton ends on the same roots, and only the phase-A "
+        "iteration ratchet of tests/test_corpus.py sees the extra iterations",
     ),
     Mutant(
         "phase-a-force-sign", INTEGRATOR,
