@@ -214,6 +214,8 @@ class Trajectory:
 
     `t` has shape (N,), `q`, `v` and `p` have shape (N, n) and `lam` has
     shape (N, m): row k is the node (q_k, v_k, p_k, lambda_k) at time t_k.
+    `simulate` makes the five columns views of one (N, 1 + 3n + m) row
+    buffer; any five arrays of these shapes make a `Trajectory` too.
     At a step k that held a collision, row k's v and lam are the phase-A
     boundary node and multipliers (`impacts[j].q_tilde`, `.lambda_A`).
     `states` views the rows as `State` objects.
@@ -749,10 +751,12 @@ def simulate(
     q_{k+1} = v_k before the smooth solve; a penetrating candidate is deleted
     and the impact is resolved instead (at most one collision per step, with
     the phase-A node replacing the deleted v_k in the stored trajectory).
-    The columns of the trajectory are allocated once, n_steps + 1 rows.
-    The nodes in between are lists of Python floats, from
-    `initial_discretize` on: past the dense solve of each Newton iteration,
-    numpy only receives each node once, as the row writes.
+    The trajectory is allocated once, as one float64 buffer of n_steps + 1
+    rows in `trajectory.csv`'s column order t, q, v, p, lam; the
+    `Trajectory` columns are views of it.  The nodes in between are lists of
+    Python floats, from `initial_discretize` on: past the dense solve of each
+    Newton iteration, numpy only receives each node once, as one row write
+    per node.
 
     A typed error (NhviError) raised by step k carries node k, as it stood
     before the step, as `exc.state`, and node k - 1 as `exc.prev` when step
@@ -761,14 +765,12 @@ def simulate(
     n_steps = step_count(t0, t_final, h)
 
     q0, v0, p0 = initial_discretize(model, Ld.rule, q0_cont, v0_cont, h)
-    n_rows = n_steps + 1
-    t = np.empty(n_rows)
-    q = np.empty((n_rows, model.n))
-    v = np.empty((n_rows, model.n))
-    p = np.empty((n_rows, model.n))
-    lam = np.empty((n_rows, model.m_con))
+    n = model.n
+    rows = np.empty((n_steps + 1, 1 + 3 * n + model.m_con))
+    t, q, v, p, lam = np.split(rows, [1, 1 + n, 1 + 2 * n, 1 + 3 * n], axis=1)
+    t = t[:, 0]
     state = State(k=0, t=t0, q=q0, v=v0, p=p0, lam=[0.0] * model.m_con)
-    t[0], q[0], v[0], p[0], lam[0] = t0, q0, v0, p0, state.lam
+    rows[0] = [t0, *q0, *v0, *p0, *state.lam]
     impacts: List[ImpactEvent] = []
     stats = SolverStats()
     gap = model.boundary_gap
@@ -795,12 +797,7 @@ def simulate(
                 new_state, res = _step_plus_impl(Ld, model, state, h, opts, prev)
                 stats.record(k, "step", res.iterations, res.residual_norm)
                 prev = state
-            i = k + 1
-            t[i] = new_state.t
-            q[i] = new_state.q
-            v[i] = new_state.v
-            p[i] = new_state.p
-            lam[i] = new_state.lam
+            rows[k + 1] = [new_state.t, *new_state.q, *new_state.v, *new_state.p, *new_state.lam]
             state = new_state
     except NhviError as exc:
         # the nodes the failing step started from

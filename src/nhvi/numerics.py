@@ -123,8 +123,10 @@ def fd_jacobian(F: Callable[[list], Sequence[float]], x, eps: float = 1e-7) -> n
     e_j = eps * max(1, |x_j|), balancing truncation against round-off.
     F takes a list of floats and returns a sequence of floats; a non-finite
     entry on either side of x_j raises EvaluationFailure naming coordinate j.
-    The columns are built over floats and stacked once, into the array the
-    dense solve takes without converting it.
+    The columns are built over floats and stacked once into the array that
+    `validation` compares against the analytic derivatives.  Its one
+    integrator caller, phase A's alpha column, converts that array back to
+    floats once (`tolist`), because the Newton solve takes lists of rows.
     """
     if not 0 < eps < math.inf:  # written so that a NaN eps fails the test
         raise ValueError(f"eps must be finite and positive, got {eps}")

@@ -8,10 +8,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from nhvi import build_model, make_discrete_lagrangian, parse_config, simulate
 from nhvi.cli import bundled_config_path, main
-from nhvi.diagnostics import RunReport, build_report, energy_series
+from nhvi.diagnostics import RunReport, build_report, energy_series, recompute_solve_residuals
 from nhvi.discretization import discrete_energy, omega_dplus
 from nhvi.integrator import ImpactEvent, SolverStats, Trajectory
 from nhvi.output import (
@@ -126,6 +127,55 @@ class TestCellFormat:
         values = [event.alpha, event.t_impact, *event.q_tilde, *event.v_tilde, *event.p_tilde,
                   event.compat_residual, event.energy_jump]
         assert line.split(",") == [str(event.k)] + [format(x, ".17g") for x in values]
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+class TestStorageLayout:
+    @pytest.mark.parametrize("name, t_final, m, impacts", [
+        ("pendulum", 5.0, 1, 3),
+        ("ellipse", 25.0, 0, 17),  # m = 0: lam is an empty slice of the buffer
+    ])
+    def test_row_buffer_and_separate_columns_give_equal_outputs(
+        self, tmp_path, name, t_final, m, impacts
+    ):
+        _, model, Ld, traj = _demo_run(name, t_final)
+        n = model.n
+        assert model.m_con == m and len(traj.impacts) == impacts
+        fields = ("t", "q", "v", "p", "lam")
+        columns = [getattr(traj, f) for f in fields]
+
+        # simulate's five columns view one row buffer, in trajectory.csv's order
+        rows = traj.t.base
+        assert rows.shape == (len(traj.t), 1 + 3 * n + m) and rows.flags.c_contiguous
+        assert traj.lam.shape == (len(traj.t), m)
+        for column, start in zip(columns, [0, 1, 1 + n, 1 + 2 * n, 1 + 3 * n]):
+            assert column.base is rows
+            if column.size:
+                assert np.shares_memory(column, rows)
+                assert _address(column) - _address(rows) == start * rows.itemsize
+                assert column.strides[0] == rows.strides[0]
+
+        apart = dataclasses.replace(
+            traj, **{f: np.ascontiguousarray(c) for f, c in zip(fields, columns)}
+        )
+        for f in fields:
+            column = getattr(apart, f)
+            assert column.flags.c_contiguous and not np.shares_memory(column, rows)
+
+        written = []
+        for label, tr in (("rows", traj), ("apart", apart)):
+            report = build_report(tr, Ld, model)
+            path = tmp_path / f"{label}.csv"
+            write_trajectory_csv(path, tr, report, model)
+            written.append((path.read_bytes(), report.to_dict(),
+                            recompute_solve_residuals(tr, Ld, model)))
+        (csv_rows, report_rows, res_rows), (csv_apart, report_apart, res_apart) = written
+        assert csv_rows == csv_apart
+        assert report_rows == report_apart
+        assert res_rows.tobytes() == res_apart.tobytes()
 
 
 class TestEnergyPlot:

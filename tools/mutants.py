@@ -142,6 +142,20 @@ MUTANTS = (
         "not symmetric (the pendulum)",
     ),
     Mutant(
+        "row-write-v-p-swapped", INTEGRATOR,
+        "rows[k + 1] = [new_state.t, *new_state.q, *new_state.v, *new_state.p, *new_state.lam]",
+        "rows[k + 1] = [new_state.t, *new_state.q, *new_state.p, *new_state.v, *new_state.lam]",
+        "the row write stores each node's p in the v columns and its v in the "
+        "p columns of the trajectory buffer",
+    ),
+    Mutant(
+        "impact-keeps-penetrating-v", INTEGRATOR,
+        "                v[k] = event.q_tilde\n",
+        "",
+        "an impact step leaves the deleted, penetrating v_k in the stored "
+        "trajectory instead of the phase-A boundary node q~",
+    ),
+    Mutant(
         "solve-no-first-swap", NUMERICS,
         "    if abs(r1[0]) > abs(r0[0]):\n"
         "        if abs(r2[0]) > abs(r1[0]):\n"
