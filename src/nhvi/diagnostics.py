@@ -18,7 +18,9 @@ from .geometry import MechanicalModel, boundary_frame
 from .integrator import Trajectory, _impact_a_system, _impact_b_system, _step_system
 from .numerics import _dot, _norm
 
-# rows per block when a column is read as Python floats
+# rows per block when columns are read as Python floats (energy_series's
+# _rows, build_report's gap and omega loop): one tolist and one numpy
+# expression per block, and no full-length temporary
 _BLOCK = 256
 
 
@@ -131,18 +133,23 @@ def build_report(
     node_energies = series[_node_samples(traj), 1]
     del series
 
-    # the columns are float64 arrays: lists of floats would keep ~100 B per state
+    # the columns are float64 arrays: lists of floats would keep ~100 B per state.
+    # Each block reads its q rows once; w = (v - q)/h is numpy's elementwise
+    # subtract and divide, the same IEEE operations as the Python floats'
     n = len(traj.t)
-    gap = np.fromiter(map(model.boundary_gap, _rows(traj.q)), float, n)
+    h = traj.h
+    gap = np.empty(n)
     omega_res = np.zeros(n)
+    for start in range(0, n, _BLOCK):
+        stop = start + _BLOCK
+        q_block = traj.q[start:stop]
+        qs = q_block.tolist()
+        gap[start:stop] = list(map(model.boundary_gap, qs))
+        if model.m_con:
+            ws = ((traj.v[start:stop] - q_block) / h).tolist()
+            omega_res[start:stop] = list(map(_omega_residual, repeat(model), qs, ws))
     max_residual = 0.0
     if model.m_con:
-        h = traj.h
-        omega_res = np.fromiter(
-            (_omega_residual(model, q, [(b - a) / h for a, b in zip(q, v)])
-             for q, v in zip(_rows(traj.q), _rows(traj.v))),
-            float, n,
-        )
         # impact rows read the discrete velocities phases A and B solved for
         post_res = []
         for ev in traj.impacts:

@@ -18,7 +18,7 @@ from nhvi import (
     make_discrete_lagrangian,
     simulate,
 )
-from nhvi.diagnostics import PHASE_MEANS, recompute_solve_residuals
+from nhvi.diagnostics import _BLOCK, PHASE_MEANS, _omega_residual, recompute_solve_residuals
 from nhvi.integrator import SolverStats
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
 from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
@@ -127,12 +127,17 @@ class TestBuildReport:
             expected = min(model.boundary_gap(q) for q in traj.q)
             assert struct.pack("<d", rep.min_boundary_gap) == struct.pack("<d", expected)
 
-    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "where", ["first", "middle", "last", "end-of-block", "start-of-block"]
+    )
     def test_nan_gap_reported_wherever_it_sits(self, particle, particle_mid, where):
+        # longer than one block, so a NaN can sit on either side of a block edge
         traj = simulate(
-            particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]), 0.0, 0.2, 1e-2
+            particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]), 0.0, 3.0, 1e-2
         )
-        k = {"first": 0, "middle": len(traj.t) // 2, "last": len(traj.t) - 1}[where]
+        assert len(traj.t) > _BLOCK + 1
+        k = {"first": 0, "middle": len(traj.t) // 2, "last": len(traj.t) - 1,
+             "end-of-block": _BLOCK - 1, "start-of-block": _BLOCK}[where]
         bad = traj.q[k].tobytes()
 
         def gap(q):
@@ -154,15 +159,19 @@ class TestBuildReport:
             expected = max(0.0, *column[1:], *post)
             assert struct.pack("<d", rep.max_constraint_residual) == struct.pack("<d", expected)
 
-    @pytest.mark.parametrize("where", ["first", "middle", "last", "impact"])
+    @pytest.mark.parametrize(
+        "where", ["first", "middle", "last", "impact", "end-of-block", "start-of-block"]
+    )
     def test_nan_omega_residual_reported_wherever_it_sits(self, pendulum, pendulum_left, where):
         traj = simulate(pendulum_left, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, 1e-3)
+        assert len(traj.t) > _BLOCK + 1
         (ev,) = traj.impacts
         if where == "impact":
             ev.w_out[1] = math.nan  # phase B's velocity: only the maximum reads it
         else:
             # row 0 is the initial state, which no solve produced
-            row = {"first": 1, "middle": len(traj.t) // 2, "last": len(traj.t) - 1}[where]
+            row = {"first": 1, "middle": len(traj.t) // 2, "last": len(traj.t) - 1,
+                   "end-of-block": _BLOCK - 1, "start-of-block": _BLOCK}[where]
             assert row != ev.k
             traj.v[row, 1] = math.nan
         # the builtin max skips a NaN that is not first: max(0.0, nan) is 0.0
@@ -170,6 +179,42 @@ class TestBuildReport:
         assert math.isnan(rep.max_constraint_residual)
         if where != "impact":
             assert math.isnan(rep.state_columns["max_omega_residual"][row])
+
+    @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
+    def test_state_columns_bitwise_per_node_reference(self, pendulum, particle, particle_mid,
+                                                      rule):
+        """Node by node, "c" is boundary_gap(q) and "max_omega_residual" is
+        the worst |omega(q) w| at w = (v - q)/h over Python floats, or at the
+        event's w_in on an impact row; on runs over several blocks whose
+        last block is partial.  On the particle (m = 0) the omega column is 0."""
+        Ld = make_discrete_lagrangian(pendulum, rule)
+        runs = (
+            (simulate(Ld, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, 1e-3), Ld, pendulum),
+            (simulate(particle_mid, particle, np.array([0.0, 1.0]), np.array([2.0, 0.0]),
+                      0.0, 2.0, 1e-3), particle_mid, particle),
+        )
+        for traj, Ld, model in runs:
+            n = len(traj.t)
+            assert n > 2 * _BLOCK and n % _BLOCK
+            assert traj.impacts
+            h = traj.h
+            events = {ev.k: ev for ev in traj.impacts}
+            gap, omega = [], []
+            for k in range(n):
+                q, v = traj.q[k].tolist(), traj.v[k].tolist()
+                gap.append(model.boundary_gap(q))
+                if not model.m_con:
+                    omega.append(0.0)
+                elif k in events:
+                    omega.append(_omega_residual(model, q, events[k].w_in))
+                else:
+                    omega.append(_omega_residual(model, q, [(b - a) / h for a, b in zip(q, v)]))
+            columns = build_report(traj, Ld, model).state_columns
+            for name, expected in (("c", gap), ("max_omega_residual", omega)):
+                got = columns[name]
+                assert got.dtype == np.float64 and got.shape == (n,)
+                for k, (a, b) in enumerate(zip(got.tolist(), expected)):
+                    assert struct.pack("<d", a) == struct.pack("<d", b), (name, k)
 
     def test_round_trips_to_dict(self, particle, particle_mid):
         traj = simulate(

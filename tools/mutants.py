@@ -1,4 +1,4 @@
-"""A fixed mutation check of nhvi's numerical core.
+"""A fixed mutation check of nhvi's numerical core and its run report.
 
 Each mutant is one hand-written fault: a file under the repository root, an
 exact snippet of it, the snippet's replacement and why the fault matters.
@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 INTEGRATOR = "src/nhvi/integrator.py"
 NUMERICS = "src/nhvi/numerics.py"
+DIAGNOSTICS = "src/nhvi/diagnostics.py"
 
 MUTANTS = (
     Mutant(
@@ -154,6 +155,20 @@ MUTANTS = (
         "",
         "an impact step leaves the deleted, penetrating v_k in the stored "
         "trajectory instead of the phase-A boundary node q~",
+    ),
+    Mutant(
+        "report-velocity-block-late", DIAGNOSTICS,
+        "ws = ((traj.v[start:stop] - q_block) / h).tolist()",
+        "ws = ((traj.v[start + 1 : stop + 1] - q_block) / h).tolist()",
+        "build_report's omega column reads each block's v rows one row late, "
+        "so node k's discrete velocity is (v_{k+1} - q_k)/h",
+    ),
+    Mutant(
+        "report-velocity-reciprocal", DIAGNOSTICS,
+        "ws = ((traj.v[start:stop] - q_block) / h).tolist()",
+        "ws = ((traj.v[start:stop] - q_block) * (1.0 / h)).tolist()",
+        "build_report's discrete velocities multiply by 1/h instead of dividing "
+        "by h, which moves the omega column's last bits",
     ),
     Mutant(
         "solve-no-first-swap", NUMERICS,
