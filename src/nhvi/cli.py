@@ -34,7 +34,6 @@ from .output import (
     write_summary_json,
     write_trajectory_csv,
 )
-from .validation import run_all_checks
 
 log = logging.getLogger("nhvi.cli")
 
@@ -184,6 +183,9 @@ def cmd_demo(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # only `validate` runs the checks; importing them costs `run` and `demo` ~2 ms
+    from .validation import run_all_checks
+
     cfg = parse_config(args.config)
     model = build_model(cfg)
     results = run_all_checks(model, cfg.rule)

@@ -8,19 +8,19 @@ honesty check on the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Dict, List
 
 import numpy as np
 
-from .discretization import DiscreteLagrangian, discrete_energy
+from .discretization import DiscreteLagrangian
 from .geometry import MechanicalModel, boundary_frame
 from .integrator import Trajectory, _impact_a_system, _impact_b_system, _step_system
-from .numerics import _dot, _norm
+from .numerics import _norm
 
-# rows per block when columns are read as Python floats (energy_series's
-# _rows, build_report's gap and omega loop): one tolist and one numpy
-# expression per block, and no full-length temporary
+# rows per block when columns are read as Python floats (energy_series's d3
+# loop, build_report's gap and omega loop): one tolist per column and a few
+# numpy calls per block, and no full-length temporary
 _BLOCK = 256
 
 
@@ -61,24 +61,23 @@ def _node_samples(traj: Trajectory) -> np.ndarray:
     return mask
 
 
-def _rows(column: np.ndarray):
-    """The entries of a float64 column as Python floats (rows as lists),
-    converted a block at a time, so a long trajectory never holds them all."""
-    for start in range(0, len(column), _BLOCK):
-        yield from column[start : start + _BLOCK].tolist()
+def _omega_residuals(model: MechanicalModel, qs, ws) -> np.ndarray:
+    """Largest |omega(q) w| over the constraints, one per pair of a
+    configuration q in `qs` (lists of floats) and the discrete velocity w in
+    the same row of `ws` ((rows, n) floats); a NaN rate makes its entry NaN.
 
-
-def _omega_residual(model: MechanicalModel, q, w) -> float:
-    """Largest |omega(q) w| over the constraints, at discrete velocity w; a
-    NaN rate makes it NaN."""
-    worst = 0.0
-    for row in model.omega(q):
-        rate = abs(_dot(row, w))
-        if not rate <= worst:
-            worst = rate
-            if rate != rate:
-                break
-    return worst
+    Each rate sums omega_ij w_j over j from 0.0, left to right, with
+    numpy's elementwise multiply and add: the IEEE operations, in the order,
+    of numerics._dot over Python floats, so the entries equal a per-node
+    loop bitwise.  Needs m_con > 0."""
+    rows, m, n = len(qs), model.m_con, model.n
+    flat = chain.from_iterable(chain.from_iterable(map(model.omega, qs)))
+    om = np.fromiter(flat, float, rows * m * n).reshape(rows, m, n)
+    ws = np.asarray(ws, dtype=float).reshape(rows, 1, n)
+    rates = np.zeros((rows, m))
+    for j in range(n):
+        rates += om[:, :, j] * ws[:, :, j]
+    return np.abs(rates, out=rates).max(axis=1)
 
 
 def energy_samples(traj: Trajectory, Ld: DiscreteLagrangian, energies) -> np.ndarray:
@@ -110,9 +109,15 @@ def energy_series(traj: Trajectory, Ld: DiscreteLagrangian) -> np.ndarray:
     if not n:
         raise ValueError("trajectory has no states")
     h = traj.h
-    energies = np.fromiter(
-        map(discrete_energy, repeat(Ld), _rows(traj.q), _rows(traj.v), repeat(h)), float, n
-    )
+    # d3 a block at a time, then one sign flip: np.negative, like -x on a
+    # float, flips the sign bit, so each entry is discrete_energy's bitwise
+    energies = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        stop = start + _BLOCK
+        energies[start:stop] = list(
+            map(Ld.d3, traj.q[start:stop].tolist(), traj.v[start:stop].tolist(), repeat(h))
+        )
+    np.negative(energies, out=energies)
     for ev in traj.impacts:
         energies[ev.k] = -Ld.d3_w(traj.q[ev.k].tolist(), ev.w_in, ev.alpha * h)
     return energy_samples(traj, Ld, energies)
@@ -146,15 +151,19 @@ def build_report(
         qs = q_block.tolist()
         gap[start:stop] = list(map(model.boundary_gap, qs))
         if model.m_con:
-            ws = ((traj.v[start:stop] - q_block) / h).tolist()
-            omega_res[start:stop] = list(map(_omega_residual, repeat(model), qs, ws))
+            ws = (traj.v[start:stop] - q_block) / h
+            omega_res[start:stop] = _omega_residuals(model, qs, ws)
     max_residual = 0.0
     if model.m_con:
         # impact rows read the discrete velocities phases A and B solved for
-        post_res = []
-        for ev in traj.impacts:
-            omega_res[ev.k] = _omega_residual(model, traj.q[ev.k].tolist(), ev.w_in)
-            post_res.append(_omega_residual(model, ev.q_tilde, ev.w_out))
+        impacts = traj.impacts
+        ks = [ev.k for ev in impacts]
+        omega_res[ks] = _omega_residuals(
+            model, traj.q[ks].tolist(), [ev.w_in for ev in impacts]
+        )
+        post_res = _omega_residuals(
+            model, [ev.q_tilde for ev in impacts], [ev.w_out for ev in impacts]
+        )
         # no solve produced the initial state; the impact nodes count too.
         # np.max, unlike the builtin max, propagates a NaN from any position
         max_residual = float(np.max([omega_res[1:].max(initial=0.0), *post_res]))

@@ -29,7 +29,7 @@ import nhvi
 from nhvi.discretization import make_discrete_lagrangian
 from nhvi.geometry import GRAZING_TOL
 from nhvi.integrator import _resolve_impact_impl
-from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
+from nhvi.numerics import DEFAULT_NEWTON_OPTIONS, fd_jacobian, newton_solve
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -386,6 +386,107 @@ def test_default_gain_pendulum_wall_solved(rule):
            if PENDULUM_WALL_FAILURES.get(key) != error}
     assert not new, f"default-gain wall members outside the committed table: {new}"
     assert impacts >= PENDULUM_WALL_MIN_IMPACTS
+
+
+# --- exact backward replay of the constrained smooth step ----------------------
+# Node k + 1 stores p_{k+1} = d2(q_k, q_{k+1}), which holds no constraint force,
+# so the pair (q_{k+1}, q_{k+2}) alone fixes (q_k, lambda_{k+1}):
+#
+#     d2(u, q_{k+1}) + d1(q_{k+1}, q_{k+2}) - omega^T(q_{k+1}) lambda = 0
+#     omega(u) . (q_{k+1} - u)/h = 0,
+#
+# the forward step's equations, with its constraint row at its own base point
+# u.  (step_minus takes that row at q_{k+1}, the paper's backward constraint,
+# and inverts the step only to O(h^2).)  Each smooth stretch is walked back
+# from its last pair to the node after the impact before it, reading neither
+# the stored momenta nor the multipliers; omega has no derivative callable, so
+# the Jacobian is differenced.  Measured on the runs below: worst node error
+# 7.0e-9 (wall member 7, retraction-left, 1,499 steps back without an impact;
+# it grows along a stretch, as if each stored node carried its forward solve's
+# tolerance, and every run but wall members 6 and 7 stays below 1.1e-9) and
+# worst multiplier error 3.0e-10, against multipliers of about 2e-2.
+
+REPLAY_NODE_TOL = 1e-8
+REPLAY_LAMBDA_TOL = 1e-9
+
+
+def invert_smooth_step(Ld, model, q, q_next, h, lam0):
+    """(q_prev, lambda) of the smooth step that went from q_prev through q to
+    q_next, by Newton from the linear extrapolation 2 q - q_next and lam0."""
+    n = model.n
+    om = model.omega(q)
+    d1 = Ld.d1(q, q_next, h)
+
+    def residual(z):
+        u, lam = z[:n], z[n:]
+        r = [a + b - sum(row[i] * x for row, x in zip(om, lam))
+             for i, (a, b) in enumerate(zip(Ld.d2(u, q, h), d1))]
+        w = [(a - b) / h for a, b in zip(q, u)]
+        return r + [sum(a * b for a, b in zip(row, w)) for row in model.omega(u)]
+
+    z0 = [2.0 * a - b for a, b in zip(q, q_next)] + list(lam0)
+    res = newton_solve(residual, z0, jac=lambda z: fd_jacobian(residual, z))
+    return res.x[:n], res.x[n:], res.converged
+
+
+def backward_replay_problem(traj, Ld, model):
+    """The first step at which the backward walk of a smooth stretch fails to
+    converge or leaves the stored node or multiplier past its bound, or
+    None."""
+    h = traj.h
+    impact_steps = {ev.k for ev in traj.impacts}
+
+    def smooth(j):
+        # row j's pair (q_j, v_j) came from the smooth step at node j, which
+        # node j - 1 reached by a constrained solve (node 0's v did not)
+        return j >= 2 and j not in impact_steps and j - 1 not in impact_steps
+
+    j = len(traj.t) - 1
+    while j >= 2:
+        if not smooth(j):
+            j -= 1
+            continue
+        q, q_next = traj.q[j].tolist(), traj.v[j].tolist()
+        lam = [0.0] * model.m_con
+        while smooth(j):
+            q_prev, lam, converged = invert_smooth_step(Ld, model, q, q_next, h, lam)
+            node_err = float(np.max(np.abs(np.array(q_prev) - traj.q[j - 1])))
+            lam_err = float(np.max(np.abs(np.array(lam) - traj.lam[j])))
+            if not (converged and node_err <= REPLAY_NODE_TOL
+                    and lam_err <= REPLAY_LAMBDA_TOL):
+                return (f"step {j - 1} -> {j}: converged {converged}, node error "
+                        f"{node_err:.2e}, lambda error {lam_err:.2e}")
+            q, q_next = q_prev, q
+            j -= 1
+    return None
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_criterion_4_start_replays_backward_exactly(rule):
+    """The criterion-4 start at h = 1e-3 over 2 s (one impact): both smooth
+    stretches replay backward to the stored nodes and multipliers."""
+    model = nhvi.make_pendulum()
+    Ld = make_discrete_lagrangian(model, rule)
+    q0, v0 = workloads.PENDULUM_Q0, workloads.PENDULUM_V0
+    traj = nhvi.simulate(Ld, model, q0, v0, 0.0, 2.0, 1e-3)
+    assert len(traj.impacts) == 1
+    assert backward_replay_problem(traj, Ld, model) is None
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_default_gain_pendulum_wall_replays_backward_exactly(rule):
+    """The runs of test_default_gain_pendulum_wall_solved, each smooth stretch
+    walked back between its impacts."""
+    model = nhvi.make_pendulum()
+    Ld = make_discrete_lagrangian(model, rule)
+    failed = {}
+    for i in range(WALL_MEMBERS):
+        q0, v0 = wall_start(model, i)
+        traj = nhvi.simulate(Ld, model, q0, v0, 0.0, 3.0, 2e-3)
+        problem = backward_replay_problem(traj, Ld, model)
+        if problem:
+            failed[rule, i] = problem
+    assert not failed, f"wall members whose smooth steps do not replay backward: {failed}"
 
 
 # --- pendulum pole subset ----------------------------------------------------

@@ -18,7 +18,7 @@ from nhvi import (
     make_discrete_lagrangian,
     simulate,
 )
-from nhvi.diagnostics import _BLOCK, PHASE_MEANS, _omega_residual, recompute_solve_residuals
+from nhvi.diagnostics import _BLOCK, PHASE_MEANS, recompute_solve_residuals
 from nhvi.integrator import SolverStats
 from nhvi.numerics import DEFAULT_NEWTON_OPTIONS
 from tests.conftest import ELLIPSE_Q0, ELLIPSE_V0, PENDULUM_Q0, PENDULUM_V0
@@ -29,6 +29,50 @@ def single_state_trajectory(Ld, q, h):
     rows = np.array([q], dtype=float)
     return Trajectory(t=np.zeros(1), q=rows, v=rows, p=np.array([Ld.d2(q, q, h)]),
                       lam=np.zeros((1, 0)), impacts=[], h=h, solver_stats=SolverStats())
+
+
+def reference_omega_residual(model, q, w):
+    """Largest |omega(q) w| over the constraints at discrete velocity w, as a
+    loop over Python floats: each rate sums omega_ij w_j from 0.0, left to
+    right, and a NaN rate makes the result NaN."""
+    worst = 0.0
+    for row in model.omega(q):
+        rate = 0.0
+        for a, b in zip(row, w):
+            rate += a * b
+        rate = abs(rate)
+        if not rate <= worst:
+            worst = rate
+            if rate != rate:
+                break
+    return worst
+
+
+def reference_state_columns(traj, model):
+    """The "c" and "max_omega_residual" columns node by node: boundary_gap(q),
+    and the worst |omega(q) w| at w = (v - q)/h over Python floats, or at the
+    event's w_in on an impact row (0.0 when m = 0)."""
+    h = traj.h
+    events = {ev.k: ev for ev in traj.impacts}
+    gap, omega = [], []
+    for k in range(len(traj.t)):
+        q, v = traj.q[k].tolist(), traj.v[k].tolist()
+        gap.append(model.boundary_gap(q))
+        if not model.m_con:
+            omega.append(0.0)
+        elif k in events:
+            omega.append(reference_omega_residual(model, q, events[k].w_in))
+        else:
+            omega.append(reference_omega_residual(model, q, [(b - a) / h for a, b in zip(q, v)]))
+    return {"c": gap, "max_omega_residual": omega}
+
+
+def assert_columns_bitwise(columns, expected):
+    for name, values in expected.items():
+        got = columns[name]
+        assert got.dtype == np.float64 and got.shape == (len(values),)
+        for k, (a, b) in enumerate(zip(got.tolist(), values)):
+            assert struct.pack("<d", a) == struct.pack("<d", b), (name, k)
 
 
 def reference_energy_series(traj, Ld):
@@ -183,10 +227,9 @@ class TestBuildReport:
     @pytest.mark.parametrize("rule", ["midpoint", "retraction-left"])
     def test_state_columns_bitwise_per_node_reference(self, pendulum, particle, particle_mid,
                                                       rule):
-        """Node by node, "c" is boundary_gap(q) and "max_omega_residual" is
-        the worst |omega(q) w| at w = (v - q)/h over Python floats, or at the
-        event's w_in on an impact row; on runs over several blocks whose
-        last block is partial.  On the particle (m = 0) the omega column is 0."""
+        """Node by node, "c" and "max_omega_residual" equal the per-node loop
+        (`reference_state_columns`), on runs over several blocks whose last
+        block is partial.  On the particle (m = 0) the omega column is 0."""
         Ld = make_discrete_lagrangian(pendulum, rule)
         runs = (
             (simulate(Ld, pendulum, PENDULUM_Q0, PENDULUM_V0, 0.0, 1.5, 1e-3), Ld, pendulum),
@@ -197,24 +240,58 @@ class TestBuildReport:
             n = len(traj.t)
             assert n > 2 * _BLOCK and n % _BLOCK
             assert traj.impacts
-            h = traj.h
-            events = {ev.k: ev for ev in traj.impacts}
-            gap, omega = [], []
-            for k in range(n):
-                q, v = traj.q[k].tolist(), traj.v[k].tolist()
-                gap.append(model.boundary_gap(q))
-                if not model.m_con:
-                    omega.append(0.0)
-                elif k in events:
-                    omega.append(_omega_residual(model, q, events[k].w_in))
-                else:
-                    omega.append(_omega_residual(model, q, [(b - a) / h for a, b in zip(q, v)]))
             columns = build_report(traj, Ld, model).state_columns
-            for name, expected in (("c", gap), ("max_omega_residual", omega)):
-                got = columns[name]
-                assert got.dtype == np.float64 and got.shape == (n,)
-                for k, (a, b) in enumerate(zip(got.tolist(), expected)):
-                    assert struct.pack("<d", a) == struct.pack("<d", b), (name, k)
+            assert_columns_bitwise(columns, reference_state_columns(traj, model))
+
+    def test_two_constraint_columns_bitwise_per_node_reference(self, ellipse_body,
+                                                               ellipse_mid):
+        """No built-in model has m > 1: give the ellipse's (m = 0) run two
+        constraint rows in three coordinates and check the omega column and
+        the maximum against the per-node loop, bitwise.  One node has a NaN
+        in its second row only, and one has rows whose products are all
+        -0.0, so both its rates are zero whatever the sign; both nodes sit
+        apart from the impact rows, which read w_in."""
+        traj = simulate(ellipse_mid, ellipse_body, ELLIPSE_Q0, ELLIPSE_V0, 0.0, 6.0, 1e-2)
+        n = len(traj.t)
+        assert n > 2 * _BLOCK and n % _BLOCK
+        assert traj.impacts
+        h = traj.h
+        events = {ev.k for ev in traj.impacts}
+        nan_row, zero_row = _BLOCK + 3, n - 2
+        assert not events & {nan_row, zero_row}
+        nan_q = traj.q[nan_row].tobytes()
+        zero_q = traj.q[zero_row].tobytes()
+        zero_w = ((traj.v[zero_row] - traj.q[zero_row]) / h).tolist()
+        assert all(zero_w)
+        signed_zeros = tuple(-0.0 if w > 0.0 else 0.0 for w in zero_w)
+
+        def omega(q):
+            key = np.array(q).tobytes()
+            if key == zero_q:
+                return signed_zeros, signed_zeros
+            second = (q[0] * q[1], -1.0, math.sin(q[2]))
+            if key == nan_q:
+                second = (math.nan, *second[1:])
+            return (math.cos(q[0]), 0.3 * q[2], -q[1] / 3.0), second
+
+        model = dataclasses.replace(ellipse_body, m_con=2, omega=omega)
+        rep = build_report(traj, ellipse_mid, model)
+        expected = reference_state_columns(traj, model)
+        column = expected["max_omega_residual"]
+        assert math.isnan(column[nan_row]) and sum(map(math.isnan, column)) == 1
+        assert struct.pack("<d", column[zero_row]) == struct.pack("<d", 0.0)
+        assert_columns_bitwise(rep.state_columns, expected)
+        assert math.isnan(rep.max_constraint_residual)
+
+        # without the NaN: the maximum over nodes 1.. and the post-impact
+        # samples (q~, w_out), bitwise
+        nan_q = b""
+        rep = build_report(traj, ellipse_mid, model)
+        expected = reference_state_columns(traj, model)
+        assert_columns_bitwise(rep.state_columns, expected)
+        post = [reference_omega_residual(model, ev.q_tilde, ev.w_out) for ev in traj.impacts]
+        expected_max = max(0.0, *expected["max_omega_residual"][1:], *post)
+        assert struct.pack("<d", rep.max_constraint_residual) == struct.pack("<d", expected_max)
 
     def test_round_trips_to_dict(self, particle, particle_mid):
         traj = simulate(

@@ -158,17 +158,31 @@ MUTANTS = (
     ),
     Mutant(
         "report-velocity-block-late", DIAGNOSTICS,
-        "ws = ((traj.v[start:stop] - q_block) / h).tolist()",
-        "ws = ((traj.v[start + 1 : stop + 1] - q_block) / h).tolist()",
+        "ws = (traj.v[start:stop] - q_block) / h",
+        "ws = (traj.v[start + 1 : stop + 1] - q_block) / h",
         "build_report's omega column reads each block's v rows one row late, "
         "so node k's discrete velocity is (v_{k+1} - q_k)/h",
     ),
     Mutant(
         "report-velocity-reciprocal", DIAGNOSTICS,
-        "ws = ((traj.v[start:stop] - q_block) / h).tolist()",
-        "ws = ((traj.v[start:stop] - q_block) * (1.0 / h)).tolist()",
+        "ws = (traj.v[start:stop] - q_block) / h",
+        "ws = (traj.v[start:stop] - q_block) * (1.0 / h)",
         "build_report's discrete velocities multiply by 1/h instead of dividing "
         "by h, which moves the omega column's last bits",
+    ),
+    Mutant(
+        "report-omega-first-row-only", DIAGNOSTICS,
+        "return np.abs(rates, out=rates).max(axis=1)",
+        "return np.abs(rates[:, 0])",
+        "the omega residual reads only the first constraint row, so a model "
+        "with m > 1 loses the others' rates and their NaNs",
+    ),
+    Mutant(
+        "report-omega-signed-max", DIAGNOSTICS,
+        "return np.abs(rates, out=rates).max(axis=1)",
+        "return rates.max(axis=1)",
+        "the omega residual is the signed maximum of the rates, without abs, "
+        "so a negative rate reads as small",
     ),
     Mutant(
         "solve-no-first-swap", NUMERICS,
