@@ -8,6 +8,7 @@ polyline SVG built by hand; nothing here needs a plotting library.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -27,10 +28,15 @@ _CSV_BLOCK = 4096
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
+def _cells(cols: int) -> str:
+    """`cols` comma-separated cells of 17 significant digits ("%.17g" % x
+    equals format(x, ".17g") for every Python float)."""
+    return ",".join(["%.17g"] * cols)
+
+
 def _row_template(cols: int) -> str:
-    """One CSV row: the integer k, then `cols` cells of 17 significant digits
-    ("%.17g" % x equals format(x, ".17g") for every Python float)."""
-    return "%d," + ",".join(["%.17g"] * cols) + "\r\n"
+    """One CSV row: the integer k, then `cols` cells of 17 significant digits."""
+    return "%d," + _cells(cols) + "\r\n"
 
 
 def write_trajectory_csv(
@@ -41,6 +47,10 @@ def write_trajectory_csv(
 
     Impact nodes are not rows here; they go to the impacts file.  Rows are
     formatted and written in blocks of _CSV_BLOCK, so memory stays bounded.
+    The scheme stores q_{k+1} = v_k, so row k + 1's q cells reuse row k's v
+    text wherever the two rows are bitwise equal (int64 views: 0.0 == -0.0,
+    but they print "0" and "-0"); only row 0 and the rows after an impact
+    print their q cells afresh.
     """
     n = model.n
     columns = report.state_columns
@@ -52,14 +62,25 @@ def write_trajectory_csv(
         + [f"lambda{i}" for i in range(model.m_con)]
         + list(columns)
     )
-    blocks = [traj.t[:, None], traj.q, traj.v, traj.p, traj.lam]
-    blocks += [c[:, None] for c in columns.values()]
-    template = _row_template(len(header) - 1)
+    others = [traj.t[:, None], traj.p, traj.lam] + [c[:, None] for c in columns.values()]
+    template = "%d,%.17g,%s,%s," + _cells(n + model.m_con + len(columns)) + "\r\n"
+    cells = _cells(n)
+    q_bits, v_bits = traj.q.view(np.int64), traj.v.view(np.int64)
+    v_above = None  # the v text of the row above the block
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(traj.t), _CSV_BLOCK):
-            rows = np.hstack([b[start : start + _CSV_BLOCK] for b in blocks]).tolist()
-            fh.write("".join([template % (k, *row) for k, row in enumerate(rows, start)]))
+            stop = min(start + _CSV_BLOCK, len(traj.t))
+            v_text = list(map(cells.__mod__, zip(*traj.v[start:stop].T.tolist())))
+            q_text = [v_above, *v_text[:-1]]
+            lo = max(start, 1)  # row 0 has no row above
+            differs = (q_bits[lo:stop] != v_bits[lo - 1 : stop - 1]).any(axis=1)
+            for k in ([0] if start == 0 else []) + (np.flatnonzero(differs) + lo).tolist():
+                q_text[k - start] = cells % tuple(traj.q[k].tolist())
+            v_above = v_text[-1]
+            t, *rest = np.hstack([b[start:stop] for b in others]).T.tolist()
+            rows = zip(range(start, stop), t, q_text, v_text, *rest)
+            fh.write("".join(map(template.__mod__, rows)))
 
 
 def write_impacts_csv(path, traj: Trajectory, model: MechanicalModel) -> None:
@@ -174,13 +195,23 @@ def svg_line_chart(
         f'<text x="18" y="{mt + ph / 2:.1f}" font-family="sans-serif" font-size="13" '
         f'text-anchor="middle" transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'
     )
+    # an x column that several series share (the coordinates chart's t) is
+    # formatted once, and "%s" of that "%.2f" text prints what "%.2f" would;
+    # a column that one series reads keeps the pair format, faster there
+    uses = Counter(id(xs) for _, xs, _ in series)
+    x_text = {}
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         # sx/sy map whole columns: numpy applies the same operations in the
         # same order per element, so the pixels equal the per-point values
-        px = sx(np.asarray(xs, dtype=float)).tolist()
         py = sy(np.asarray(ys, dtype=float)).tolist()
-        pts = " ".join(["%.2f,%.2f" % xy for xy in zip(px, py)])
+        if uses[id(xs)] == 1:
+            px = sx(np.asarray(xs, dtype=float)).tolist()
+            pts = " ".join(["%.2f,%.2f" % xy for xy in zip(px, py)])
+        else:
+            if id(xs) not in x_text:
+                x_text[id(xs)] = ["%.2f" % x for x in sx(np.asarray(xs, dtype=float)).tolist()]
+            pts = " ".join(["%s,%.2f" % xy for xy in zip(x_text[id(xs)], py)])
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

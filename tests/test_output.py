@@ -1,9 +1,12 @@
 import csv
 import dataclasses
+import gc
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +19,7 @@ from nhvi.diagnostics import RunReport, build_report, energy_series, recompute_s
 from nhvi.discretization import discrete_energy, omega_dplus
 from nhvi.integrator import ImpactEvent, SolverStats, Trajectory
 from nhvi.output import (
+    _CSV_BLOCK,
     _ticks,
     svg_line_chart,
     write_impacts_csv,
@@ -28,6 +32,36 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _reference_trajectory_csv(traj, report, model) -> bytes:
+    """trajectory.csv as one "%d,%.17g,..." template per row, every cell printed."""
+    columns = report.state_columns
+    header = (
+        ["k", "t"]
+        + [f"{name}{i}" for name in ("q", "v", "p") for i in range(model.n)]
+        + [f"lambda{i}" for i in range(model.m_con)]
+        + list(columns)
+    )
+    blocks = [traj.t[:, None], traj.q, traj.v, traj.p, traj.lam]
+    blocks += [c[:, None] for c in columns.values()]
+    template = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\r\n"
+    rows = np.hstack(blocks).tolist()
+    body = "".join([template % (k, *row) for k, row in enumerate(rows)])
+    return (",".join(header) + "\r\n" + body).encode()
+
+
+def _handmade_run(rows, n, m, seed=36):
+    """A Trajectory of five separate random arrays, q_{k+1} = v_k bitwise,
+    with its report columns and a model of n coordinates and m constraints."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((rows, n))
+    q = np.vstack([rng.standard_normal((1, n)), v[:-1]])
+    traj = Trajectory(np.arange(rows) * 0.01, q, v, rng.standard_normal((rows, n)),
+                      rng.standard_normal((rows, m)), [], 0.01, SolverStats())
+    columns = {name: rng.standard_normal(rows) for name in ("E", "c", "max_omega_residual")}
+    report = RunReport(0, [], 0.0, 0.0, 0.0, 0.0, 0.0, state_columns=columns)
+    return traj, report, SimpleNamespace(n=n, m_con=m)
 
 
 class TestTrajectoryCsv:
@@ -66,6 +100,22 @@ class TestTrajectoryCsv:
         for k in events:
             st = traj.states[k]
             assert rows[k]["E"] != _fmt(discrete_energy(Ld, st.q, st.v, traj.h))
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        # one block is formatted at a time; the one-template-per-row writer
+        # peaked at 1,145 B per block row (n = 3, m = 1) at 3 and at 6 blocks
+        peaks = []
+        for blocks in (3, 6):
+            traj, report, model = _handmade_run(blocks * _CSV_BLOCK, 3, 1)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(tmp_path / "trajectory.csv", traj, report, model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
+        assert max(peaks) / _CSV_BLOCK <= 1200
 
 
 def _demo_run(name, t_final):
@@ -128,6 +178,32 @@ class TestCellFormat:
                   event.compat_residual, event.energy_jump]
         assert line.split(",") == [str(event.k)] + [format(x, ".17g") for x in values]
 
+    def test_q_cells_reuse_the_row_above_only_where_bitwise_equal(self, tmp_path):
+        n, m, rows = 2, 1, _CSV_BLOCK + 3
+        traj, report, model = _handmade_run(rows, n, m)
+        q, v = traj.q, traj.v
+        nan_a, nan_b = np.array([0x7FF8000000000001, 0x7FF8000000000002]).view(np.float64)
+        # v_k = -0.0 under q_{k+1} = 0.0 and the reverse: == holds, the bits differ
+        v[5, 0], q[6, 0] = -0.0, 0.0
+        v[7, 0], q[8, 0] = 0.0, -0.0
+        # NaNs: different payloads differ in bits, one payload is bitwise equal
+        v[11, 1], q[12, 1] = nan_a, nan_b
+        v[14, 1] = q[15, 1] = nan_a
+        v[20, 0] = q[21, 0] = -0.0
+        # impacts on both sides of a block boundary: row k holds q~, row k + 1 v~
+        for k in (_CSV_BLOCK - 1, _CSV_BLOCK):
+            q[k + 1] = [0.25, -0.5]
+        bits_differ = (q[1:].view(np.int64) != v[:-1].view(np.int64)).any(axis=1)
+        assert (np.flatnonzero(bits_differ) + 1).tolist() == [6, 8, 12, _CSV_BLOCK,
+                                                              _CSV_BLOCK + 1]
+
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(path, traj, report, model)
+        assert path.read_bytes() == _reference_trajectory_csv(traj, report, model)
+        _, *body = _csv_lines(path)
+        assert body[5].split(",")[4] == "-0" and body[6].split(",")[2] == "0"
+        assert body[7].split(",")[4] == "0" and body[8].split(",")[2] == "-0"
+
 
 def _address(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]
@@ -170,6 +246,7 @@ class TestStorageLayout:
             report = build_report(tr, Ld, model)
             path = tmp_path / f"{label}.csv"
             write_trajectory_csv(path, tr, report, model)
+            assert path.read_bytes() == _reference_trajectory_csv(tr, report, model)
             written.append((path.read_bytes(), report.to_dict(),
                             recompute_solve_residuals(tr, Ld, model)))
         (csv_rows, report_rows, res_rows), (csv_apart, report_apart, res_apart) = written
@@ -205,6 +282,34 @@ class TestEnergyPlot:
         report = build_report(traj, Ld, model)
         write_plots(tmp_path, traj, Ld, model, cfg.outputs.plots, report=report)
         assert calls == len(traj.t)
+
+
+def _reference_polylines(series, width=720, height=480):
+    """Each series' points, "%.2f,%.2f" per point of Python float pixels."""
+    ml, mr, mt, mb = 72, 24, 40, 56
+    pw, ph = width - ml - mr, height - mt - mb
+    xs_all = [float(x) for _, xs, _ in series for x in xs]
+    ys_all = [float(y) for _, _, ys in series for y in ys]
+    x_lo, x_hi = min(xs_all), max(xs_all)
+    pad = 0.04 * (max(ys_all) - min(ys_all))
+    y_lo, y_hi = min(ys_all) - pad, max(ys_all) + pad
+    return [
+        " ".join(["%.2f,%.2f" % (ml + (float(x) - x_lo) / (x_hi - x_lo) * pw,
+                                 mt + ph - (float(y) - y_lo) / (y_hi - y_lo) * ph)
+                  for x, y in zip(xs, ys)])
+        for _, xs, ys in series
+    ]
+
+
+class TestLineChart:
+    def test_shared_x_column_prints_the_per_point_pairs(self):
+        t = np.linspace(0.0, 3.0, 301)
+        series = [("a", t, np.sin(7.0 * t)), ("b", t, np.cos(5.0 * t)),
+                  ("c", t.copy(), 0.5 * t - 1.0)]
+        svg = svg_line_chart(series, "chart", "t", "y")
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == _reference_polylines(series)
+        apart = [(label, xs.copy(), ys) for label, xs, ys in series]
+        assert svg == svg_line_chart(apart, "chart", "t", "y")
 
 
 class TestTicks:

@@ -1,4 +1,5 @@
-"""A fixed mutation check of nhvi's numerical core and its run report.
+"""A fixed mutation check of nhvi's numerical core, its run report and its
+CSV writer.
 
 Each mutant is one hand-written fault: a file under the repository root, an
 exact snippet of it, the snippet's replacement and why the fault matters.
@@ -47,6 +48,7 @@ class Mutant(NamedTuple):
 INTEGRATOR = "src/nhvi/integrator.py"
 NUMERICS = "src/nhvi/numerics.py"
 DIAGNOSTICS = "src/nhvi/diagnostics.py"
+OUTPUT = "src/nhvi/output.py"
 
 MUTANTS = (
     Mutant(
@@ -183,6 +185,20 @@ MUTANTS = (
         "return rates.max(axis=1)",
         "the omega residual is the signed maximum of the rates, without abs, "
         "so a negative rate reads as small",
+    ),
+    Mutant(
+        "csv-q-reuse-float-equality", OUTPUT,
+        "differs = (q_bits[lo:stop] != v_bits[lo - 1 : stop - 1]).any(axis=1)",
+        "differs = (traj.q[lo:stop] != traj.v[lo - 1 : stop - 1]).any(axis=1)",
+        "trajectory.csv compares q_{k+1} with v_k by float == instead of their "
+        "bits, so a q cell 0.0 under a v cell -0.0 reuses the text \"-0\"",
+    ),
+    Mutant(
+        "csv-q-reuse-own-row", OUTPUT,
+        "q_text = [v_above, *v_text[:-1]]",
+        "q_text = [*v_text]",
+        "trajectory.csv's q cells reuse the v text of their own row instead of "
+        "the row above's",
     ),
     Mutant(
         "solve-no-first-swap", NUMERICS,
