@@ -9,7 +9,8 @@ Schema (all keys shown; unknown keys are rejected with their path):
         # se2_body only:
         "shape": {"kind": "ellipse", "a": number, "b": number}
                | {"kind": "star", "l": number},
-        "inertia": number,            # optional for ellipses
+        "inertia": number,            # an ellipse's defaults to m (a^2 + b^2) / 4
+        "contact_frame": "vertical" | "edge-slope",
         # pendulum only:
         "length": number, "radius": number,
         "f": "default" | number       # constraint gain; number means constant
@@ -19,15 +20,18 @@ Schema (all keys shown; unknown keys are rejected with their path):
       "t0": number,                   # default 0
       "t_final": number,
       "h": number,                    # at least one step: round((t_final - t0) / h) >= 1
-      "solver": {"tol": .., "max_iter": ..},
+      "solver": {"tol": number, "max_iter": integer},
       "outputs": {"csv": bool, "summary": bool,
                   "plots": ["energy" | "coordinates" | "plane_trajectory", ..]}
     }
 
-This module checks only what JSON needs: types, finiteness, unknown and
-required keys, and the enums of "type", "shape.kind", "rule" and "plots".
-The `*Params` records and `NewtonOptions` own every default and range of the
-model and solver fields; a value they reject is a SchemaError at its key path.
+"model", "rule", "q0", "v0", "t_final", "h", "model.type" and "shape.kind"
+are required.  This module checks only what JSON needs: types, finiteness,
+unknown and required keys, and the enums of "type", "shape.kind", "rule" and
+"plots".  Each object but the top level maps onto a record (a `*Params`
+record, a shape, `NewtonOptions` or `OutputOptions`): its keys are the
+record's fields, and the record owns every default and range; a value it
+rejects is a SchemaError at its key path.
 """
 
 from __future__ import annotations
@@ -55,8 +59,17 @@ from .models import (
 )
 from .numerics import NewtonOptions
 
-MODEL_DIMS = {"particle": 2, "se2_body": 3, "pendulum": 2}
+# each model type's record, factory and coordinate count
+MODEL_TYPES = {
+    "particle": (ParticleParams, make_particle, 2),
+    "se2_body": (Se2BodyParams, make_se2_body, 3),
+    "pendulum": (PendulumParams, make_pendulum, 2),
+}
+SHAPE_KINDS = {"ellipse": EllipseShape, "star": StarShape}
 PLOT_KINDS = ("energy", "coordinates", "plane_trajectory")
+# the JSON kind of a record field, by its annotation; the fields of none
+# (a shape, the pendulum's gain and the plots) are read apart
+JSON_KINDS = {"float": float, "float | None": float, "int": int, "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -130,8 +143,15 @@ def _parse_vector(d: dict, key: str, path: str) -> Tuple[float, ...]:
     return tuple(_number(entry, f"{full}[{i}]") for i, entry in enumerate(raw))
 
 
-def _typed(d: dict, kinds: dict, path: str) -> dict:
-    """The values of the keys of `kinds` present in `d`, each of its kind."""
+def _object(d, record, path: str, tag: str | None = None) -> dict:
+    """The keys of JSON object `d` that name fields of `record`, in field
+    order, each value of its field's JSON kind; a key that is neither a field
+    nor the `tag` is rejected at its path.  An absent key is left out, for
+    the record's default, and a field of no JSON kind keeps its JSON value."""
+    if not isinstance(d, dict):
+        raise SchemaError("expected an object", key_path=path)
+    kinds = {f.name: JSON_KINDS.get(f.type) for f in dataclasses.fields(record)}
+    _reject_unknown(d, {*kinds, tag}, path)
     return {key: _get(d, key, kind, path) for key, kind in kinds.items() if key in d}
 
 
@@ -148,60 +168,50 @@ def _params(model: dict, path: str = "model"):
     """The `*Params` record of a model object of JSON-valid types: the shape
     object becomes its record, and a numeric "f" a constant gain."""
     fields = dict(model)
-    mtype = fields.pop("type")
-    if mtype == "particle":
-        return _record(ParticleParams, fields, path)
-    if mtype == "se2_body":
+    record = MODEL_TYPES[fields.pop("type")][0]
+    if "shape" in fields:
         shape = dict(fields["shape"])
-        make = EllipseShape if shape.pop("kind") == "ellipse" else StarShape
-        fields["shape"] = _record(make, shape, f"{path}.shape")
-        return _record(Se2BodyParams, fields, path)
-    gain = fields.pop("f")
+        fields["shape"] = _record(SHAPE_KINDS[shape.pop("kind")], shape, f"{path}.shape")
+    gain = fields.pop("f", "default")
     if gain != "default":
         fields["f"] = lambda theta, _c=gain: _c
-    return _record(PendulumParams, fields, path)
+    return _record(record, fields, path)
+
+
+def _parse_shape(d, path: str) -> dict:
+    """The shape object's kind and the fields it sets, each of its kind."""
+    if not isinstance(d, dict):
+        raise SchemaError("expected an object", key_path=path)
+    kind = _get(d, "kind", str, path)
+    if kind not in SHAPE_KINDS:
+        raise SchemaError(
+            f"unknown shape kind {kind!r}; expected 'ellipse' or 'star'", key_path=f"{path}.kind"
+        )
+    return {"kind": kind, **_object(d, SHAPE_KINDS[kind], path, "kind")}
 
 
 def _parse_model(d, path="model") -> dict:
-    """The validated model object: defaults filled in, keys in schema order."""
+    """The validated model object: defaults filled in, keys in field order."""
     if not isinstance(d, dict):
         raise SchemaError("expected an object", key_path=path)
     mtype = _get(d, "type", str, path)
-    if mtype not in MODEL_DIMS:
+    if mtype not in MODEL_TYPES:
         raise SchemaError(
-            f"unknown model type {mtype!r}; expected one of {sorted(MODEL_DIMS)}",
+            f"unknown model type {mtype!r}; expected one of {sorted(MODEL_TYPES)}",
             key_path=f"{path}.type",
         )
-    fields = {"type": mtype, **_typed(d, {"mass": float, "gravity": float}, path)}
-    if mtype == "particle":
-        _reject_unknown(d, {"type", "mass", "gravity"}, path)
-    elif mtype == "se2_body":
-        _reject_unknown(d, {"type", "mass", "gravity", "shape", "inertia", "contact_frame"}, path)
-        fields.update(_typed(d, {"inertia": float, "contact_frame": str}, path))
-        shape = d.get("shape")
-        spath = f"{path}.shape"
-        if not isinstance(shape, dict):
-            raise SchemaError("expected an object", key_path=spath)
-        kind = _get(shape, "kind", str, spath)
-        if kind not in ("ellipse", "star"):
-            raise SchemaError(
-                f"unknown shape kind {kind!r}; expected 'ellipse' or 'star'",
-                key_path=f"{spath}.kind",
-            )
-        keys = ("a", "b") if kind == "ellipse" else ("l",)
-        _reject_unknown(shape, {"kind", *keys}, spath)
-        fields["shape"] = {"kind": kind, **{key: _get(shape, key, float, spath) for key in keys}}
-    else:  # pendulum
-        _reject_unknown(d, {"type", "mass", "gravity", "length", "radius", "f"}, path)
-        fields["length"] = _get(d, "length", float, path)
-        fields["radius"] = _get(d, "radius", float, path)
-        gain = d.get("f", "default")
-        fields["f"] = gain if gain == "default" else _number(gain, f"{path}.f")
-    model = {"type": mtype, **dataclasses.asdict(_params(fields, path))}
-    if mtype == "se2_body":
+    fields = _object(d, MODEL_TYPES[mtype][0], path, "type")
+    if "shape" in fields:
+        fields["shape"] = _parse_shape(fields["shape"], f"{path}.shape")
+    if fields.get("f", "default") != "default":
+        fields["f"] = _number(fields["f"], f"{path}.f")
+    params = _params({"type": mtype, **fields}, path)
+    model = {"type": mtype, **dataclasses.asdict(params)}
+    if "shape" in model:  # the shape record's fields, after its kind
+        kind = next(k for k, shape in SHAPE_KINDS.items() if type(params.shape) is shape)
         model["shape"] = {"kind": kind, **model["shape"]}
-    elif mtype == "pendulum":
-        model["f"] = fields["f"]
+    if "f" in model:
+        model["f"] = fields.get("f", "default")
     return model
 
 
@@ -214,9 +224,7 @@ def check_time_span(t0: float, t_final: float, h: float) -> None:
 def config_from_dict(d: dict) -> SimConfig:
     if not isinstance(d, dict):
         raise SchemaError("top-level configuration must be an object")
-    _reject_unknown(
-        d, {"model", "rule", "q0", "v0", "t0", "t_final", "h", "solver", "outputs"}, ""
-    )
+    _reject_unknown(d, {f.name for f in dataclasses.fields(SimConfig)}, "")
     if "model" not in d:
         raise SchemaError("missing required key", key_path="model")
     model = _parse_model(d["model"])
@@ -227,7 +235,7 @@ def config_from_dict(d: dict) -> SimConfig:
 
     q0 = _parse_vector(d, "q0", "")
     v0 = _parse_vector(d, "v0", "")
-    n = MODEL_DIMS[model["type"]]
+    n = MODEL_TYPES[model["type"]][2]
     if len(q0) != n or len(v0) != n:
         raise DimensionMismatch(
             f"model {model['type']!r} has dimension {n}, got q0 of length {len(q0)} "
@@ -239,31 +247,19 @@ def config_from_dict(d: dict) -> SimConfig:
     h = _get(d, "h", float, "")
     check_time_span(t0, t_final, h)
 
-    solver_raw = d.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        raise SchemaError("expected an object", key_path="solver")
-    kinds = {"tol": float, "max_iter": int}
-    _reject_unknown(solver_raw, kinds, "solver")
-    solver = _record(NewtonOptions, _typed(solver_raw, kinds, "solver"), "solver")
+    solver = _record(NewtonOptions, _object(d.get("solver", {}), NewtonOptions, "solver"), "solver")
 
-    outputs_raw = d.get("outputs", {})
-    if not isinstance(outputs_raw, dict):
-        raise SchemaError("expected an object", key_path="outputs")
-    _reject_unknown(outputs_raw, {"csv", "summary", "plots"}, "outputs")
-    plots_raw = outputs_raw.get("plots", [])
-    if not isinstance(plots_raw, list):
+    outputs = _object(d.get("outputs", {}), OutputOptions, "outputs")
+    plots = outputs.get("plots", [])
+    if not isinstance(plots, list):
         raise SchemaError("expected an array", key_path="outputs.plots")
-    for i, kind in enumerate(plots_raw):
+    for i, kind in enumerate(plots):
         if kind not in PLOT_KINDS:
             raise SchemaError(
                 f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}",
                 key_path=f"outputs.plots[{i}]",
             )
-    outputs = OutputOptions(
-        csv=_get(outputs_raw, "csv", bool, "outputs", default=True),
-        summary=_get(outputs_raw, "summary", bool, "outputs", default=True),
-        plots=tuple(plots_raw),
-    )
+    outputs = OutputOptions(**{**outputs, "plots": tuple(plots)})
 
     return SimConfig(
         model=model,
@@ -304,5 +300,4 @@ def serialize_config(cfg: SimConfig) -> str:
 
 def build_model(cfg: SimConfig) -> MechanicalModel:
     """Instantiate the mechanical model described by a configuration."""
-    make = {"particle": make_particle, "se2_body": make_se2_body, "pendulum": make_pendulum}
-    return make[cfg.model["type"]](_params(cfg.model))
+    return MODEL_TYPES[cfg.model["type"]][1](_params(cfg.model))

@@ -35,6 +35,8 @@ GRAZING_TOL = 1e-12
 FRAME_GAP_TOL = 1e-8
 # P.E must equal the identity to this tolerance, else the frame is degenerate
 FRAME_IDENTITY_TOL = 1e-10
+# singular values of omega(q) at or below this count as missing rank
+OMEGA_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -155,12 +157,12 @@ def push_cotangent(frame: BoundaryFrame, p_tilde: Sequence[float]) -> list:
     return [_dot(col, p_tilde) for col in _columns(frame.P, len(frame.q_tilde))]
 
 
-def omega_rank_deficiency(model: MechanicalModel, q: np.ndarray, tol: float = 1e-10) -> int:
+def omega_rank_deficiency(model: MechanicalModel, q: np.ndarray) -> int:
     """Number of missing rows of rank in omega(q); 0 means full row rank."""
     if model.m_con == 0:
         return 0
     om = np.asarray(model.omega(q), dtype=float)
-    rank = np.linalg.matrix_rank(om, tol=tol)
+    rank = np.linalg.matrix_rank(om, tol=OMEGA_RANK_TOL)
     return model.m_con - int(rank)
 
 

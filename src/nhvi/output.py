@@ -108,11 +108,12 @@ def write_summary_json(path, report: RunReport, cfg: SimConfig | None = None) ->
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> List[float]:
+def _ticks(lo: float, hi: float) -> List[float]:
+    """About five round ticks spanning [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(count - 1, 1)
+    raw = span / 4
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -130,14 +131,10 @@ def _ticks(lo: float, hi: float, count: int = 5) -> List[float]:
 
 
 def svg_line_chart(
-    series: Sequence[Tuple[str, np.ndarray, np.ndarray]],
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    width: int = 720,
-    height: int = 480,
+    series: Sequence[Tuple[str, np.ndarray, np.ndarray]], title: str, xlabel: str, ylabel: str
 ) -> str:
-    """Render labeled (x, y) polylines as a standalone SVG 1.1 document."""
+    """Render labeled (x, y) polylines as a standalone 720 x 480 SVG 1.1 document."""
+    width, height = 720, 480
     ml, mr, mt, mb = 72, 24, 40, 56
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -249,9 +246,7 @@ def write_plots(
     for kind in kinds:
         if kind == "energy":
             pts = energy_samples(traj, Ld, report.state_columns["E"])
-            svg = svg_line_chart(
-                [("", pts[:, 0], pts[:, 1])], "Discrete energy", "t [s]", "E", width=720
-            )
+            svg = svg_line_chart([("", pts[:, 0], pts[:, 1])], "Discrete energy", "t [s]", "E")
         elif kind == "coordinates":
             series = [
                 (model.coordinate_names[i], traj.t, traj.q[:, i]) for i in range(model.n)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import json
 import os
 import re
 import subprocess
@@ -263,8 +264,7 @@ class TestEnergyPlot:
         _, _, Ld, traj = _demo_run("ellipse", 2.0)
         assert len(traj.impacts) >= 1
         s = energy_series(traj, Ld)
-        expected = svg_line_chart([("", s[:, 0], s[:, 1])], "Discrete energy", "t [s]", "E",
-                                  width=720)
+        expected = svg_line_chart([("", s[:, 0], s[:, 1])], "Discrete energy", "t [s]", "E")
         assert (out / "energy.svg").read_text() == expected
 
     def test_report_and_plots_evaluate_each_node_energy_once(self, tmp_path):
@@ -310,6 +310,35 @@ class TestLineChart:
         assert re.findall(r'<polyline points="([^"]*)"', svg) == _reference_polylines(series)
         apart = [(label, xs.copy(), ys) for label, xs, ys in series]
         assert svg == svg_line_chart(apart, "chart", "t", "y")
+
+    @pytest.mark.parametrize("model, q0, v0, rule, x_ticks, y_ticks, pixel", [
+        # a particle dropped from rest keeps x = 0: the x range widens to [0, 1]
+        ({"type": "particle"}, [0.0, 1.0], [0.0, 0.0], "midpoint",
+         ["0", "0.25", "0.5", "0.75", "1"], ["0", "0.5", "1"], (0, "72.00")),
+        # with f = 0 the pendulum keeps phi = 0: the y range widens to [-0.5, 0.5]
+        ({"type": "pendulum", "length": 2.0, "radius": 1.5, "f": 0}, [2.4, 0.0], [0.1, 0.0],
+         "retraction-left", ["2.5", "3", "3.5"], ["-0.5", "0", "0.5"], (1, "232.00")),
+    ], ids=["particle-constant-x", "pendulum-constant-phi"])
+    def test_constant_column_widens_its_range(self, tmp_path, model, q0, v0, rule, x_ticks,
+                                              y_ticks, pixel):
+        cfg = {"model": model, "rule": rule, "q0": q0, "v0": v0, "t_final": 1.0, "h": 0.01,
+               "outputs": {"csv": False, "summary": False, "plots": ["plane_trajectory"]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        svg = (tmp_path / "out" / "plane_trajectory.svg").read_text()
+        label = r'<text [^>]*font-size="11" text-anchor="{}">([^<]*)</text>'
+        assert re.findall(label.format("middle"), svg) == x_ticks
+        assert re.findall(label.format("end"), svg) == y_ticks
+        (points,) = re.findall(r'<polyline points="([^"]*)"', svg)
+        pairs = [pair.split(",") for pair in points.split()]
+        assert len(pairs) == 101
+        xy = np.array(pairs, dtype=float)
+        assert np.all(np.isfinite(xy))
+        assert np.all((72.0 <= xy[:, 0]) & (xy[:, 0] <= 696.0))
+        assert np.all((40.0 <= xy[:, 1]) & (xy[:, 1] <= 424.0))
+        axis, text = pixel  # the constant column's one pixel
+        assert {pair[axis] for pair in pairs} == {text}
 
 
 class TestTicks:

@@ -1,5 +1,5 @@
-"""A fixed mutation check of nhvi's numerical core, its run report and its
-CSV writer.
+"""A fixed mutation check of nhvi's numerical core, its run report, its
+CSV writer and its configuration reader.
 
 Each mutant is one hand-written fault: a file under the repository root, an
 exact snippet of it, the snippet's replacement and why the fault matters.
@@ -49,6 +49,7 @@ INTEGRATOR = "src/nhvi/integrator.py"
 NUMERICS = "src/nhvi/numerics.py"
 DIAGNOSTICS = "src/nhvi/diagnostics.py"
 OUTPUT = "src/nhvi/output.py"
+CONFIG = "src/nhvi/config.py"
 
 MUTANTS = (
     Mutant(
@@ -199,6 +200,20 @@ MUTANTS = (
         "q_text = [*v_text]",
         "trajectory.csv's q cells reuse the v text of their own row instead of "
         "the row above's",
+    ),
+    Mutant(
+        "config-unknown-keys-kept", CONFIG,
+        "    _reject_unknown(d, {*kinds, tag}, path)\n",
+        "",
+        "the configuration reader keeps a key that names no field of its "
+        "record, so a misspelt or another model's key is ignored in silence",
+    ),
+    Mutant(
+        "config-kinds-unchecked", CONFIG,
+        "kinds = {f.name: JSON_KINDS.get(f.type) for f in dataclasses.fields(record)}",
+        "kinds = {f.name: None for f in dataclasses.fields(record)}",
+        "the configuration reader passes each record field's JSON value on "
+        "without checking its kind, so a string or a fraction reaches the record",
     ),
     Mutant(
         "solve-no-first-swap", NUMERICS,
